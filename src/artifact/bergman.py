@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import NonPositiveNorm
-from .geometry import RadialKahlerMetric, ScalarField, build_metric, perturbed_metric
+from .geometry import RadialKahlerMetric, ScalarField, perturbed_metric
 from .quadrature import TWO_PI, SphereGrid, check_resolution, sphere_grid
 
 LOG_TWO_PI = math.log(TWO_PI)

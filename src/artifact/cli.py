@@ -84,21 +84,8 @@ def config_from_args(args) -> ExperimentConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        config = config_from_args(args)
         if args.command == "fit":
-            n = args.n or 1
-            lo, hi, stride = DEFAULT_WINDOWS.get(n, DEFAULT_WINDOWS[1])
-            data = {"kind": "partition", "n": n,
-                    "k_min": args.k_min or lo, "k_max": args.k_max or hi,
-                    "k_stride": args.k_stride or stride}
-            if args.config:
-                with open(args.config) as fh:
-                    data = {**json.load(fh), **data}
-            if args.potential:
-                with open(args.potential) as fh:
-                    pot = RadialPotential.from_json(fh.read())
-                data["n"] = pot.n
-                data["potential_coeffs"] = list(pot.coeffs)
-            config = ExperimentConfig.from_dict(data)
             result, s_vals = run_fit(config)
             out = {
                 "coefficients": [repr(c) for c in result.coefficients],
@@ -108,7 +95,6 @@ def main(argv=None) -> int:
             }
             print(json.dumps(out, indent=2))
             return 0
-        config = config_from_args(args)
         manifest = run_experiment(config)
         print(json.dumps({"status": manifest.status,
                           "files": manifest.files}, indent=2))

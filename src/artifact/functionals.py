@@ -1,21 +1,19 @@
 """Secondary forms and the energy functionals of the partition expansion.
 
-Implements the Bott-Chern forms of the Chern character and of Td_2, the
-functionals tilde-S_j and S_j (j = 0, 1, 2) by two independent routes
-(path integral over metric interpolation vs Bott-Chern assembly), the
-explicit generalized Liouville action, and all cocycle/variation
-diagnostics.
+Implements the Bott-Chern form of Td_2, the functionals tilde-S_j and
+S_j (j = 0, 1, 2) by two independent routes (path integral over metric
+interpolation vs Bott-Chern assembly), the explicit generalized
+Liouville action, and all cocycle/variation diagnostics.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as _dfield
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonPositiveMetric, PathLeavesCone
 from .forms import (
-    PairForm,
     RadialForm,
     form_inner,
     gradient_pair_form,
@@ -38,7 +36,6 @@ from .geometry import (
     perturbed_metric,
     scalar_curvature,
 )
-from .profiles import DEFAULT_DEGREE, Profile
 from .quadrature import TWO_PI
 
 PATH_ORDER = 32
@@ -66,87 +63,15 @@ def path_metric(m1: RadialKahlerMetric, m0: RadialKahlerMetric, t: float) -> Rad
         return m0
     if t == 1.0:
         return m1
-
-    def pot(s):
-        return (1.0 - t) * m0.phi_derivs(s)[0] + t * m1.phi_derivs(s)[0]
-
+    pot = ProfilePotential(m0.n, (1.0 - t) * m0.potential.profile + t * m1.potential.profile)
     try:
-        return build_metric(
-            ProfilePotential(m0.n, Profile.from_callable(pot, DEFAULT_DEGREE)),
-            m0.rule,
-            label=f"path t={t:.4f}",
-        )
+        return build_metric(pot, m0.rule, label=f"path t={t:.4f}")
     except NonPositiveMetric as exc:
         raise PathLeavesCone(t, cause=exc) from exc
 
 
 # ---------------------------------------------------------------------------
-# Bott-Chern forms
-
-
-@dataclass
-class BottChernProfile:
-    """A secondary (p-1, p-1)-form stored through its pairing data.
-
-    ``terms`` is a list of (complex coefficient, scalar factor values,
-    form) where form is None for a function, a RadialForm for a
-    (1,1)-form, or a PairForm for a (2,2)-form.  Only pairings against
-    background (1,1)-forms are exposed; the representative is defined
-    modulo ddbar-exact terms, so no gauge is fixed.
-    """
-
-    n: int
-    degree: int  # p: the form has bidegree (p-1, p-1)
-    terms: list
-    diagnostics: dict = _dfield(default_factory=dict)
-
-    def pair(self, rule, background) -> complex:
-        """Integral of this form wedged with the given (1,1)-forms."""
-        background = list(background)
-        n = self.n
-        total = 0.0 + 0.0j
-        for coef, fvals, form in self.terms:
-            if form is None:
-                if len(background) != n:
-                    raise ValueError(f"0-form pairing needs {n} background forms")
-                total += coef * mixed_integral(rule, n, fvals, background)
-            elif isinstance(form, RadialForm):
-                if len(background) != n - 1:
-                    raise ValueError(f"(1,1)-form pairing needs {n - 1} background forms")
-                total += coef * mixed_integral(rule, n, fvals, [form] + background)
-            elif isinstance(form, PairForm):
-                if len(background) != n - 2:
-                    raise ValueError(f"(2,2)-form pairing needs {n - 2} background forms")
-                total += coef * pair_integral(rule, n, fvals, form, background)
-            else:
-                raise TypeError(f"unsupported form term {type(form).__name__}")
-        return complex(total)
-
-
-def bc_chern_character(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int) -> BottChernProfile:
-    """Explicit secondary form of ch_j for the line bundle pair:
-    (-i/j!) sum_{s<j} phi~ omega_1^s ^ omega_0^{j-1-s}."""
-    _check_pair(m1, m0)
-    n = m1.n
-    if not 1 <= j <= n + 1:
-        raise ValueError(f"degree j={j} out of range 1..{n + 1}")
-    rel = relative_potential_values(m1, m0, m1.rule.nodes)
-    coef = -1j / math.factorial(j)
-    om1, om0 = omega_form(m1), omega_form(m0)
-    terms = []
-    if j == 1:
-        terms.append((coef, rel, None))
-    elif j == 2:
-        terms.append((coef, rel, om1))
-        terms.append((coef, rel, om0))
-    else:  # j == 3, a (2,2)-form
-        from .forms import wedge_pair
-
-        for s_pow in range(3):
-            a = om1 if s_pow >= 1 else om0
-            b = om1 if s_pow >= 2 else om0
-            terms.append((coef, rel, wedge_pair(a, b)))
-    return BottChernProfile(n, j, terms)
+# Bott-Chern form of Td_2
 
 
 def _endomorphism_eigen(metric_t: RadialKahlerMetric, rel1, rel2):
@@ -158,7 +83,7 @@ def _endomorphism_eigen(metric_t: RadialKahlerMetric, rel1, rel2):
     return p, q
 
 
-def _todd2_bc_form(m1, m0, path_steps):
+def _todd2_bc_form(m1, m0, order):
     """The real (1,1)-form -i BC(Td_2) via Gauss quadrature along the
     linear path: (1/12) int [3 Tr(W_t) ric_t - i Tr(R_t W_t)] dt."""
     n = m1.n
@@ -170,7 +95,7 @@ def _todd2_bc_form(m1, m0, path_steps):
     # F = s + sig phi' and G = 1 + (1-s) phi' recover phi', phi'' exactly
     rel1 = (d1["G"] - d0["G"]) / (1.0 - s)  # phi1' - phi0' (safe: nodes interior)
     rel2 = ((d1["F1"] - d0["F1"]) - (1.0 - 2.0 * s) * rel1) / d1["sig"]
-    tn, tw = _gauss01(path_steps)
+    tn, tw = _gauss01(order)
     rho = np.zeros_like(s)
     sig = np.zeros_like(s)
     for t, w in zip(tn, tw):
@@ -187,22 +112,21 @@ def _todd2_bc_form(m1, m0, path_steps):
     return RadialForm(rho, sig)
 
 
-def bc_todd2(m1: RadialKahlerMetric, m0: RadialKahlerMetric,
-             path_steps: int = PATH_ORDER) -> BottChernProfile:
-    """Secondary form of Td_2 along the linear potential path, with a
-    Richardson step-doubling diagnostic."""
+def bc_todd2(m1: RadialKahlerMetric, m0: RadialKahlerMetric):
+    """Secondary form of Td_2 along the linear potential path.
+
+    Returns (form, path_refinement): -i BC(Td_2) as a real radial
+    (1,1)-form, and the Richardson step-doubling change between
+    PATH_ORDER and 2 PATH_ORDER Gauss nodes.
+    """
     _check_pair(m1, m0)
-    coarse = _todd2_bc_form(m1, m0, path_steps)
-    fine = _todd2_bc_form(m1, m0, 2 * path_steps)
+    coarse = _todd2_bc_form(m1, m0, PATH_ORDER)
+    fine = _todd2_bc_form(m1, m0, 2 * PATH_ORDER)
     refine = max(
         float(np.abs(fine.rho - coarse.rho).max()),
         float(np.abs(fine.sig - coarse.sig).max()),
     )
-    prof = BottChernProfile(
-        m1.n, 2, [(1j, 1.0, fine)], diagnostics={"path_refinement": refine}
-    )
-    prof.real_form = fine  # -i BC(Td_2) as a real radial (1,1)-form
-    return prof
+    return fine, refine
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +140,6 @@ class FunctionalLedger:
     route: str
     endpoints: tuple
     diagnostics: dict
-
-    def json_row(self):
-        return {
-            "j": self.j,
-            "route": self.route,
-            "value": repr(self.value),
-            "endpoints": list(self.endpoints),
-            "residuals": {k: repr(v) for k, v in self.diagnostics.items()},
-        }
 
 
 def _mixed_power_sum(m1, m0, fvals, total_power: int):
@@ -280,8 +195,7 @@ def tilde_S_path(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int,
     )
 
 
-def tilde_S_bc(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int,
-               path_steps: int = PATH_ORDER) -> FunctionalLedger:
+def tilde_S_bc(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int) -> FunctionalLedger:
     """Route two: Bott-Chern assembly.
 
     tilde-S_j = -i int BC(Td_j) omega_0^{n+1-j}/(n+1-j)!
@@ -310,9 +224,8 @@ def tilde_S_bc(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int,
             forms = [td1] + [om1] * s_pow + [om0] * (n - 1 - s_pow)
             value -= mixed_integral(rule, n, rel, forms) / fact
     else:
-        bc = bc_todd2(m1, m0, path_steps)
-        diagnostics["path_refinement"] = bc.diagnostics["path_refinement"]
-        value = mixed_integral(rule, n, 1.0, [bc.real_form] + [om0] * (n - 1)) / fact
+        bc_form, diagnostics["path_refinement"] = bc_todd2(m1, m0)
+        value = mixed_integral(rule, n, 1.0, [bc_form] + [om0] * (n - 1)) / fact
         td2 = todd2_form(m1)
         for s_pow in range(n - 1):
             forms = [om1] * s_pow + [om0] * (n - 2 - s_pow)
@@ -345,10 +258,10 @@ def S2_explicit(m1: RadialKahlerMetric, m0: RadialKahlerMetric) -> FunctionalLed
     _check_pair(m1, m0)
     n = m1.n
     rule = m1.rule
-    bc = bc_todd2(m1, m0)
+    bc_form, refinement = bc_todd2(m1, m0)
     om1, om0 = omega_form(m1), omega_form(m0)
     rel = relative_potential_values(m1, m0, rule.nodes)
-    term1 = mixed_integral(rule, n, 1.0, [bc.real_form] + [om0] * (n - 1)) / math.factorial(n - 1)
+    term1 = mixed_integral(rule, n, 1.0, [bc_form] + [om0] * (n - 1)) / math.factorial(n - 1)
     term2 = 0.0
     if n >= 2:
         td2 = todd2_form(m1)
@@ -359,7 +272,7 @@ def S2_explicit(m1: RadialKahlerMetric, m0: RadialKahlerMetric) -> FunctionalLed
     term3 = -ahat * tilde_S0(m1, m0)
     return FunctionalLedger(
         2, term1 + term2 + term3, "explicit-S2", (m1.label, m0.label),
-        {"path_refinement": bc.diagnostics["path_refinement"]},
+        {"path_refinement": refinement},
     )
 
 
@@ -416,9 +329,7 @@ def liouville_first_variation(metric: RadialKahlerMetric, direction: ScalarField
     chars = characteristic_coefficients(metric.n)
     ahat = chars[2] if len(chars) > 2 else 0.0
     lapS = half_laplacian(metric, scalar_curvature(metric)).values
-    riem, ric = metric.curvature_norms()
-    Sv = metric.scalar_curvature_values()
-    integrand = ahat + lapS / 6.0 - (riem - 4.0 * ric + 3.0 * Sv**2) / 24.0
+    integrand = ahat + lapS / 6.0 - metric.curvature_polynomial_values()
     formula = metric.integrate(direction.values * integrand)
     plus = perturbed_metric(metric, direction.profile, step)
     minus = perturbed_metric(metric, direction.profile, -step)
@@ -472,18 +383,11 @@ def second_variation_S2(metric_ref: RadialKahlerMetric, dir_dot: ScalarField,
     total += m.integrate(contraction) / 12.0
 
     def s2_at(t):
-        def pot(s):
-            s = np.asarray(s, dtype=float)
-            return (
-                m.phi_derivs(s)[0]
-                + t * dir_dot.profile(s)
-                + 0.5 * t * t * dir_ddot.profile(s)
-            )
-
+        pot = ProfilePotential(
+            n, m.potential.profile + t * dir_dot.profile + 0.5 * t * t * dir_ddot.profile
+        )
         try:
-            mt = build_metric(
-                ProfilePotential(n, Profile.from_callable(pot, DEFAULT_DEGREE)), rule
-            )
+            mt = build_metric(pot, rule)
         except NonPositiveMetric as exc:
             raise PathLeavesCone(t, cause=exc) from exc
         return S_j(mt, m, 2).value

@@ -26,7 +26,6 @@ import numpy as np
 
 from .forms import (
     RadialForm,
-    curvature_square_pair,
     mixed_integral,
     omega_form,
     pair_integral,

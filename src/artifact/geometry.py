@@ -25,12 +25,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.polynomial import Chebyshev, Polynomial
 
 from .errors import NonPositiveMetric, UnsupportedCoefficient
-from .profiles import DEFAULT_DEGREE, Profile, chebyshev_points
+from .profiles import Profile, chebyshev_points
 from .quadrature import TWO_PI, RadialQuadrature
 
 MAX_POTENTIAL_DEGREE = 12
@@ -64,6 +66,12 @@ class RadialPotential:
     @property
     def is_zero(self) -> bool:
         return all(c == 0.0 for c in self.coeffs)
+
+    @cached_property
+    def profile(self) -> Profile:
+        """The exact Chebyshev series of phi on [0, 1]."""
+        series = Chebyshev.cast(Polynomial(self.coeffs or (0.0,)), domain=[0.0, 1.0])
+        return Profile(series.coef)
 
     def shifted(self, constant: float) -> "RadialPotential":
         c = list(self.coeffs) or [0.0]
@@ -211,6 +219,12 @@ class RadialKahlerMetric:
         ric = mu_r**2 + (n - 1) * mu_s**2
         return riem, ric
 
+    def curvature_polynomial_values(self, s=None):
+        """(|R|^2 - 4|Ric|^2 + 3 S^2)/24, the curvature polynomial of a_2."""
+        riem, ric = self.curvature_norms(s)
+        S = self.scalar_curvature_values(s)
+        return (riem - 4.0 * ric + 3.0 * S**2) / 24.0
+
     # -- integration ----------------------------------------------------
 
     def measure_values(self):
@@ -318,21 +332,11 @@ def build_metric(potential, rule: RadialQuadrature, max_degree: int = MAX_POTENT
     return metric
 
 
-def volume(metric: RadialKahlerMetric) -> float:
-    return metric.volume()
-
-
 def perturbed_metric(metric: RadialKahlerMetric, direction_profile: Profile,
-                     t: float, rule=None) -> RadialKahlerMetric:
+                     t: float) -> RadialKahlerMetric:
     """Metric with potential phi + t x direction (profile-backed)."""
-    rule = rule or metric.rule
-    base = metric._calc
-
-    def shifted(s):
-        return base.derivs(s)[0] + t * direction_profile(np.asarray(s, dtype=float))
-
-    pot = ProfilePotential(metric.n, Profile.from_callable(shifted, DEFAULT_DEGREE))
-    return build_metric(pot, rule, label=f"{metric.label}+{t:g}*dir")
+    pot = ProfilePotential(metric.n, metric.potential.profile + t * direction_profile)
+    return build_metric(pot, metric.rule, label=f"{metric.label}+{t:g}*dir")
 
 
 def scalar_curvature(metric: RadialKahlerMetric) -> ScalarField:
@@ -390,9 +394,7 @@ def bergman_coefficient(metric: RadialKahlerMetric, j: int) -> ScalarField:
         lapS = laplacian_scalar_curvature(metric)
 
         def a2(s):
-            riem, ric = metric.curvature_norms(s)
-            Sv = metric.scalar_curvature_values(s)
-            return lapS(s) / 3.0 + (riem - 4.0 * ric + 3.0 * Sv**2) / 24.0
+            return lapS(s) / 3.0 + metric.curvature_polynomial_values(s)
 
         return metric._cached_field(
             "a2", lambda: ScalarField.from_callable(metric, a2)
@@ -426,64 +428,3 @@ def coefficient_average(metric: RadialKahlerMetric, j: int) -> CoefficientAverag
     coeffs = characteristic_coefficients(metric.n)
     exact = coeffs[j] if j < len(coeffs) else 0.0
     return CoefficientAverage(avg, exact, abs(avg - exact))
-
-
-class CurvatureVariation(NamedTuple):
-    delta_ric: object  # RadialForm
-    delta_S: ScalarField
-    delta_lap_S: ScalarField
-
-
-def hessian_inner(metric, psi_profile: Profile, alpha_rho, alpha_sig, s=None):
-    """Frame inner product <i ddbar psi, alpha> for a radial (1,1)-form
-    alpha given through its reduced coordinate profiles."""
-    d = metric.nd if s is None else metric.profile_data(s)
-    p1 = psi_profile.deriv()(d["s"])
-    p2 = psi_profile.deriv(2)(d["s"])
-    prad = (d["sigp"] * p1 + d["sig"] * p2) / d["F1"]
-    qsph = (1.0 - d["s"]) * p1 / d["G"]
-    arad = alpha_rho / d["F1"]
-    asph = alpha_sig / d["G"]
-    return prad * arad + (metric.n - 1) * qsph * asph
-
-
-def curvature_variation(metric: RadialKahlerMetric, direction: ScalarField) -> CurvatureVariation:
-    """First-order variations (delta ric, delta S, delta(Delta S)) along
-    phi -> phi + t psi at t = 0:
-
-        delta ric  = -i ddbar (Delta psi)
-        delta S    = -Delta^2 psi - <i ddbar psi, ric>
-        delta(Delta S) = Delta(delta S) - <i ddbar psi, i ddbar S>
-    """
-    from .forms import RadialForm  # local import: forms has no geometry dependency
-
-    _require_attached(metric, direction)
-    lap_psi = half_laplacian(metric, direction)
-    g1 = lap_psi.profile.deriv()
-    g2 = g1.deriv()
-    d = metric.nd
-    delta_ric = RadialForm(
-        rho=-(d["sigp"] * g1(d["s"]) + d["sig"] * g2(d["s"])),
-        sig=-(1.0 - d["s"]) * g1(d["s"]),
-    )
-
-    lap2_psi = half_laplacian(metric, lap_psi)
-
-    def dS(s):
-        dd = metric.profile_data(s)
-        mu_r, mu_s = metric.ricci_eigenvalues(s)
-        inner = hessian_inner(metric, direction.profile, mu_r * dd["F1"], mu_s * dd["G"], s)
-        return -lap2_psi(s) - inner
-
-    delta_S = ScalarField.from_callable(metric, dS)
-    lap_delta_S = half_laplacian(metric, delta_S)
-    Sprof = scalar_curvature(metric).profile
-    S1, S2 = Sprof.deriv(), Sprof.deriv(2)
-
-    def dLapS(s):
-        dd = metric.profile_data(s)
-        rho_S = dd["sigp"] * S1(s) + dd["sig"] * S2(s)
-        sig_S = (1.0 - dd["s"]) * S1(s)
-        return lap_delta_S(s) - hessian_inner(metric, direction.profile, rho_S, sig_S, s)
-
-    return CurvatureVariation(delta_ric, delta_S, ScalarField.from_callable(metric, dLapS))

@@ -37,10 +37,7 @@ from .geometry import (
     ScalarField,
     bergman_coefficient,
     build_metric,
-    characteristic_coefficients,
     coefficient_average,
-    half_laplacian,
-    scalar_curvature,
 )
 from .quadrature import TWO_PI, radial_rule, required_order
 
@@ -309,10 +306,15 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
 
 def run_fit(config: ExperimentConfig):
     """Partition sweep plus expansion fit; returns (FitResult, reference dict)."""
+    n = config.n
+    order = min(n + 2, 4)
+    if len(config.k_values) < order + 3:
+        raise ConfigError("k_min/k_max/k_stride",
+                          f"the fit needs at least {order + 3} k values, "
+                          f"got {len(config.k_values)}")
     rule = radial_rule(config.order)
     metric = build_metric(config.potential(), rule)
     base = _fs_metric(config.n, rule)
-    n = config.n
     samples = [
         (k, TWO_PI**n * log_partition_ratio(metric, base, k)) for k in config.k_values
     ]
@@ -321,7 +323,7 @@ def run_fit(config: ExperimentConfig):
     def known(k):
         return k * dim_h0(n, int(round(k))) * TWO_PI**n * s_vals[0]
 
-    result = fit_expansion(samples, n, min(n + 2, 4), known)
+    result = fit_expansion(samples, n, order, known)
     return result, s_vals
 
 
@@ -361,17 +363,11 @@ def corrupted_coefficient(delta: float):
     """
 
     def fn(metric: RadialKahlerMetric, j: int) -> ScalarField:
+        a_j = bergman_coefficient(metric, j)
         if j != 2:
-            return bergman_coefficient(metric, j)
-        lap_s = half_laplacian(metric, scalar_curvature(metric))
-
-        def a2(s):
-            riem, ric = metric.curvature_norms(s)
-            sv = metric.scalar_curvature_values(s)
-            poly = (riem - 4.0 * ric + 3.0 * sv**2) / 24.0
-            return lap_s(s) / 3.0 + (1.0 + delta) * poly
-
-        return ScalarField.from_callable(metric, a2)
+            return a_j
+        poly = ScalarField.from_callable(metric, metric.curvature_polynomial_values)
+        return ScalarField(metric, a_j.profile + delta * poly.profile)
 
     return fn
 

@@ -24,12 +24,29 @@ def chebyshev_points(num: int) -> np.ndarray:
 
 
 class Profile:
-    """A real function of s in [0, 1] held as a Chebyshev series."""
+    """A real function of s in [0, 1] held as a Chebyshev series.
+
+    Sums and scalar multiples act exactly on the coefficients.
+    """
 
     __slots__ = ("coef",)
+    __array_ufunc__ = None  # numpy scalars defer to __rmul__
 
     def __init__(self, coef):
         self.coef = np.asarray(coef, dtype=float)
+
+    def __add__(self, other: "Profile") -> "Profile":
+        a, b = self.coef, other.coef
+        if a.size < b.size:
+            a, b = b, a
+        c = a.copy()
+        c[: b.size] += b
+        return Profile(c)
+
+    def __mul__(self, scalar: float) -> "Profile":
+        return Profile(float(scalar) * self.coef)
+
+    __rmul__ = __mul__
 
     @classmethod
     def from_callable(cls, fn, degree: int = DEFAULT_DEGREE) -> "Profile":

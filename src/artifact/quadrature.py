@@ -52,9 +52,6 @@ class RadialQuadrature:
     def integrate(self, values) -> float:
         return float(self.weights @ np.asarray(values, dtype=float))
 
-    # closed-form angular reduction for CP^n monomials
-    angular_multiplicity = staticmethod(monomial_angular_factor)
-
 
 def radial_rule(order: int) -> RadialQuadrature:
     return RadialQuadrature(order)
@@ -104,7 +101,3 @@ class SphereGrid:
 
 def sphere_grid(band_limit: int) -> SphereGrid:
     return SphereGrid(band_limit)
-
-
-def integrate_sphere(grid: SphereGrid, field2d) -> float:
-    return grid.integrate(field2d)

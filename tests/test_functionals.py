@@ -21,8 +21,10 @@ from artifact.functionals import (
     gamma2_defect,
     gamma_pairing,
     liouville_first_variation,
+    path_metric,
     trace_identity_defects,
 )
+from artifact.profiles import Profile
 from artifact.quadrature import TWO_PI
 
 from conftest import random_metric
@@ -38,7 +40,7 @@ def test_degree_energy_of_constant(fs_metric, rule200):
 
 
 def test_both_routes_agree(rng, rule200):
-    for n in (1, 2):
+    for n in (1, 2, 3):
         m1 = random_metric(rng, n, rule200)
         m0 = random_metric(rng, n, rule200)
         for j in (1, 2):
@@ -46,6 +48,28 @@ def test_both_routes_agree(rng, rule200):
             b = tilde_S_bc(m1, m0, j)
             assert abs(a.value - b.value) < 1e-10 * (1.0 + abs(b.value))
             assert a.diagnostics["path_refinement"] < 1e-8
+
+
+def test_path_metric_combines_potential_series(rng, rule200, monkeypatch):
+    m1 = random_metric(rng, 2, rule200)
+    m0 = random_metric(rng, 2, rule200)
+    s = np.linspace(0.0, 1.0, 101)
+    P = np.polynomial.polynomial
+    for m in (m1, m0):
+        c = np.array(m.potential.coeffs)
+        for order in range(5):
+            want = P.polyval(s, P.polyder(c, order))
+            assert np.abs(m.potential.profile.deriv(order)(s) - want).max() < 1e-13
+
+    def refit(*args, **kwargs):
+        raise AssertionError("path_metric re-fitted its potential")
+
+    monkeypatch.setattr(Profile, "from_callable", classmethod(refit))
+    t = 0.3
+    got = path_metric(m1, m0, t).phi_derivs(s)
+    want = [(1.0 - t) * a + t * b for a, b in zip(m0.phi_derivs(s), m1.phi_derivs(s))]
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() < 1e-12
 
 
 def test_additive_constant_invariance(rng, rule200):
@@ -65,7 +89,7 @@ def test_additive_constant_invariance(rng, rule200):
 
 
 def test_cocycle_and_antisymmetry(rng, rule200):
-    for n in (1, 2):
+    for n in (1, 2, 3):
         m0 = random_metric(rng, n, rule200)
         m1 = random_metric(rng, n, rule200)
         m2 = random_metric(rng, n, rule200)
@@ -98,7 +122,7 @@ def test_liouville_density_first_variation(rng, rule200):
 
 
 def test_second_variation_matches_finite_differences(rng, rule200):
-    for n in (1, 2):
+    for n in (1, 2, 3):
         m = random_metric(rng, n, rule200)
         dot = ScalarField.from_callable(m, lambda s: np.sin(2.0 * s) - 0.4 * s**2)
         ddot = ScalarField.from_callable(m, lambda s: 0.5 * np.cos(3.0 * s) + 0.2 * s)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -112,6 +113,29 @@ def test_cli_reads_potential_files(tmp_path):
     assert code == 0
     lines = (out / "functionals.csv").read_text().strip().splitlines()
     assert len(lines) == 4  # header + j = 0, 1, 2
+
+
+def test_cli_fit_reads_config_file(tmp_path, monkeypatch):
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps({"n": 2, "k_min": 20, "k_max": 40, "k_stride": 4}))
+    seen = []
+
+    def fake_run_fit(config):
+        seen.append(config)
+        result = SimpleNamespace(coefficients=[0.0], condition=1.0, residuals=[0.0])
+        return result, {0: 0.0}
+
+    monkeypatch.setattr("artifact.cli.run_fit", fake_run_fit)
+    assert cli_main(["fit", "--config", str(cfg)]) == 0
+    (config,) = seen
+    assert config.n == 2
+    assert config.k_values == [20, 24, 28, 32, 36, 40]
+
+
+def test_cli_fit_rejects_too_few_k_values(capsys):
+    code = cli_main(["fit", "--n", "2", "--k-min", "20", "--k-max", "40", "--k-stride", "4"])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_configuration(tmp_path, capsys):

@@ -37,6 +37,17 @@ def test_tail_flags_kinks():
         differentiate(kinked)
 
 
+def test_sum_and_scalar_multiple_act_on_coefficients():
+    p = Profile([1.0, -2.0])
+    q = Profile([0.5, 0.0, 3.0, 0.25])
+    for r in (p + q, q + p):
+        assert np.array_equal(r.coef, [1.5, -2.0, 3.0, 0.25])
+    assert np.array_equal((np.float64(2.0) * p).coef, [2.0, -4.0])
+    assert np.array_equal((q * 0.5).coef, [0.25, 0.0, 1.5, 0.125])
+    assert np.array_equal(p.coef, [1.0, -2.0])  # operands are left unchanged
+    assert np.abs((0.5 * p + q)(S) - (0.5 * p(S) + q(S))).max() < 1e-15
+
+
 def test_chebyshev_points_cover_interval():
     pts = chebyshev_points(40)
     assert pts.shape == (40,)
