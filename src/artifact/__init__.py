@@ -30,7 +30,6 @@ from .geometry import (
     build_metric,
     characteristic_coefficients,
     coefficient_average,
-    curvature_invariants,
     half_laplacian,
     scalar_curvature,
 )

@@ -76,10 +76,6 @@ class GramData:
     matrix: np.ndarray | None
     log_det: float
 
-    @property
-    def Jm(self):
-        return None if self.log_Jm is None else np.exp(self.log_Jm)
-
     def degree_norms(self):
         """Norms of the pure powers z1^m (radial mode)."""
         m = np.arange(self.k + 1)

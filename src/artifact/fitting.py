@@ -28,9 +28,6 @@ class FitResult:
     residuals: np.ndarray  # per-sample model residual, same order as k_values
     condition: float
 
-    def coefficient(self, j: int) -> float:
-        return self.coefficients[j]
-
 
 def fit_expansion(samples, n: int, J: int, known_terms=None,
                   condition_threshold: float = CONDITION_THRESHOLD) -> FitResult:

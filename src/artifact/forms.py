@@ -77,10 +77,17 @@ def omega_form(metric) -> RadialForm:
     return RadialForm(np.array(d["F1"]), np.array(d["G"]))
 
 
-def ricci_form(metric) -> RadialForm:
+def curvature_trace_form(metric, p, q) -> RadialForm:
+    """Tr(E . iR) for the two-sector endomorphism E with radial eigenvalue p
+    and spherical eigenvalue q (multiplicity n-1)."""
     d = metric.nd
-    mu_r, mu_s = metric.ricci_eigenvalues()
-    return RadialForm(mu_r * d["F1"], mu_s * d["G"])
+    A, B, C = metric.frame_curvature()
+    n = metric.n
+    return RadialForm((A * p + (n - 1) * B * q) * d["F1"], (B * p + n * C * q) * d["G"])
+
+
+def ricci_form(metric) -> RadialForm:
+    return curvature_trace_form(metric, 1.0, 1.0)
 
 
 def hessian_form(metric, profile) -> RadialForm:
@@ -118,6 +125,15 @@ def todd2_form(metric) -> PairForm:
     """Td_2 of the curvature as a real (2,2)-form: (3 ric^2 - Tr(iR iR))/24."""
     ric = ricci_form(metric)
     return (wedge_pair(ric, ric).scale(3.0) - curvature_square_pair(metric)).scale(1.0 / 24.0)
+
+
+def todd2_polarization(metric, p, q) -> RadialForm:
+    """Td_2 with one slot on E = (p, q) and one on R, as a real (1,1)-form:
+    (1/12) [3 tr(E) ric - Tr(E . iR)]."""
+    trace = p + (metric.n - 1) * q
+    return (
+        ricci_form(metric).scale(3.0 * trace) - curvature_trace_form(metric, p, q)
+    ).scale(1.0 / 12.0)
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +196,24 @@ def integrate_radial(rule: RadialQuadrature, metric, field_values, form_power: i
     return mixed_integral(rule, n, field_values, forms) / math.factorial(n)
 
 
+def omega_eigenvalues(metric, form: RadialForm):
+    """(rho/F', sig/G): the radial and spherical eigenvalues of a radial
+    (1,1)-form against omega, nodewise."""
+    d = metric.nd
+    return form.rho / d["F1"], form.sig / d["G"]
+
+
 def trace_against(metric, form: RadialForm):
     """tr_omega of a radial (1,1)-form, nodewise."""
-    d = metric.nd
-    return form.rho / d["F1"] + (metric.n - 1) * form.sig / d["G"]
+    p, q = omega_eigenvalues(metric, form)
+    return p + (metric.n - 1) * q
 
 
 def form_inner(metric, a: RadialForm, b: RadialForm):
     """Frame inner product <a, b>_omega of two radial (1,1)-forms."""
-    d = metric.nd
-    return (a.rho / d["F1"]) * (b.rho / d["F1"]) + (metric.n - 1) * (
-        a.sig / d["G"]
-    ) * (b.sig / d["G"])
+    pa, qa = omega_eigenvalues(metric, a)
+    pb, qb = omega_eigenvalues(metric, b)
+    return pa * pb + (metric.n - 1) * qa * qb
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +243,6 @@ class InvariantPolyEval:
         n = self.n
         return (n - 1) * x * y + math.comb(n - 1, 2) * y**2
 
-    def ch2(self, x, y):
-        return 0.5 * self.tr2(x, y)
-
-    def td0(self, x, y):
-        return np.ones_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
-
     def td1(self, x, y):
         return 0.5 * self.c1(x, y)
 
@@ -234,5 +250,4 @@ class InvariantPolyEval:
         return (self.c1(x, y) ** 2 + self.c2(x, y)) / 12.0
 
     def td2_from_traces(self, x, y):
-        # Td2 = (3 c1^2 - 2 ch2 ... ) expressed through traces only
         return (3.0 * self.tr1(x, y) ** 2 - self.tr2(x, y)) / 24.0

@@ -19,11 +19,13 @@ from .forms import (
     gradient_pair_form,
     hessian_form,
     mixed_integral,
+    omega_eigenvalues,
     omega_form,
     pair_integral,
     ricci_form,
     curvature_square_pair,
     todd2_form,
+    todd2_polarization,
 )
 from .geometry import (
     ProfilePotential,
@@ -31,7 +33,7 @@ from .geometry import (
     ScalarField,
     bergman_coefficient,
     build_metric,
-    characteristic_coefficients,
+    characteristic_coefficient,
     half_laplacian,
     perturbed_metric,
     scalar_curvature,
@@ -39,11 +41,6 @@ from .geometry import (
 from .quadrature import TWO_PI
 
 PATH_ORDER = 32
-
-
-def _gauss01(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def _check_pair(m1: RadialKahlerMetric, m0: RadialKahlerMetric):
@@ -70,63 +67,46 @@ def path_metric(m1: RadialKahlerMetric, m0: RadialKahlerMetric, t: float) -> Rad
         raise PathLeavesCone(t, cause=exc) from exc
 
 
+def _path_quadrature(m1: RadialKahlerMetric, m0: RadialKahlerMetric, integrand):
+    """Gauss-Legendre integral over t in [0, 1] of integrand(metric_t) along
+    the linear potential path; integrand returns a float or an array.
+
+    Returns (value, path_refinement): the value at 2 PATH_ORDER nodes and
+    its largest change from the value at PATH_ORDER nodes.
+    """
+
+    def at_order(order):
+        x, w = np.polynomial.legendre.leggauss(order)
+        total = 0.0
+        for t, wt in zip(0.5 * (x + 1.0), 0.5 * w):
+            total = total + wt * integrand(path_metric(m1, m0, float(t)))
+        return total
+
+    coarse = at_order(PATH_ORDER)
+    fine = at_order(2 * PATH_ORDER)
+    return fine, float(np.max(np.abs(fine - coarse)))
+
+
 # ---------------------------------------------------------------------------
 # Bott-Chern form of Td_2
-
-
-def _endomorphism_eigen(metric_t: RadialKahlerMetric, rel1, rel2):
-    """Eigenvalues (p, q) of d(omega_t)/dt contracted with omega_t^{-1},
-    from the s-derivatives of the relative potential."""
-    d = metric_t.nd
-    p = (d["sigp"] * rel1 + d["sig"] * rel2) / d["F1"]
-    q = (1.0 - d["s"]) * rel1 / d["G"]
-    return p, q
-
-
-def _todd2_bc_form(m1, m0, order):
-    """The real (1,1)-form -i BC(Td_2) via Gauss quadrature along the
-    linear path: (1/12) int [3 Tr(W_t) ric_t - i Tr(R_t W_t)] dt."""
-    n = m1.n
-    rule = m1.rule
-    s = rule.nodes
-    d1 = m1.profile_data(s)
-    d0 = m0.profile_data(s)
-    # s-derivatives of the relative potential from the profile calculus:
-    # F = s + sig phi' and G = 1 + (1-s) phi' recover phi', phi'' exactly
-    rel1 = (d1["G"] - d0["G"]) / (1.0 - s)  # phi1' - phi0' (safe: nodes interior)
-    rel2 = ((d1["F1"] - d0["F1"]) - (1.0 - 2.0 * s) * rel1) / d1["sig"]
-    tn, tw = _gauss01(order)
-    rho = np.zeros_like(s)
-    sig = np.zeros_like(s)
-    for t, w in zip(tn, tw):
-        mt = path_metric(m1, m0, float(t))
-        dt = mt.nd
-        p, q = _endomorphism_eigen(mt, rel1, rel2)
-        trw = p + (n - 1) * q
-        A, B, C = mt.frame_curvature()
-        mu_r, mu_s = A + (n - 1) * B, B + n * C
-        theta_rho = (A * p + (n - 1) * B * q) * dt["F1"]
-        theta_sig = (B * p + n * C * q) * dt["G"]
-        rho += w * (3.0 * trw * mu_r * dt["F1"] - theta_rho) / 12.0
-        sig += w * (3.0 * trw * mu_s * dt["G"] - theta_sig) / 12.0
-    return RadialForm(rho, sig)
 
 
 def bc_todd2(m1: RadialKahlerMetric, m0: RadialKahlerMetric):
     """Secondary form of Td_2 along the linear potential path.
 
     Returns (form, path_refinement): -i BC(Td_2) as a real radial
-    (1,1)-form, and the Richardson step-doubling change between
-    PATH_ORDER and 2 PATH_ORDER Gauss nodes.
+    (1,1)-form, the t-integral of Td_2(W_t, R_t) with W_t the eigenvalues
+    of d(omega_t)/dt = omega_1 - omega_0 against omega_t.
     """
     _check_pair(m1, m0)
-    coarse = _todd2_bc_form(m1, m0, PATH_ORDER)
-    fine = _todd2_bc_form(m1, m0, 2 * PATH_ORDER)
-    refine = max(
-        float(np.abs(fine.rho - coarse.rho).max()),
-        float(np.abs(fine.sig - coarse.sig).max()),
-    )
-    return fine, refine
+    d_omega = omega_form(m1) - omega_form(m0)
+
+    def integrand(mt):
+        form = todd2_polarization(mt, *omega_eigenvalues(mt, d_omega))
+        return np.array([form.rho, form.sig])
+
+    value, refinement = _path_quadrature(m1, m0, integrand)
+    return RadialForm(*value), refinement
 
 
 # ---------------------------------------------------------------------------
@@ -142,17 +122,17 @@ class FunctionalLedger:
     diagnostics: dict
 
 
-def _mixed_power_sum(m1, m0, fvals, total_power: int):
-    """sum_{s=0}^{P} int f omega_1^s ^ omega_0^{P-s} ^ (top-up with omega_0)
-    -- here P = total_power and the wedge is filled to top degree n with
-    nothing else, so total_power must equal n."""
-    rule = m1.rule
+def _mixed_power_sum(m1, m0, fvals, lead: RadialForm | None = None):
+    """sum_s int f lead ^ omega_1^s ^ omega_0^{P-s} over s = 0..P, where
+    P = n, or n - 1 when a leading (1,1)-form is given."""
     n = m1.n
     om1, om0 = omega_form(m1), omega_form(m0)
+    head = [] if lead is None else [lead]
+    power = n - len(head)
     total = 0.0
-    for s_pow in range(total_power + 1):
-        forms = [om1] * s_pow + [om0] * (n - s_pow)
-        total += mixed_integral(rule, n, fvals, forms)
+    for s_pow in range(power + 1):
+        forms = head + [om1] * s_pow + [om0] * (power - s_pow)
+        total += mixed_integral(m1.rule, n, fvals, forms)
     return total
 
 
@@ -160,38 +140,22 @@ def tilde_S0(m1: RadialKahlerMetric, m0: RadialKahlerMetric) -> float:
     """Degree-(n+1) energy: -(1/(n+1)!) sum_s int phi~ omega_1^s omega_0^{n-s}."""
     _check_pair(m1, m0)
     rel = relative_potential_values(m1, m0, m1.rule.nodes)
-    return -_mixed_power_sum(m1, m0, rel, m1.n) / math.factorial(m1.n + 1)
+    return -_mixed_power_sum(m1, m0, rel) / math.factorial(m1.n + 1)
 
 
 def tilde_S_path(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int,
-                 t_order: int = PATH_ORDER,
                  coefficient_fn=bergman_coefficient) -> FunctionalLedger:
-    """Route one: t-quadrature of int phi-dot (Delta a_{j-1} - a_j) along
-    the linear potential path."""
+    """Route one: t-quadrature of gamma^(j)(phi-dot) along the linear
+    potential path."""
     _check_pair(m1, m0)
     if j not in (0, 1, 2):
         raise ValueError(f"j must be 0, 1, or 2, got {j}")
     rel = relative_potential_values(m1, m0, m1.rule.nodes)
-
-    def inner(order):
-        tn, tw = _gauss01(order)
-        total = 0.0
-        for t, w in zip(tn, tw):
-            mt = path_metric(m1, m0, float(t))
-            aj = coefficient_fn(mt, j).values
-            if j == 0:
-                integrand = -aj
-            else:
-                lap_prev = half_laplacian(mt, coefficient_fn(mt, j - 1)).values
-                integrand = lap_prev - aj
-            total += w * mt.integrate(rel * integrand)
-        return total
-
-    value = inner(t_order)
-    refined = inner(2 * t_order) if t_order < 64 else value
+    value, refinement = _path_quadrature(
+        m1, m0, lambda mt: gamma_pairing(mt, j, rel, coefficient_fn)
+    )
     return FunctionalLedger(
-        j, value, "path", (m1.label, m0.label),
-        {"path_refinement": abs(refined - value)},
+        j, value, "path", (m1.label, m0.label), {"path_refinement": refinement}
     )
 
 
@@ -219,10 +183,7 @@ def tilde_S_bc(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int) -> Functi
             (d1["F1"] * d1["G"] ** (n - 1)) / (d0["F1"] * d0["G"] ** (n - 1))
         )
         value = mixed_integral(rule, n, half_log, [om0] * n) / fact
-        td1 = ricci_form(m1).scale(0.5)
-        for s_pow in range(n):
-            forms = [td1] + [om1] * s_pow + [om0] * (n - 1 - s_pow)
-            value -= mixed_integral(rule, n, rel, forms) / fact
+        value -= _mixed_power_sum(m1, m0, rel, ricci_form(m1).scale(0.5)) / fact
     else:
         bc_form, diagnostics["path_refinement"] = bc_todd2(m1, m0)
         value = mixed_integral(rule, n, 1.0, [bc_form] + [om0] * (n - 1)) / fact
@@ -244,8 +205,7 @@ def S_j(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int,
     if j == 0:
         return FunctionalLedger(0, s0 / vol, route, (m1.label, m0.label), {})
     base = tilde_S_path(m1, m0, j) if route == "path" else tilde_S_bc(m1, m0, j)
-    chars = characteristic_coefficients(n)
-    ahat = chars[j] if j < len(chars) else 0.0
+    ahat = characteristic_coefficient(n, j)
     return FunctionalLedger(
         j, base.value - ahat * s0, route, (m1.label, m0.label), base.diagnostics
     )
@@ -268,8 +228,7 @@ def S2_explicit(m1: RadialKahlerMetric, m0: RadialKahlerMetric) -> FunctionalLed
         for s_pow in range(n - 1):
             forms = [om1] * s_pow + [om0] * (n - 2 - s_pow)
             term2 -= pair_integral(rule, n, rel, td2, forms) / math.factorial(n - 1)
-    ahat = characteristic_coefficients(n)[2] if n >= 2 else 0.0
-    term3 = -ahat * tilde_S0(m1, m0)
+    term3 = -characteristic_coefficient(n, 2) * tilde_S0(m1, m0)
     return FunctionalLedger(
         2, term1 + term2 + term3, "explicit-S2", (m1.label, m0.label),
         {"path_refinement": refinement},
@@ -296,7 +255,7 @@ def _fs_base(metric: RadialKahlerMetric) -> RadialKahlerMetric:
 def first_variation_pairing(metric: RadialKahlerMetric, j: int, psi_values) -> float:
     """Variational integrand of S_j paired with psi.
 
-    For j > 0 this is int psi (a^_j + Delta a_{j-1} - a_j) omega_phi^n/n!;
+    For j > 0 this is a^_j int psi omega_phi^n/n! + gamma^(j)(psi);
     for j = 0 the functional is the normalized degree-(n+1) energy, whose
     variation is -(1/V) int psi omega_phi^n/n!.
     """
@@ -304,10 +263,8 @@ def first_variation_pairing(metric: RadialKahlerMetric, j: int, psi_values) -> f
     if j == 0:
         vol = TWO_PI**metric.n / math.factorial(metric.n)
         return -metric.integrate(psi) / vol
-    ahat = characteristic_coefficients(metric.n)[j] if j <= metric.n else 0.0
-    aj = bergman_coefficient(metric, j).values
-    lap_prev = half_laplacian(metric, bergman_coefficient(metric, j - 1)).values
-    return metric.integrate(psi * (ahat + lap_prev - aj))
+    ahat = characteristic_coefficient(metric.n, j)
+    return ahat * metric.integrate(psi) + gamma_pairing(metric, j, psi)
 
 
 def first_variation(j: int, metric: RadialKahlerMetric, direction: ScalarField,
@@ -326,8 +283,7 @@ def liouville_first_variation(metric: RadialKahlerMetric, direction: ScalarField
     """First variation of the explicit generalized Liouville action:
     FD of S2_explicit vs the displayed curvature integrand."""
     base = _fs_base(metric)
-    chars = characteristic_coefficients(metric.n)
-    ahat = chars[2] if len(chars) > 2 else 0.0
+    ahat = characteristic_coefficient(metric.n, 2)
     lapS = half_laplacian(metric, scalar_curvature(metric)).values
     integrand = ahat + lapS / 6.0 - metric.curvature_polynomial_values()
     formula = metric.integrate(direction.values * integrand)
@@ -350,7 +306,7 @@ def second_variation_S2(metric_ref: RadialKahlerMetric, dir_dot: ScalarField,
     om = omega_form(m)
     ric = ricci_form(m)
     hess_dot = hessian_form(m, dir_dot.profile)
-    ahat2 = characteristic_coefficients(n)[2] if n >= 2 else 0.0
+    ahat2 = characteristic_coefficient(n, 2)
 
     total = first_variation_pairing(m, 2, dir_ddot.values)
     total += ahat2 * m.integrate(dir_dot.values * lap_dot.values)
@@ -375,8 +331,7 @@ def second_variation_S2(metric_ref: RadialKahlerMetric, dir_dot: ScalarField,
         ) / (24.0 * math.factorial(n - 3))
     total -= 0.5 * m.integrate(lap_dot.values * form_inner(m, hess_dot, ric))
     A, B, C = m.frame_curvature()
-    p_hat = hess_dot.rho / m.nd["F1"]
-    q_hat = hess_dot.sig / m.nd["G"]
+    p_hat, q_hat = omega_eigenvalues(m, hess_dot)
     contraction = (
         A * p_hat**2 + 2.0 * (n - 1) * B * p_hat * q_hat + n * (n - 1) * C * q_hat**2
     )
@@ -401,13 +356,16 @@ def second_variation_S2(metric_ref: RadialKahlerMetric, dir_dot: ScalarField,
     return total, fd, abs(total - fd)
 
 
-def gamma_pairing(metric: RadialKahlerMetric, j: int, psi_values) -> float:
-    """The 1-form gamma^(j): int psi (Delta a_{j-1} - a_j) omega_phi^n/n!."""
-    aj = bergman_coefficient(metric, j).values
+def gamma_pairing(metric: RadialKahlerMetric, j: int, psi_values,
+                  coefficient_fn=bergman_coefficient) -> float:
+    """The 1-form gamma^(j): int psi (Delta a_{j-1} - a_j) omega_phi^n/n!,
+    with Delta a_{-1} = 0."""
+    psi = np.asarray(psi_values, dtype=float)
+    aj = coefficient_fn(metric, j).values
     if j == 0:
-        return metric.integrate(-np.asarray(psi_values) * aj)
-    lap_prev = half_laplacian(metric, bergman_coefficient(metric, j - 1)).values
-    return metric.integrate(np.asarray(psi_values) * (lap_prev - aj))
+        return metric.integrate(-psi * aj)
+    lap_prev = half_laplacian(metric, coefficient_fn(metric, j - 1)).values
+    return metric.integrate(psi * (lap_prev - aj))
 
 
 def gamma2_defect(metric: RadialKahlerMetric, dir1: ScalarField, dir2: ScalarField,

@@ -25,13 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import (
-    RadialForm,
     mixed_integral,
     omega_form,
     pair_integral,
     ricci_form,
     todd2_form,
+    todd2_polarization,
 )
+from .functionals import gamma_pairing
 from .geometry import (
     ProfilePotential,
     RadialKahlerMetric,
@@ -137,29 +138,11 @@ def lu_lemma_defect(metric: RadialKahlerMetric, field_spec: str = ROTATION) -> f
 
 def invariant_lhs(metric: RadialKahlerMetric, field_data: VectorFieldData, j: int,
                   coefficient_fn=bergman_coefficient) -> float:
-    """Pairing int theta (a_j - Delta a_{j-1}) omega^n/n! (imaginary part)."""
+    """Pairing int theta (a_j - Delta a_{j-1}) omega^n/n! = -gamma^(j)(theta)
+    (imaginary part)."""
     if j not in (0, 1, 2):
         raise ValueError(f"j must be 0, 1, or 2, got {j}")
-    theta = field_data.theta.values
-    aj = coefficient_fn(metric, j).values
-    if j == 0:
-        integrand = aj
-    else:
-        lap_prev = half_laplacian(metric, coefficient_fn(metric, j - 1)).values
-        integrand = aj - lap_prev
-    return metric.integrate(theta * integrand)
-
-
-def _nabla_curvature_form(metric: RadialKahlerMetric,
-                          field_data: VectorFieldData) -> RadialForm:
-    """The (1,1)-form Tr(nabla X . iR) in reduced coordinates."""
-    d = metric.nd
-    A, B, C = metric.frame_curvature()
-    n = metric.n
-    p, q = field_data.nabla_rad, field_data.nabla_sph
-    rho = (A * p + (n - 1) * B * q) * d["F1"]
-    sig = (B * p + n * C * q) * d["G"]
-    return RadialForm(rho, sig)
+    return -gamma_pairing(metric, j, field_data.theta.values, coefficient_fn)
 
 
 def invariant_rhs(metric: RadialKahlerMetric, field_data: VectorFieldData,
@@ -187,10 +170,7 @@ def invariant_rhs(metric: RadialKahlerMetric, field_data: VectorFieldData,
         first = (n - 1) * pair_integral(
             rule, n, theta, todd2_form(metric), [om] * (n - 2)
         )
-    ric = ricci_form(metric)
-    mixed_td2 = (
-        ric.scale(3.0 * field_data.trace) - _nabla_curvature_form(metric, field_data)
-    ).scale(1.0 / 12.0)
+    mixed_td2 = todd2_polarization(metric, field_data.nabla_rad, field_data.nabla_sph)
     second = mixed_integral(rule, n, 1.0, [mixed_td2] + [om] * (n - 1))
     return (first + second) / math.factorial(n - 1)
 
@@ -240,10 +220,5 @@ def flow_pairing_spread(metric: RadialKahlerMetric, j: int,
         s = mt.rule.nodes
         st = et * s / (1.0 - s + et * s)
         phidot = _moment_values(metric, st) - c
-        aj = bergman_coefficient(mt, j).values
-        if j == 0:
-            integrand = aj
-        else:
-            integrand = aj - half_laplacian(mt, bergman_coefficient(mt, j - 1)).values
-        values.append(mt.integrate(phidot * integrand))
+        values.append(-gamma_pairing(mt, j, phidot))
     return float(max(values) - min(values))

@@ -150,13 +150,12 @@ def _potential_calc(potential):
 class RadialKahlerMetric:
     """A radial Kahler metric on CP^n, cached on a quadrature rule."""
 
-    def __init__(self, n, potential, rule: RadialQuadrature, reference_flag, label=""):
+    def __init__(self, n, potential, rule: RadialQuadrature, label=""):
         self.n = int(n)
         self.potential = potential
         self.rule = rule
-        self.reference_flag = bool(reference_flag)
-        self.label = label or ("fubini-study" if reference_flag else "radial")
         self._calc = _potential_calc(potential)
+        self.label = label or ("fubini-study" if potential.is_zero else "radial")
         self.nd = self.profile_data(rule.nodes)
         self._field_cache = {}
 
@@ -182,11 +181,6 @@ class RadialKahlerMetric:
             "F": F, "F1": F1, "F2": F2, "F3": F3,
             "G": G, "G1": G1, "G2": G2,
         }
-
-    @property
-    def eigenvalue_profiles(self):
-        """(lambda_rad, lambda_sph) at the quadrature nodes, FS-relative."""
-        return self.nd["F1"], self.nd["G"]
 
     def frame_curvature(self, s=None):
         """Frame components (A, B, C) of the curvature tensor."""
@@ -295,9 +289,6 @@ class ScalarField:
         s = self.metric.rule.nodes if s is None else np.asarray(s, dtype=float)
         return [self.profile.deriv(o)(s) for o in orders]
 
-    def tail(self) -> float:
-        return self.profile.tail()
-
 
 def _require_attached(metric, field: ScalarField):
     if field.metric is not metric:
@@ -311,17 +302,9 @@ def _require_attached(metric, field: ScalarField):
 def build_metric(potential, rule: RadialQuadrature, max_degree: int = MAX_POTENTIAL_DEGREE,
                  label="") -> RadialKahlerMetric:
     """Construct and positivity-check a radial metric."""
-    if isinstance(potential, RadialPotential):
-        if potential.degree > max_degree:
-            raise ValueError(
-                f"potential degree {potential.degree} exceeds bound {max_degree}"
-            )
-        reference = potential.is_zero
-    elif isinstance(potential, ProfilePotential):
-        reference = False
-    else:
-        raise TypeError(f"unsupported potential type {type(potential).__name__}")
-    metric = RadialKahlerMetric(potential.n, potential, rule, reference, label=label)
+    if isinstance(potential, RadialPotential) and potential.degree > max_degree:
+        raise ValueError(f"potential degree {potential.degree} exceeds bound {max_degree}")
+    metric = RadialKahlerMetric(potential.n, potential, rule, label=label)
     # positivity at the quadrature nodes plus a dense endpoint-including grid
     check = np.concatenate([rule.nodes, chebyshev_points(257), [0.0, 1.0]])
     d = metric.profile_data(check)
@@ -351,28 +334,6 @@ def half_laplacian(metric: RadialKahlerMetric, f: ScalarField) -> ScalarField:
     p2 = p1.deriv()
     return ScalarField.from_callable(
         metric, lambda s: metric.laplacian_values(p1(s), p2(s), s)
-    )
-
-
-class CurvatureData(NamedTuple):
-    S: ScalarField
-    ric_profiles: tuple  # (mu_rad, mu_sph) nodal arrays
-    riem_norm_sq: ScalarField
-    ric_norm_sq: ScalarField
-    laplacian: Callable  # f: ScalarField -> ScalarField
-
-
-def curvature_invariants(metric: RadialKahlerMetric) -> CurvatureData:
-    return CurvatureData(
-        S=scalar_curvature(metric),
-        ric_profiles=metric.ricci_eigenvalues(),
-        riem_norm_sq=ScalarField.from_callable(
-            metric, lambda s: metric.curvature_norms(s)[0]
-        ),
-        ric_norm_sq=ScalarField.from_callable(
-            metric, lambda s: metric.curvature_norms(s)[1]
-        ),
-        laplacian=lambda f: half_laplacian(metric, f),
     )
 
 
@@ -414,6 +375,11 @@ def characteristic_coefficients(n: int) -> tuple:
     return tuple(float(c) for c in poly)
 
 
+def characteristic_coefficient(n: int, j: int) -> float:
+    """a^_j = c_j, the exact volume average of a_j; zero for j > n."""
+    return characteristic_coefficients(n)[j] if j <= n else 0.0
+
+
 class CoefficientAverage(NamedTuple):
     average: float
     exact: float
@@ -425,6 +391,5 @@ def coefficient_average(metric: RadialKahlerMetric, j: int) -> CoefficientAverag
     field = bergman_coefficient(metric, j)
     vol = metric.volume()
     avg = metric.integrate(field.values) / vol
-    coeffs = characteristic_coefficients(metric.n)
-    exact = coeffs[j] if j < len(coeffs) else 0.0
+    exact = characteristic_coefficient(metric.n, j)
     return CoefficientAverage(avg, exact, abs(avg - exact))

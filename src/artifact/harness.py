@@ -82,7 +82,6 @@ class ExperimentConfig:
     k_max: int = 0
     k_stride: int = 1
     quadrature_order: int | None = None
-    path_order: int = 32
     tol_profile: str = "default"
     out_dir: str = "runs"
 
@@ -109,8 +108,6 @@ class ExperimentConfig:
                     f"{self.quadrature_order} below the resolution policy "
                     f"requirement {needed} for k_max={self.k_max}",
                 )
-        if self.path_order < 4:
-            raise ConfigError("path_order", f"must be >= 4, got {self.path_order}")
         object.__setattr__(
             self, "potential_coeffs", tuple(float(c) for c in self.potential_coeffs)
         )
@@ -170,6 +167,8 @@ class RunManifest:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value))
     if isinstance(value, (int, np.integer)):
@@ -230,7 +229,7 @@ def _partition_rows(config, metric, base):
 def _functionals_rows(config, metric, base):
     rows = []
     for j in (0, 1, 2):
-        path = tilde_S_path(metric, base, j, t_order=config.path_order).value
+        path = tilde_S_path(metric, base, j).value
         bc = tilde_S_bc(metric, base, j).value
         sj = S_j(metric, base, j).value
         rows.append((j, path, bc, abs(path - bc), sj))
@@ -270,13 +269,9 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
 
     if config.kind == "verify":
         report = verify_suite(config.tol_profile)
-        header = ["check", "measured", "tolerance", "passed"]
-        rows = [(c.name, c.measured, c.tolerance, c.passed) for c in report.checks]
         path = os.path.join(config.out_dir, "verify.csv")
-        lines = [",".join(header)] + [
-            ",".join([r[0], _fmt(r[1]), _fmt(r[2]), _fmt(r[3])]) for r in rows
-        ]
-        _atomic_write(path, "\n".join(lines) + "\n")
+        write_csv(path, ["check", "measured", "tolerance", "passed"],
+                  [(c.name, c.measured, c.tolerance, c.passed) for c in report.checks])
         emitted.append(path)
         manifest.status = "ok" if report.passed else "verification-failed"
     else:
@@ -438,7 +433,6 @@ def verify_suite(tol_profile: str = "default",
             lhs = invariant_lhs(m, data, j, coefficient_fn=coefficient_fn)
             rhs = invariant_rhs(m, data, j)
             worst = max(worst, abs(lhs - rhs))
-        worst = max(worst, 0.0)
     checks.append(CheckResult("futaki-lhs-rhs", worst, tols["futaki"]))
 
     worst = max(lu_lemma_defect(build_metric(RadialPotential(n, (0.0, 0.1, -0.05)), rule))

@@ -17,6 +17,7 @@ from artifact import (
     tilde_S_path,
 )
 from artifact.forms import hessian_form, ricci_form
+from artifact.geometry import characteristic_coefficient
 from artifact.functionals import (
     gamma2_defect,
     gamma_pairing,
@@ -48,6 +49,8 @@ def test_both_routes_agree(rng, rule200):
             b = tilde_S_bc(m1, m0, j)
             assert abs(a.value - b.value) < 1e-10 * (1.0 + abs(b.value))
             assert a.diagnostics["path_refinement"] < 1e-8
+            if j == 2:  # only the Td_2 secondary form is a path integral
+                assert b.diagnostics["path_refinement"] < 1e-8
 
 
 def test_path_metric_combines_potential_series(rng, rule200, monkeypatch):
@@ -140,14 +143,14 @@ def test_gamma_two_is_closed(rng, rule200):
 
 
 def test_gamma_pairing_kills_constants_for_j1(rng, rule200):
-    # a_1 integrates against constants to a class constant; gamma of a
-    # constant direction vanishes for j = 1 by the divergence theorem
-    m = random_metric(rng, 1, rule200)
-    ones = np.ones_like(rule200.nodes)
-    vol = TWO_PI**m.n / math.factorial(m.n)
-    got = gamma_pairing(m, 1, ones)
-    chars = 1.0  # characteristic average of a_1 on CP^1
-    assert abs(got + chars * vol) < 1e-10
+    # a_j integrates to the class constant a^_j V and Delta a_{j-1}
+    # integrates to zero, so gamma^(j) of a constant direction is -a^_j V
+    for n in (1, 2, 3):
+        m = random_metric(rng, n, rule200)
+        vol = TWO_PI**n / math.factorial(n)
+        for j in (1, 2):
+            got = gamma_pairing(m, j, 1.0)
+            assert abs(got + characteristic_coefficient(n, j) * vol) < 1e-10
 
 
 def test_contraction_identities(rng, rule200):
