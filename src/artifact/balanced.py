@@ -26,16 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .bergman import (
+    LOG_TWO_PI,
     _log_angular_sum,
-    _radial_log_J,
     bergman_density,
-    degree_multiplicity,
+    degree_multiplicities,
     dim_h0,
     gram,
     log_partition_ratio,
+    log_stratum_sum,
 )
 from .errors import NotConverged, ProjectionTail
 from .functionals import S_j
@@ -44,11 +45,12 @@ from .geometry import (
     RadialKahlerMetric,
     RadialPotential,
     build_metric,
+    class_volume,
+    fubini_study,
 )
 from .profiles import DEFAULT_DEGREE, Profile
 from .quadrature import TWO_PI, radial_rule, required_order
 
-LOG_TWO_PI = math.log(TWO_PI)
 BALANCE_TOL = 1e-10
 MAX_ITERATIONS = 500
 PROJECTION_TAIL_TOL = 1e-9
@@ -85,12 +87,11 @@ class BasisMetric:
     def log_det(self) -> float:
         """log det of the full d_k x d_k form in the monomial basis."""
         n, k = self.n, self.k
-        mult = np.array([degree_multiplicity(n, m) for m in range(k + 1)])
         d_k = dim_h0(n, k)
         log_c_sum = (
             _log_angular_sum(n, k) - d_k * n * LOG_TWO_PI + d_k * gammaln(n)
         )
-        return float(log_c_sum + mult @ self.log_eta)
+        return float(log_c_sum + degree_multiplicities(n, k) @ self.log_eta)
 
 
 @dataclass(frozen=True)
@@ -107,28 +108,17 @@ def hilb_map(metric: RadialKahlerMetric, k: int) -> BasisMetric:
     """Rescaled L^2 form of the potential: eta_m from the radial Gram data."""
     n = metric.n
     gd = gram(metric, k)
-    vol = TWO_PI**n / math.factorial(n)
-    log_scale = math.log(dim_h0(n, k) / vol) + n * LOG_TWO_PI - gammaln(n)
+    log_scale = math.log(dim_h0(n, k) / class_volume(n)) + n * LOG_TWO_PI - gammaln(n)
     return BasisMetric(n, k, gd.log_Jm + log_scale)
 
 
 def fs_map_profile(H: BasisMetric, degree: int = DEFAULT_DEGREE) -> ProfilePotential:
     """The Fubini-Study potential of H as a smooth radial profile."""
     n, k = H.n, H.k
-    m = np.arange(k + 1)
-    log_binom = gammaln(n + m) - gammaln(m + 1) - gammaln(n)
-
-    def phi(s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_s = np.outer(m, np.log(s))
-            t_1ms = np.outer(k - m, np.log1p(-s))
-        t_s[0, :] = 0.0
-        t_1ms[-1, :] = 0.0
-        expo = t_s + t_1ms + (log_binom - H.log_eta)[:, None]
-        return logsumexp(expo, axis=0) / k
-
-    return ProfilePotential(n, Profile.from_callable(phi, degree))
+    log_weights = -gammaln(n) - H.log_eta
+    return ProfilePotential(
+        n, Profile.from_callable(lambda s: log_stratum_sum(n, k, log_weights, s) / k, degree)
+    )
 
 
 def project_potential(potential: ProfilePotential, degree: int,
@@ -167,8 +157,7 @@ def fs_map(H: BasisMetric, degree: int,
 def balance_defect(metric: RadialKahlerMetric, k: int) -> float:
     """sup |(V/d_k) rho_k - 1| over [0, 1]."""
     n = metric.n
-    vol = TWO_PI**n / math.factorial(n)
-    scale = vol / dim_h0(n, k)
+    scale = class_volume(n) / dim_h0(n, k)
     dens = bergman_density(metric, k)
     return float(
         max(abs(scale * dens.max_value - 1.0), abs(scale * dens.min_value - 1.0))
@@ -208,8 +197,7 @@ def normalize_potential(potential: RadialPotential, rule=None) -> RadialPotentia
     """Shift by the constant making the degree-(n+1) energy S_0 vanish."""
     rule = rule or radial_rule(200)
     metric = build_metric(potential, rule)
-    base = build_metric(RadialPotential(potential.n, (0.0,)), rule)
-    s0 = S_j(metric, base, 0).value
+    s0 = S_j(metric, fubini_study(potential.n, rule), 0).value
     return potential.shifted(s0)
 
 
@@ -230,18 +218,15 @@ def liouville_approx_SLk(potential: RadialPotential, k: int, rule=None,
         raise ValueError(f"unknown route {route!r}")
     n = potential.n
     rule = rule or radial_rule(required_order(k))
-    vol = TWO_PI**n / math.factorial(n)
     d_k = dim_h0(n, k)
     phi = normalize_potential(potential, rule)
     metric = build_metric(phi, rule)
-    base = build_metric(RadialPotential(n, (0.0,)), rule)
+    base = fubini_study(n, rule)
+    H = hilb_map(metric, k)
     if route == "identity":
         det_term = log_partition_ratio(metric, base, k)
     else:
-        H = hilb_map(metric, k)
-        mult = np.array([degree_multiplicity(n, m) for m in range(k + 1)])
-        log_norms0 = _log_angular_sum(n, k) + float(mult @ _radial_log_J(base, k))
-        det_term = H.log_det() - log_norms0 - d_k * math.log(d_k / vol)
-    fsk = build_metric(fs_map_profile(hilb_map(metric, k)), rule)
+        det_term = H.log_det() - gram(base, k).log_det - d_k * math.log(d_k / class_volume(n))
+    fsk = build_metric(fs_map_profile(H), rule)
     s1 = S_j(fsk, base, 1).value
     return float((TWO_PI**n * det_term - k**n * s1) * k ** (1 - n))

@@ -7,21 +7,35 @@ diagonal with
     <z^alpha, z^alpha> = (2 pi)^n alpha!/(m+n-1)! x J_m,   m = |alpha|,
     J_m = int_0^1 s^{m+n-1} (1-s)^{k-m} e^{-k phi} G^{n-1} F' ds,
 
-so everything reduces to the 1D profile integrals J_m.  A 2D
-full-Hermitian mode on CP^1 cross-checks the reduction.
+so everything reduces to the 1D profile integrals J_m and to the k+1
+degree strata m = |alpha|, each of multiplicity C(m+n-1, n-1).  The
+angular part of log det needs no walk over multi-indices: a part
+alpha_i = a occurs in C(k-a+n-1, n-1) of them, so
+
+    sum_alpha log[(2 pi)^n alpha!/(m+n-1)!]
+        = sum_m C(m+n-1, n-1) [n log 2 pi - log (m+n-1)!]
+          + n sum_a C(k-a+n-1, n-1) log a!.
+
+The Bergman density and the Fubini-Study map of a diagonal form are the
+same log-space stratum sum
+
+    log sum_m (n-1+m)!/m! s^m (1-s)^(k-m) e^(w_m)
+
+with different weights w (``log_stratum_sum``).  A 2D full-Hermitian mode
+on CP^1 cross-checks the reduction.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as _iproduct
+from itertools import product
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import NonPositiveNorm
-from .geometry import RadialKahlerMetric, ScalarField, perturbed_metric
+from .geometry import RadialKahlerMetric, ScalarField, half_laplacian, perturbed_metric
 from .quadrature import TWO_PI, SphereGrid, check_resolution, sphere_grid
 
 LOG_TWO_PI = math.log(TWO_PI)
@@ -44,27 +58,36 @@ class MonomialBasis:
         return dim_h0(self.n, self.k)
 
     def multi_indices(self):
-        n, k = self.n, self.k
-        out = []
-        for alpha in _iproduct(range(k + 1), repeat=n):
-            if sum(alpha) <= k:
-                out.append(alpha)
-        return out
+        """Every alpha with |alpha| <= k, for cross-checks of the strata."""
+        return [a for a in product(range(self.k + 1), repeat=self.n) if sum(a) <= self.k]
 
 
-def degree_multiplicity(n: int, m: int) -> int:
-    """Number of monomials of degree exactly m in n variables."""
-    return math.comb(m + n - 1, n - 1)
+def degree_multiplicities(n: int, k: int) -> np.ndarray:
+    """C(m+n-1, n-1), the number of monomials of degree exactly m, for m = 0..k."""
+    return np.array([math.comb(m + n - 1, n - 1) for m in range(k + 1)], dtype=float)
 
 
 @lru_cache(maxsize=None)
 def _log_angular_sum(n: int, k: int) -> float:
-    """Sum over all |alpha| <= k of log[(2 pi)^n alpha!/(m+n-1)!]."""
-    total = 0.0
-    for alpha in MonomialBasis(n, k).multi_indices():
-        m = sum(alpha)
-        total += n * LOG_TWO_PI + sum(gammaln(a + 1) for a in alpha) - gammaln(m + n)
-    return float(total)
+    """Sum over all |alpha| <= k of log[(2 pi)^n alpha!/(m+n-1)!], by strata."""
+    mult = degree_multiplicities(n, k)
+    i = np.arange(k + 1)
+    # term i: the stratum m = i plus every part alpha_j = i
+    terms = mult * (n * LOG_TWO_PI) + n * mult[::-1] * gammaln(i + 1) - mult * gammaln(i + n)
+    return sum(terms.tolist())
+
+
+def log_stratum_sum(n: int, k: int, log_weights: np.ndarray, s) -> np.ndarray:
+    """log sum_m (n-1+m)!/m! s^m (1-s)^(k-m) e^(w_m) at each s in [0, 1]."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    m = np.arange(k + 1)
+    log_D = gammaln(n + m) - gammaln(m + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_s = np.outer(m, np.log(s))
+        t_1ms = np.outer(k - m, np.log1p(-s))
+    t_s[0, :] = 0.0  # m = 0 contributes s^0 = 1 even at s = 0
+    t_1ms[-1, :] = 0.0  # m = k contributes (1-s)^0 = 1 even at s = 1
+    return logsumexp(t_s + t_1ms + (log_D + log_weights)[:, None], axis=0)
 
 
 @dataclass(frozen=True)
@@ -84,6 +107,8 @@ class GramData:
 
 
 def _radial_log_J(metric: RadialKahlerMetric, k: int) -> np.ndarray:
+    """log J_m, m = 0..k, on the metric's own rule (checked against k)."""
+    check_resolution(metric.rule, k)
     d = metric.nd
     n = metric.n
     pos_weight = metric.rule.weights * d["G"] ** (n - 1) * d["F1"]
@@ -96,17 +121,14 @@ def _radial_log_J(metric: RadialKahlerMetric, k: int) -> np.ndarray:
     return logsumexp(expo, axis=1)
 
 
-def gram(metric: RadialKahlerMetric, k: int, rule=None) -> GramData:
+def gram(metric: RadialKahlerMetric, k: int) -> GramData:
     """Radial-diagonal Gram data for degree-k sections."""
-    rule = rule or metric.rule
-    check_resolution(rule, k)
     log_Jm = _radial_log_J(metric, k)
     if not np.all(np.isfinite(log_Jm)):
         bad = int(np.argmin(np.isfinite(log_Jm)))
         raise NonPositiveNorm(bad, 0.0)
     n = metric.n
-    mult = np.array([degree_multiplicity(n, m) for m in range(k + 1)], dtype=float)
-    log_det = _log_angular_sum(n, k) + float(mult @ log_Jm)
+    log_det = _log_angular_sum(n, k) + float(degree_multiplicities(n, k) @ log_Jm)
     return GramData("radial-diagonal", n, k, log_Jm, None, log_det)
 
 
@@ -147,16 +169,8 @@ def density_values(metric: RadialKahlerMetric, k: int, log_Jm: np.ndarray, s) ->
     """Bergman density rho_k at arbitrary s in [0, 1] (stable log-space sum)."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     n = metric.n
-    m = np.arange(k + 1)
-    log_D = gammaln(n + m) - gammaln(m + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_s = np.outer(m, np.log(s))
-        t_1ms = np.outer(k - m, np.log1p(-s))
-    t_s[0, :] = 0.0  # m = 0 contributes s^0 = 1 even at s = 0
-    t_1ms[-1, :] = 0.0  # m = k contributes (1-s)^0 = 1 even at s = 1
-    expo = t_s + t_1ms + (log_D - log_Jm)[:, None]
     phi = metric.phi_derivs(s)[0]
-    return np.exp(logsumexp(expo, axis=0) - k * phi - n * LOG_TWO_PI)
+    return np.exp(log_stratum_sum(n, k, -log_Jm, s) - k * phi - n * LOG_TWO_PI)
 
 
 def bergman_density(metric: RadialKahlerMetric, k: int, gram_data: GramData | None = None) -> BergmanDensity:
@@ -173,24 +187,18 @@ def bergman_density(metric: RadialKahlerMetric, k: int, gram_data: GramData | No
 
 
 def log_partition_ratio(metric_phi: RadialKahlerMetric, metric_ref: RadialKahlerMetric,
-                        k: int, rule=None) -> float:
+                        k: int) -> float:
     """log Z_k[phi] - log Z_k[ref]; basis factors cancel degree by degree."""
     if metric_phi.n != metric_ref.n:
         raise ValueError("metrics live on different manifolds")
-    rule = rule or metric_phi.rule
-    check_resolution(rule, k)
     diff = _radial_log_J(metric_phi, k) - _radial_log_J(metric_ref, k)
-    n = metric_phi.n
-    mult = np.array([degree_multiplicity(n, m) for m in range(k + 1)], dtype=float)
-    return float(mult @ diff)
+    return float(degree_multiplicities(metric_phi.n, k) @ diff)
 
 
 def donaldson_variation_check(metric: RadialKahlerMetric, k: int, direction: ScalarField,
                               step: float = 1e-4):
     """Directional derivative of log Z_k: finite differences vs the
     density formula int psi (Delta rho_k - k rho_k) omega_phi^n/n!."""
-    from .geometry import half_laplacian
-
     gd = gram(metric, k)
     dens = bergman_density(metric, k, gd)
     lap_rho = half_laplacian(metric, dens.field)

@@ -34,11 +34,12 @@ from .geometry import (
     bergman_coefficient,
     build_metric,
     characteristic_coefficient,
+    class_volume,
+    fubini_study,
     half_laplacian,
     perturbed_metric,
     scalar_curvature,
 )
-from .quadrature import TWO_PI
 
 PATH_ORDER = 32
 
@@ -200,10 +201,9 @@ def S_j(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int,
     S_0 = tilde-S_0/V and S_j = tilde-S_j - a^_j tilde-S_0 for j > 0."""
     _check_pair(m1, m0)
     n = m1.n
-    vol = TWO_PI**n / math.factorial(n)
     s0 = tilde_S0(m1, m0)
     if j == 0:
-        return FunctionalLedger(0, s0 / vol, route, (m1.label, m0.label), {})
+        return FunctionalLedger(0, s0 / class_volume(n), route, (m1.label, m0.label), {})
     base = tilde_S_path(m1, m0, j) if route == "path" else tilde_S_bc(m1, m0, j)
     ahat = characteristic_coefficient(n, j)
     return FunctionalLedger(
@@ -246,12 +246,6 @@ def cocycle_defect(j: int, m2, m1, m0, route: str = "bott-chern") -> float:
 # variations
 
 
-def _fs_base(metric: RadialKahlerMetric) -> RadialKahlerMetric:
-    from .geometry import RadialPotential
-
-    return build_metric(RadialPotential(metric.n, (0.0,)), metric.rule)
-
-
 def first_variation_pairing(metric: RadialKahlerMetric, j: int, psi_values) -> float:
     """Variational integrand of S_j paired with psi.
 
@@ -261,8 +255,7 @@ def first_variation_pairing(metric: RadialKahlerMetric, j: int, psi_values) -> f
     """
     psi = np.asarray(psi_values, dtype=float)
     if j == 0:
-        vol = TWO_PI**metric.n / math.factorial(metric.n)
-        return -metric.integrate(psi) / vol
+        return -metric.integrate(psi) / class_volume(metric.n)
     ahat = characteristic_coefficient(metric.n, j)
     return ahat * metric.integrate(psi) + gamma_pairing(metric, j, psi)
 
@@ -270,7 +263,7 @@ def first_variation_pairing(metric: RadialKahlerMetric, j: int, psi_values) -> f
 def first_variation(j: int, metric: RadialKahlerMetric, direction: ScalarField,
                     step: float = 1e-4, route: str = "bott-chern"):
     """(finite difference, formula, defect) for the first variation of S_j."""
-    base = _fs_base(metric)
+    base = fubini_study(metric.n, metric.rule)
     formula = first_variation_pairing(metric, j, direction.values)
     plus = perturbed_metric(metric, direction.profile, step)
     minus = perturbed_metric(metric, direction.profile, -step)
@@ -282,7 +275,7 @@ def liouville_first_variation(metric: RadialKahlerMetric, direction: ScalarField
                               step: float = 1e-4):
     """First variation of the explicit generalized Liouville action:
     FD of S2_explicit vs the displayed curvature integrand."""
-    base = _fs_base(metric)
+    base = fubini_study(metric.n, metric.rule)
     ahat = characteristic_coefficient(metric.n, 2)
     lapS = half_laplacian(metric, scalar_curvature(metric)).values
     integrand = ahat + lapS / 6.0 - metric.curvature_polynomial_values()

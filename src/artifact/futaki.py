@@ -39,10 +39,10 @@ from .geometry import (
     ScalarField,
     bergman_coefficient,
     build_metric,
+    class_volume,
     half_laplacian,
 )
 from .profiles import Profile
-from .quadrature import TWO_PI
 
 ROTATION = "rotation"
 ZERO = "zero"
@@ -101,12 +101,11 @@ def hamiltonian_potential(metric: RadialKahlerMetric,
     """Solve iota_X omega + dbar theta_X = 0 for the normalized theta_X."""
     _check_spec(field_spec)
     n = metric.n
-    vol = TWO_PI**n / math.factorial(n)
     if field_spec == ZERO:
         theta = ScalarField.constant(metric, 0.0)
         z = np.zeros_like(metric.rule.nodes)
         return VectorFieldData(field_spec, theta, z, z.copy(), 0.0, 0.0, 0.0)
-    c = metric.integrate(_moment_values(metric)) / vol
+    c = metric.integrate(_moment_values(metric)) / class_volume(n)
     theta = ScalarField.from_callable(metric, lambda s: c - _moment_values(metric, s))
     # the contraction equation reduces to theta' + F' = 0 nodewise
     d = metric.nd

@@ -195,7 +195,9 @@ class RadialKahlerMetric:
 
     def ricci_eigenvalues(self, s=None):
         """(mu_rad, mu_sph): Ricci eigenvalues in the FS-relative frame."""
-        A, B, C = self.frame_curvature(s)
+        return self._ricci_from_frame(*self.frame_curvature(s))
+
+    def _ricci_from_frame(self, A, B, C):
         n = self.n
         return A + (n - 1) * B, B + n * C
 
@@ -206,9 +208,8 @@ class RadialKahlerMetric:
     def curvature_norms(self, s=None):
         """(|R|^2, |Ric|^2) pointwise."""
         A, B, C = self.frame_curvature(s)
+        mu_r, mu_s = self._ricci_from_frame(A, B, C)
         n = self.n
-        mu_r = A + (n - 1) * B
-        mu_s = B + n * C
         riem = A**2 + 4.0 * (n - 1) * B**2 + 2.0 * n * (n - 1) * C**2
         ric = mu_r**2 + (n - 1) * mu_s**2
         return riem, ric
@@ -313,6 +314,16 @@ def build_metric(potential, rule: RadialQuadrature, max_degree: int = MAX_POTENT
         if vals[idx] <= 0.0:
             raise NonPositiveMetric(check[idx], vals[idx], sector=name)
     return metric
+
+
+def fubini_study(n: int, rule: RadialQuadrature) -> RadialKahlerMetric:
+    """The reference metric omega_FS (zero potential) on CP^n."""
+    return build_metric(RadialPotential(n, (0.0,)), rule)
+
+
+def class_volume(n: int) -> float:
+    """V = (2 pi)^n/n!, the volume of every metric in the class."""
+    return TWO_PI**n / math.factorial(n)
 
 
 def perturbed_metric(metric: RadialKahlerMetric, direction_profile: Profile,

@@ -38,6 +38,7 @@ from .geometry import (
     bergman_coefficient,
     build_metric,
     coefficient_average,
+    fubini_study,
 )
 from .quadrature import TWO_PI, radial_rule, required_order
 
@@ -202,10 +203,6 @@ def write_csv(path: str, header, rows):
 # experiment bodies
 
 
-def _fs_metric(n, rule):
-    return build_metric(RadialPotential(n, (0.0,)), rule)
-
-
 def _bergman_rows(config, metric):
     rows = []
     for k in config.k_values:
@@ -277,7 +274,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     else:
         rule = radial_rule(config.order)
         metric = build_metric(config.potential(), rule)
-        base = _fs_metric(config.n, rule)
+        base = fubini_study(config.n, rule)
         if config.kind == "bergman":
             header, rows = _bergman_rows(config, metric)
         elif config.kind == "partition":
@@ -309,7 +306,7 @@ def run_fit(config: ExperimentConfig):
                           f"got {len(config.k_values)}")
     rule = radial_rule(config.order)
     metric = build_metric(config.potential(), rule)
-    base = _fs_metric(config.n, rule)
+    base = fubini_study(config.n, rule)
     samples = [
         (k, TWO_PI**n * log_partition_ratio(metric, base, k)) for k in config.k_values
     ]
@@ -380,7 +377,7 @@ def verify_suite(tol_profile: str = "default",
     checks = []
 
     # Bergman density against the exact reference values
-    fs1 = _fs_metric(1, rule)
+    fs1 = fubini_study(1, rule)
     dens = bergman_density(fs1, 40)
     s_dense = np.linspace(0.0, 1.0, 257)
     measured = float(np.abs(TWO_PI * dens.field.profile(s_dense) - 41.0).max())
@@ -457,7 +454,7 @@ def verify_suite(tol_profile: str = "default",
 
     # resolution policy: an under-resolved rule must be rejected loudly
     try:
-        gram(fs1, 40, rule=radial_rule(32))
+        gram(fubini_study(1, radial_rule(32)), 40)
         measured = 1.0
     except ResolutionTooLow:
         measured = 0.0

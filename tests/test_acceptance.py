@@ -89,7 +89,7 @@ def test_acceptance_02_fs_density_reference_values():
         rule = radial_rule(required_order(kmax))
         m = fs(n, rule)
         for k in range(1, kmax + 1):
-            log_Jm = gram(m, k, rule).log_Jm
+            log_Jm = gram(m, k).log_Jm
             vals = TWO_PI**n * density_values(m, k, log_Jm, S_DENSE)
             want = math.prod(k + i for i in range(1, n + 1))
             assert np.abs(vals - want).max() <= 1e-9
@@ -110,7 +110,7 @@ def test_acceptance_03_pointwise_third_order_rate():
         a2 = bergman_coefficient(m, 2)(nodes)
         resid = np.empty((ks.size, nodes.size))
         for i, k in enumerate(ks):
-            log_Jm = gram(m, int(k), RULE_DEEP).log_Jm
+            log_Jm = gram(m, int(k)).log_Jm
             rho = TWO_PI * density_values(m, int(k), log_Jm, nodes)
             resid[i] = rho / k - (1.0 + a1 / k + a2 / k**2)
         y = np.log(np.abs(resid))

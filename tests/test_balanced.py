@@ -7,6 +7,7 @@ from artifact import (
     RadialPotential,
     balance_defect,
     build_metric,
+    dim_h0,
     fs_map,
     fs_map_profile,
     hilb_map,
@@ -16,10 +17,11 @@ from artifact import (
     t_iteration,
 )
 from artifact.balanced import BasisMetric, project_potential
+from artifact.bergman import density_values, gram
 from artifact.errors import NotConverged, ProjectionTail
 from artifact.functionals import S_j
 from artifact.profiles import Profile
-from artifact.quadrature import required_order
+from artifact.quadrature import TWO_PI, required_order
 
 from conftest import random_metric
 
@@ -51,6 +53,19 @@ def test_fs_map_fixes_fubini_study(fs_metric):
     for n, k in ((1, 12), (2, 9), (3, 6)):
         prof = fs_map_profile(hilb_map(fs_metric(n), k))
         assert prof.profile.sup_norm() < 1e-12
+
+
+def test_density_and_fs_map_share_one_stratum_sum(rng, rule200):
+    # V rho_k / d_k = exp(k (FS(Hilb phi) - phi)): both are the same stratum sum
+    for n in (1, 2, 3):
+        m = random_metric(rng, n, rule200)
+        vol = TWO_PI**n / math.factorial(n)
+        phi = m.phi_derivs(S_DENSE)[0]
+        for k in (5, 20, 40):
+            rho = density_values(m, k, gram(m, k).log_Jm, S_DENSE)
+            fs = fs_map_profile(hilb_map(m, k)).profile(S_DENSE)
+            lhs = vol * rho / dim_h0(n, k)
+            assert np.abs(lhs - np.exp(k * (fs - phi))).max() < 1e-12, (n, k)
 
 
 def test_fs_map_gauge_scaling(fs_metric):

@@ -16,9 +16,15 @@ from artifact import (
     log_partition_ratio,
     radial_rule,
 )
-from artifact.bergman import MonomialBasis, degree_multiplicity, donaldson_variation_check
+from artifact.bergman import (
+    MonomialBasis,
+    _log_angular_sum,
+    degree_multiplicities,
+    donaldson_variation_check,
+)
 from artifact.errors import ResolutionTooLow
-from artifact.quadrature import TWO_PI
+from artifact.geometry import fubini_study
+from artifact.quadrature import TWO_PI, monomial_angular_factor
 
 from conftest import random_metric
 
@@ -28,7 +34,7 @@ def test_section_space_dimensions():
     assert dim_h0(2, 3) == 10
     assert dim_h0(3, 2) == 10
     assert MonomialBasis(2, 3).count == len(MonomialBasis(2, 3).multi_indices())
-    assert sum(degree_multiplicity(2, m) for m in range(4)) == 10
+    assert degree_multiplicities(2, 3).sum() == 10
 
 
 def test_fs_monomial_norms_cp1(fs_metric):
@@ -38,9 +44,29 @@ def test_fs_monomial_norms_cp1(fs_metric):
     assert np.abs(gd.degree_norms() - want).max() < 1e-13
 
 
-def test_gram_requires_resolution(fs_metric):
+def test_angular_sum_matches_enumeration():
+    for n in (1, 2, 3):
+        for k in (0, 1, 7, 20):
+            want = math.fsum(
+                math.log(monomial_angular_factor(a)) for a in MonomialBasis(n, k).multi_indices()
+            )
+            got = _log_angular_sum(n, k)
+            assert abs(got - want) <= 1e-13 * abs(want), (n, k, got, want)
+
+
+def test_gram_requires_resolution():
     with pytest.raises(ResolutionTooLow):
-        gram(fs_metric(1), 40, rule=radial_rule(32))
+        gram(fubini_study(1, radial_rule(32)), 40)
+
+
+def test_partition_ratio_gates_both_rules(rng):
+    # the reference metric is integrated on its own rule, so its rule is gated too
+    k = 100
+    m = random_metric(rng, 1, radial_rule(300))
+    with pytest.raises(ResolutionTooLow):
+        log_partition_ratio(m, fubini_study(1, radial_rule(40)), k)
+    with pytest.raises(ResolutionTooLow):
+        log_partition_ratio(fubini_study(1, radial_rule(40)), m, k)
 
 
 def test_full_hermitian_mode_agrees_with_radial_reduction(rng, rule200):
