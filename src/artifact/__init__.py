@@ -45,7 +45,6 @@ from .bergman import (
 )
 from .functionals import (
     FunctionalLedger,
-    S2_explicit,
     S_j,
     cocycle_defect,
     first_variation,
@@ -67,7 +66,6 @@ from .balanced import (
     BasisMetric,
     IterationTrace,
     balance_defect,
-    fs_map,
     fs_map_profile,
     hilb_map,
     liouville_approx_SLk,

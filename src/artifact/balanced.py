@@ -17,6 +17,10 @@ pullback of Fubini-Study by z -> lambda z, with potential
 log(1 + (e^t - 1) s) + c and t = log|lambda|^2, is a fixed point at every
 level, and the iteration converges to one of them that depends on the
 starting potential.
+
+FS(H) is a profile potential, evaluated only through its Chebyshev series
+like every potential; ``project_potential`` converts that series back to
+power-basis coefficients once, when the iteration stops.
 """
 from __future__ import annotations
 
@@ -24,8 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
-from numpy.polynomial import polynomial as _poly
+from numpy.polynomial import Chebyshev, Polynomial
 from scipy.special import gammaln
 
 from .bergman import (
@@ -100,9 +103,6 @@ class IterationTrace:
     iterations: int
     converged: bool
 
-    def csv_rows(self):
-        return [(i, d) for i, d in enumerate(self.defects)]
-
 
 def hilb_map(metric: RadialKahlerMetric, k: int) -> BasisMetric:
     """Rescaled L^2 form of the potential: eta_m from the radial Gram data."""
@@ -135,23 +135,9 @@ def project_potential(potential: ProfilePotential, degree: int,
         if tail > tail_tol:
             raise ProjectionTail(tail, tail_tol, degree)
         coef = coef[: degree + 1]
-    # compose the x-power series with x = 2s - 1; degrees stay small here
-    x_poly = _cheb.cheb2poly(coef)
-    comp = np.zeros(1)
-    basis = np.array([1.0])
-    for cj in x_poly:
-        add = cj * basis
-        if comp.size < add.size:
-            comp = np.pad(comp, (0, add.size - comp.size))
-        comp[: add.size] += add
-        basis = _poly.polymul(basis, [-1.0, 2.0])
-    return RadialPotential(potential.n, tuple(comp))
-
-
-def fs_map(H: BasisMetric, degree: int,
-           tail_tol: float = PROJECTION_TAIL_TOL) -> RadialPotential:
-    """FS potential of H projected to the power basis at the given degree."""
-    return project_potential(fs_map_profile(H), degree, tail_tol)
+    # the inverse of the cast in RadialPotential.profile
+    power = Chebyshev(coef, domain=[0.0, 1.0]).convert(kind=Polynomial).coef
+    return RadialPotential(potential.n, tuple(power))
 
 
 def balance_defect(metric: RadialKahlerMetric, k: int) -> float:
@@ -212,7 +198,11 @@ def liouville_approx_SLk(potential: RadialPotential, k: int, rule=None,
     with phi normalized so that S_0[phi, 0] = 0.  ``route`` selects how
     the determinant term is computed: "identity" uses the partition-ratio
     identity log det_omega(H) - d_k log(d_k/V) = log Z_k[phi]/Z_k[0];
-    "raw" takes the literal Gram determinants.
+    "raw" takes the literal Gram determinants.  The raw route subtracts
+    two log dets of size ~10^2 that share the angular sum (n = 1, k = 20:
+    -170.16 and -195.50) to reach a value near 5e-5, which amplifies
+    roundoff about 10^7-fold: its digits past about 1e-9 relative are
+    noise, so it is a cross-check only.
     """
     if route not in ("identity", "raw"):
         raise ValueError(f"unknown route {route!r}")

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -46,20 +45,6 @@ def dim_h0(n: int, k: int) -> int:
     if n < 1 or k < 0:
         raise ValueError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
     return math.comb(n + k, n)
-
-
-@dataclass(frozen=True)
-class MonomialBasis:
-    n: int
-    k: int
-
-    @property
-    def count(self) -> int:
-        return dim_h0(self.n, self.k)
-
-    def multi_indices(self):
-        """Every alpha with |alpha| <= k, for cross-checks of the strata."""
-        return [a for a in product(range(self.k + 1), repeat=self.n) if sum(a) <= self.k]
 
 
 def degree_multiplicities(n: int, k: int) -> np.ndarray:
@@ -98,12 +83,6 @@ class GramData:
     log_Jm: np.ndarray | None
     matrix: np.ndarray | None
     log_det: float
-
-    def degree_norms(self):
-        """Norms of the pure powers z1^m (radial mode)."""
-        m = np.arange(self.k + 1)
-        log_ang = self.n * LOG_TWO_PI + gammaln(m + 1) - gammaln(m + self.n)
-        return np.exp(log_ang + self.log_Jm)
 
 
 def _radial_log_J(metric: RadialKahlerMetric, k: int) -> np.ndarray:
@@ -169,7 +148,7 @@ def density_values(metric: RadialKahlerMetric, k: int, log_Jm: np.ndarray, s) ->
     """Bergman density rho_k at arbitrary s in [0, 1] (stable log-space sum)."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     n = metric.n
-    phi = metric.phi_derivs(s)[0]
+    phi = metric.potential.profile(s)
     return np.exp(log_stratum_sum(n, k, -log_Jm, s) - k * phi - n * LOG_TWO_PI)
 
 

@@ -26,7 +26,6 @@ pairing, and curvature-polynomial integral in the package.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,25 +176,6 @@ def pair_integral(rule: RadialQuadrature, n: int, f_values, pair: PairForm, form
     return TWO_PI**n * rule.integrate(f * s ** (n - 1) * total)
 
 
-def integrate_radial(rule: RadialQuadrature, metric, field_values, form_power: int,
-                     reference=None) -> float:
-    """int f omega_phi^p ^ omega_ref^{n-p} / n! with p = form_power.
-
-    ``reference`` defaults to the Fubini-Study form.
-    """
-    n = metric.n
-    if not 0 <= form_power <= n:
-        raise ValueError(f"form power must be in 0..{n}")
-    om = omega_form(metric)
-    if reference is None:
-        ones = np.ones_like(rule.nodes)
-        ref = RadialForm(ones, ones)
-    else:
-        ref = omega_form(reference)
-    forms = [om] * form_power + [ref] * (n - form_power)
-    return mixed_integral(rule, n, field_values, forms) / math.factorial(n)
-
-
 def omega_eigenvalues(metric, form: RadialForm):
     """(rho/F', sig/G): the radial and spherical eigenvalues of a radial
     (1,1)-form against omega, nodewise."""
@@ -214,40 +194,3 @@ def form_inner(metric, a: RadialForm, b: RadialForm):
     pa, qa = omega_eigenvalues(metric, a)
     pb, qb = omega_eigenvalues(metric, b)
     return pa * pb + (metric.n - 1) * qa * qb
-
-
-# ---------------------------------------------------------------------------
-# invariant polynomials on two-sector endomorphism data
-
-
-class InvariantPolyEval:
-    """Chern/Todd/trace polynomials on block-diagonal endomorphism data.
-
-    Arguments x, y are the radial eigenvalue and the spherical eigenvalue
-    (multiplicity n-1) of i times the endomorphism, as arrays or scalars.
-    """
-
-    def __init__(self, n: int):
-        self.n = int(n)
-
-    def tr1(self, x, y):
-        return x + (self.n - 1) * y
-
-    def tr2(self, x, y):
-        return x**2 + (self.n - 1) * y**2
-
-    def c1(self, x, y):
-        return self.tr1(x, y)
-
-    def c2(self, x, y):
-        n = self.n
-        return (n - 1) * x * y + math.comb(n - 1, 2) * y**2
-
-    def td1(self, x, y):
-        return 0.5 * self.c1(x, y)
-
-    def td2(self, x, y):
-        return (self.c1(x, y) ** 2 + self.c2(x, y)) / 12.0
-
-    def td2_from_traces(self, x, y):
-        return (3.0 * self.tr1(x, y) ** 2 - self.tr2(x, y)) / 24.0

@@ -2,7 +2,7 @@
 
 Implements the Bott-Chern form of Td_2, the functionals tilde-S_j and
 S_j (j = 0, 1, 2) by two independent routes (path integral over metric
-interpolation vs Bott-Chern assembly), the explicit generalized
+interpolation vs Bott-Chern assembly), where S_2 is the generalized
 Liouville action, and all cocycle/variation diagnostics.
 """
 from __future__ import annotations
@@ -52,7 +52,7 @@ def _check_pair(m1: RadialKahlerMetric, m0: RadialKahlerMetric):
 
 
 def relative_potential_values(m1: RadialKahlerMetric, m0: RadialKahlerMetric, s):
-    return m1.phi_derivs(s)[0] - m0.phi_derivs(s)[0]
+    return m1.potential.profile(s) - m0.potential.profile(s)
 
 
 def path_metric(m1: RadialKahlerMetric, m0: RadialKahlerMetric, t: float) -> RadialKahlerMetric:
@@ -211,30 +211,6 @@ def S_j(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int,
     )
 
 
-def S2_explicit(m1: RadialKahlerMetric, m0: RadialKahlerMetric) -> FunctionalLedger:
-    """The generalized Liouville action assembled from its three displayed
-    terms (curvature secondary form, curvature-polynomial energy, and the
-    characteristic-average times the degree-(n+1) energy)."""
-    _check_pair(m1, m0)
-    n = m1.n
-    rule = m1.rule
-    bc_form, refinement = bc_todd2(m1, m0)
-    om1, om0 = omega_form(m1), omega_form(m0)
-    rel = relative_potential_values(m1, m0, rule.nodes)
-    term1 = mixed_integral(rule, n, 1.0, [bc_form] + [om0] * (n - 1)) / math.factorial(n - 1)
-    term2 = 0.0
-    if n >= 2:
-        td2 = todd2_form(m1)
-        for s_pow in range(n - 1):
-            forms = [om1] * s_pow + [om0] * (n - 2 - s_pow)
-            term2 -= pair_integral(rule, n, rel, td2, forms) / math.factorial(n - 1)
-    term3 = -characteristic_coefficient(n, 2) * tilde_S0(m1, m0)
-    return FunctionalLedger(
-        2, term1 + term2 + term3, "explicit-S2", (m1.label, m0.label),
-        {"path_refinement": refinement},
-    )
-
-
 def cocycle_defect(j: int, m2, m1, m0, route: str = "bott-chern") -> float:
     v20 = S_j(m2, m0, j, route).value
     v21 = S_j(m2, m1, j, route).value
@@ -273,8 +249,8 @@ def first_variation(j: int, metric: RadialKahlerMetric, direction: ScalarField,
 
 def liouville_first_variation(metric: RadialKahlerMetric, direction: ScalarField,
                               step: float = 1e-4):
-    """First variation of the explicit generalized Liouville action:
-    FD of S2_explicit vs the displayed curvature integrand."""
+    """First variation of the generalized Liouville action S_2:
+    FD of S_j(., ., 2) vs the displayed curvature integrand."""
     base = fubini_study(metric.n, metric.rule)
     ahat = characteristic_coefficient(metric.n, 2)
     lapS = half_laplacian(metric, scalar_curvature(metric)).values
@@ -282,7 +258,7 @@ def liouville_first_variation(metric: RadialKahlerMetric, direction: ScalarField
     formula = metric.integrate(direction.values * integrand)
     plus = perturbed_metric(metric, direction.profile, step)
     minus = perturbed_metric(metric, direction.profile, -step)
-    fd = (S2_explicit(plus, base).value - S2_explicit(minus, base).value) / (2.0 * step)
+    fd = (S_j(plus, base, 2).value - S_j(minus, base, 2).value) / (2.0 * step)
     return fd, formula, abs(fd - formula)
 
 

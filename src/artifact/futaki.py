@@ -200,7 +200,7 @@ def _pullback_metric(metric: RadialKahlerMetric, t: float) -> RadialKahlerMetric
     def phi_t(s):
         w = 1.0 - s + et * s
         st = et * s / w
-        return np.log(w) + metric.phi_derivs(st)[0]
+        return np.log(w) + metric.potential.profile(st)
 
     pot = ProfilePotential(metric.n, Profile.from_callable(phi_t))
     return build_metric(pot, metric.rule, label=f"{metric.label} flow t={t:g}")

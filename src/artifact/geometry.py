@@ -19,6 +19,11 @@ all curvature components reduce to the three frame functions
 with sig = s(1-s).  These forms are free of endpoint cancellation and
 were validated against a symbolic coordinate computation, the constant
 curvature of Fubini-Study, and integrated characteristic numbers.
+
+Every potential is evaluated through its Chebyshev series on [0, 1]
+(``potential.profile``) and the derivative stack built from it; for a
+``RadialPotential`` that series is the exact image of its power-basis
+coefficients, which remain only the JSON and config format.
 """
 from __future__ import annotations
 
@@ -91,38 +96,6 @@ class RadialPotential:
         return cls(int(data["n"]), tuple(float(c) for c in data["coeffs"]))
 
 
-class _PolyCalc:
-    """phi and its first four derivatives for a power-basis polynomial."""
-
-    def __init__(self, coeffs):
-        c = np.asarray(coeffs, dtype=float)
-        if c.size == 0:
-            c = np.zeros(1)
-        self._stack = [c]
-        for _ in range(4):
-            d = np.polynomial.polynomial.polyder(self._stack[-1])
-            if d.size == 0:
-                d = np.zeros(1)
-            self._stack.append(d)
-
-    def derivs(self, s):
-        s = np.asarray(s, dtype=float)
-        return [np.polynomial.polynomial.polyval(s, c) for c in self._stack]
-
-
-class _ProfileCalc:
-    """phi and derivatives for a Chebyshev-profile potential."""
-
-    def __init__(self, profile: Profile):
-        self._stack = [profile]
-        for _ in range(4):
-            self._stack.append(self._stack[-1].deriv())
-
-    def derivs(self, s):
-        s = np.asarray(s, dtype=float)
-        return [p(s) for p in self._stack]
-
-
 @dataclass(frozen=True)
 class ProfilePotential:
     """Radial potential given as a smooth sampled profile (not polynomial)."""
@@ -133,14 +106,6 @@ class ProfilePotential:
     @property
     def is_zero(self) -> bool:
         return False
-
-
-def _potential_calc(potential):
-    if isinstance(potential, RadialPotential):
-        return _PolyCalc(potential.coeffs)
-    if isinstance(potential, ProfilePotential):
-        return _ProfileCalc(potential.profile)
-    raise TypeError(f"unsupported potential type {type(potential).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +119,9 @@ class RadialKahlerMetric:
         self.n = int(n)
         self.potential = potential
         self.rule = rule
-        self._calc = _potential_calc(potential)
+        self._phi_stack = [potential.profile]
+        for _ in range(4):
+            self._phi_stack.append(self._phi_stack[-1].deriv())
         self.label = label or ("fubini-study" if potential.is_zero else "radial")
         self.nd = self.profile_data(rule.nodes)
         self._field_cache = {}
@@ -162,11 +129,12 @@ class RadialKahlerMetric:
     # -- pointwise profile calculus -------------------------------------
 
     def phi_derivs(self, s):
-        return self._calc.derivs(s)
+        """phi and its first four s-derivatives at s."""
+        return [p(s) for p in self._phi_stack]
 
     def profile_data(self, s):
         s = np.asarray(s, dtype=float)
-        p0, p1, p2, p3, p4 = self._calc.derivs(s)
+        p0, p1, p2, p3, p4 = self.phi_derivs(s)
         sig = s * (1.0 - s)
         sigp = 1.0 - 2.0 * s
         F = s + sig * p1

@@ -71,9 +71,6 @@ class Profile:
                 c = np.zeros(1)
         return Profile(c)
 
-    def antideriv(self) -> "Profile":
-        return Profile(0.5 * _ch.chebint(self.coef))
-
     def tail(self) -> float:
         """Relative magnitude of the trailing coefficients."""
         c = np.abs(self.coef)
@@ -91,9 +88,3 @@ class Profile:
     def sup_norm(self, num: int = 512) -> float:
         s = np.linspace(0.0, 1.0, num)
         return float(np.abs(self(s)).max())
-
-
-def differentiate(profile: Profile, tol: float = TAIL_TOL) -> Profile:
-    """Spectral derivative with a smoothness gate on the input."""
-    profile.check_tail(tol)
-    return profile.deriv()

@@ -20,22 +20,6 @@ from .errors import ResolutionTooLow
 TWO_PI = 2.0 * math.pi
 
 
-def monomial_angular_factor(alpha) -> float:
-    """Exact angular factor for the monomial z^alpha on CP^n.
-
-    With m = |alpha| and n = len(alpha), the chart inner product
-    factorizes as <z^a, z^a> = (2 pi)^n alpha! / (m + n - 1)! x J_m,
-    where J_m is the 1D radial integral; this returns the prefactor.
-    """
-    alpha = tuple(int(a) for a in alpha)
-    n = len(alpha)
-    m = sum(alpha)
-    num = 1.0
-    for a in alpha:
-        num *= math.factorial(a)
-    return TWO_PI**n * num / math.factorial(m + n - 1)
-
-
 class RadialQuadrature:
     """Gauss-Legendre nodes/weights mapped to (0, 1)."""
 
@@ -89,9 +73,6 @@ class SphereGrid:
         self.weights_s = base.weights
         self.nodes_theta = TWO_PI * np.arange(n_theta) / n_theta
         self.weight_theta = TWO_PI / n_theta
-
-    def mesh(self):
-        return np.meshgrid(self.nodes_s, self.nodes_theta, indexing="ij")
 
     def integrate(self, field2d) -> float:
         field2d = np.asarray(field2d)

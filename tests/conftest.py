@@ -1,7 +1,12 @@
+import math
+from dataclasses import dataclass
+from itertools import product
+
 import numpy as np
 import pytest
 
-from artifact import RadialPotential, build_metric, radial_rule
+from artifact import RadialPotential, build_metric, dim_h0, radial_rule
+from artifact.quadrature import TWO_PI
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +39,36 @@ def random_metric(rng, n, rule, scale=0.12, terms=4):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# enumeration oracles for the degree-stratum algebra in artifact.bergman
+
+
+@dataclass(frozen=True)
+class MonomialBasis:
+    n: int
+    k: int
+
+    @property
+    def count(self) -> int:
+        return dim_h0(self.n, self.k)
+
+    def multi_indices(self):
+        """Every alpha with |alpha| <= k, for cross-checks of the strata."""
+        return [a for a in product(range(self.k + 1), repeat=self.n) if sum(a) <= self.k]
+
+
+def monomial_angular_factor(alpha) -> float:
+    """Exact angular factor for the monomial z^alpha on CP^n.
+
+    With m = |alpha| and n = len(alpha), the chart inner product
+    factorizes as <z^a, z^a> = (2 pi)^n alpha! / (m + n - 1)! x J_m,
+    where J_m is the 1D radial integral; this returns the prefactor.
+    """
+    alpha = tuple(int(a) for a in alpha)
+    n = len(alpha)
+    m = sum(alpha)
+    num = 1.0
+    for a in alpha:
+        num *= math.factorial(a)
+    return TWO_PI**n * num / math.factorial(m + n - 1)

@@ -17,16 +17,15 @@ from artifact import (
     radial_rule,
 )
 from artifact.bergman import (
-    MonomialBasis,
     _log_angular_sum,
     degree_multiplicities,
     donaldson_variation_check,
 )
 from artifact.errors import ResolutionTooLow
 from artifact.geometry import fubini_study
-from artifact.quadrature import TWO_PI, monomial_angular_factor
+from artifact.quadrature import TWO_PI
 
-from conftest import random_metric
+from conftest import MonomialBasis, monomial_angular_factor, random_metric
 
 
 def test_section_space_dimensions():
@@ -41,7 +40,8 @@ def test_fs_monomial_norms_cp1(fs_metric):
     # beta-integral closed forms at k = 2: {2pi/3, pi/3, 2pi/3}
     gd = gram(fs_metric(1), 2)
     want = np.array([TWO_PI / 3.0, math.pi / 3.0, TWO_PI / 3.0])
-    assert np.abs(gd.degree_norms() - want).max() < 1e-13
+    # <z^m, z^m> = 2 pi J_m on CP^1
+    assert np.abs(TWO_PI * np.exp(gd.log_Jm) - want).max() < 1e-13
 
 
 def test_angular_sum_matches_enumeration():

@@ -6,7 +6,6 @@ import pytest
 from artifact import (
     RadialPotential,
     ScalarField,
-    S2_explicit,
     S_j,
     build_metric,
     cocycle_defect,
@@ -100,13 +99,6 @@ def test_cocycle_and_antisymmetry(rng, rule200):
             assert cocycle_defect(j, m2, m1, m0) < 1e-10
             anti = S_j(m1, m0, j).value + S_j(m0, m1, j).value
             assert abs(anti) < 1e-10
-
-
-def test_explicit_liouville_assembly_matches_general_route(rng, rule200):
-    for n in (1, 2):
-        m1 = random_metric(rng, n, rule200)
-        m0 = random_metric(rng, n, rule200)
-        assert abs(S2_explicit(m1, m0).value - S_j(m1, m0, 2).value) < 1e-12
 
 
 def test_first_variations_match_finite_differences(rng, rule200):

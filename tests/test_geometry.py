@@ -17,10 +17,10 @@ from artifact import (
     scalar_curvature,
 )
 from artifact.errors import NonPositiveMetric, UnsupportedCoefficient
-from artifact.geometry import MAX_POTENTIAL_DEGREE, laplacian_scalar_curvature
+from artifact.geometry import MAX_POTENTIAL_DEGREE, ProfilePotential, laplacian_scalar_curvature
 from artifact.quadrature import TWO_PI
 
-from conftest import random_metric
+from conftest import random_metric, random_potential
 
 
 def test_potential_serialization_round_trip():
@@ -44,6 +44,18 @@ def test_build_rejects_nonpositive_metric(rule200):
     # phi' = -3 makes the spherical eigenvalue 1 + (1-s) phi' negative near 0
     with pytest.raises(NonPositiveMetric):
         build_metric(RadialPotential(2, (0.0, -3.0)), rule200)
+
+
+def test_polynomial_and_profile_potentials_share_one_calculus(rng, rule200):
+    # a polynomial potential is evaluated through its exact Chebyshev series
+    s = np.linspace(0.0, 1.0, 401)
+    for n in (1, 2, 3):
+        pot = random_potential(rng, n)
+        poly = build_metric(pot, rule200).profile_data(s)
+        prof = build_metric(ProfilePotential(n, pot.profile), rule200).profile_data(s)
+        assert poly.keys() == prof.keys()
+        for key in poly:
+            assert np.array_equal(poly[key], prof[key]), (n, key)
 
 
 def test_fubini_study_constants(fs_metric):

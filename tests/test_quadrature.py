@@ -7,11 +7,12 @@ from artifact.errors import ResolutionTooLow
 from artifact.quadrature import (
     TWO_PI,
     check_resolution,
-    monomial_angular_factor,
     radial_rule,
     required_order,
     sphere_grid,
 )
+
+from conftest import monomial_angular_factor
 
 
 def test_gauss_rule_is_exact_on_polynomials():
@@ -46,10 +47,9 @@ def test_angular_factor_oracles():
 
 def test_sphere_grid_integrates_fs_area():
     grid = sphere_grid(12)
-    s, _ = grid.mesh()
+    s, th = np.meshgrid(grid.nodes_s, grid.nodes_theta, indexing="ij")
     assert abs(grid.integrate(np.ones_like(s)) - TWO_PI) < 1e-12
     # azimuthal harmonics integrate to zero on the uniform grid
-    _, th = grid.mesh()
     assert abs(grid.integrate(np.cos(3.0 * th))) < 1e-12
 
 
@@ -57,7 +57,7 @@ def test_sphere_grid_matches_radial_rule():
     grid = sphere_grid(10)
     rule = radial_rule(64)
     f = lambda s: s**3 - 0.2 * s
-    s2d, _ = grid.mesh()
+    s2d, _ = np.meshgrid(grid.nodes_s, grid.nodes_theta, indexing="ij")
     got = grid.integrate(f(s2d))
     want = TWO_PI * rule.integrate(f(rule.nodes))
     assert abs(got - want) < 1e-12
