@@ -51,7 +51,7 @@ from .geometry import (
     class_volume,
     fubini_study,
 )
-from .profiles import DEFAULT_DEGREE, Profile
+from .profiles import Profile
 from .quadrature import TWO_PI, radial_rule, required_order
 
 BALANCE_TOL = 1e-10
@@ -77,10 +77,6 @@ class BasisMetric:
         if le.shape != (self.k + 1,) or not np.all(np.isfinite(le)):
             raise ValueError("need one finite log-entry per degree 0..k")
         object.__setattr__(self, "log_eta", le)
-
-    @property
-    def eta(self) -> np.ndarray:
-        return np.exp(self.log_eta)
 
     def scaled(self, factor: float) -> "BasisMetric":
         if factor <= 0.0:
@@ -112,12 +108,12 @@ def hilb_map(metric: RadialKahlerMetric, k: int) -> BasisMetric:
     return BasisMetric(n, k, gd.log_Jm + log_scale)
 
 
-def fs_map_profile(H: BasisMetric, degree: int = DEFAULT_DEGREE) -> ProfilePotential:
+def fs_map_profile(H: BasisMetric) -> ProfilePotential:
     """The Fubini-Study potential of H as a smooth radial profile."""
     n, k = H.n, H.k
     log_weights = -gammaln(n) - H.log_eta
     return ProfilePotential(
-        n, Profile.from_callable(lambda s: log_stratum_sum(n, k, log_weights, s) / k, degree)
+        n, Profile.from_callable(lambda s: log_stratum_sum(n, k, log_weights, s) / k)
     )
 
 

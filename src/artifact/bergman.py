@@ -34,8 +34,9 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import NonPositiveNorm
-from .geometry import RadialKahlerMetric, ScalarField, half_laplacian, perturbed_metric
-from .quadrature import TWO_PI, SphereGrid, check_resolution, sphere_grid
+from .geometry import (VARIATION_STEP, RadialKahlerMetric, ScalarField, central_difference,
+                       half_laplacian)
+from .quadrature import TWO_PI, check_resolution, sphere_grid
 
 LOG_TWO_PI = math.log(TWO_PI)
 
@@ -77,10 +78,7 @@ def log_stratum_sum(n: int, k: int, log_weights: np.ndarray, s) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GramData:
-    mode: str  # "radial-diagonal" | "full-hermitian"
-    n: int
-    k: int
-    log_Jm: np.ndarray | None
+    log_Jm: np.ndarray | None  # radial-diagonal mode; None in full-Hermitian mode
     matrix: np.ndarray | None
     log_det: float
 
@@ -108,14 +106,14 @@ def gram(metric: RadialKahlerMetric, k: int) -> GramData:
         raise NonPositiveNorm(bad, 0.0)
     n = metric.n
     log_det = _log_angular_sum(n, k) + float(degree_multiplicities(n, k) @ log_Jm)
-    return GramData("radial-diagonal", n, k, log_Jm, None, log_det)
+    return GramData(log_Jm, None, log_det)
 
 
-def gram_full(metric: RadialKahlerMetric, k: int, grid: SphereGrid | None = None) -> GramData:
+def gram_full(metric: RadialKahlerMetric, k: int) -> GramData:
     """Full-Hermitian Gram matrix on CP^1 from 2D quadrature."""
     if metric.n != 1:
         raise ValueError("full-Hermitian mode is only implemented on CP^1")
-    grid = grid or sphere_grid(2 * k + 32)
+    grid = sphere_grid(2 * k + 32)
     s = grid.nodes_s
     d = metric.profile_data(s)
     w = grid.weights_s * grid.weight_theta * np.exp(-k * d["phi"]) * d["F1"]
@@ -132,13 +130,12 @@ def gram_full(metric: RadialKahlerMetric, k: int, grid: SphereGrid | None = None
     except np.linalg.LinAlgError as exc:
         raise NonPositiveNorm(-1, float(np.min(np.linalg.eigvalsh(M)))) from exc
     log_det = float(2.0 * np.sum(np.log(np.real(np.diag(L)))))
-    return GramData("full-hermitian", 1, k, None, M, log_det)
+    return GramData(None, M, log_det)
 
 
 @dataclass(frozen=True)
 class BergmanDensity:
     field: ScalarField
-    k: int
     min_value: float
     max_value: float
     integral_defect: float
@@ -152,17 +149,14 @@ def density_values(metric: RadialKahlerMetric, k: int, log_Jm: np.ndarray, s) ->
     return np.exp(log_stratum_sum(n, k, -log_Jm, s) - k * phi - n * LOG_TWO_PI)
 
 
-def bergman_density(metric: RadialKahlerMetric, k: int, gram_data: GramData | None = None) -> BergmanDensity:
-    gram_data = gram_data if gram_data is not None else gram(metric, k)
-    if gram_data.log_Jm is None:
-        raise ValueError("density requires radial-diagonal Gram data")
-    log_Jm = gram_data.log_Jm
+def bergman_density(metric: RadialKahlerMetric, k: int) -> BergmanDensity:
+    log_Jm = gram(metric, k).log_Jm
     field = ScalarField.from_callable(
         metric, lambda s: density_values(metric, k, log_Jm, s)
     )
     dense = density_values(metric, k, log_Jm, np.linspace(0.0, 1.0, 513))
     defect = metric.integrate(field.values) - dim_h0(metric.n, k)
-    return BergmanDensity(field, k, float(dense.min()), float(dense.max()), float(defect))
+    return BergmanDensity(field, float(dense.min()), float(dense.max()), float(defect))
 
 
 def log_partition_ratio(metric_phi: RadialKahlerMetric, metric_ref: RadialKahlerMetric,
@@ -174,19 +168,15 @@ def log_partition_ratio(metric_phi: RadialKahlerMetric, metric_ref: RadialKahler
     return float(degree_multiplicities(metric_phi.n, k) @ diff)
 
 
-def donaldson_variation_check(metric: RadialKahlerMetric, k: int, direction: ScalarField,
-                              step: float = 1e-4):
+def donaldson_variation_check(metric: RadialKahlerMetric, k: int, direction: ScalarField):
     """Directional derivative of log Z_k: finite differences vs the
     density formula int psi (Delta rho_k - k rho_k) omega_phi^n/n!."""
-    gd = gram(metric, k)
-    dens = bergman_density(metric, k, gd)
+    dens = bergman_density(metric, k)
     lap_rho = half_laplacian(metric, dens.field)
     formula = metric.integrate(
         direction.values * (lap_rho.values - k * dens.field.values)
     )
-    plus = perturbed_metric(metric, direction.profile, step)
-    minus = perturbed_metric(metric, direction.profile, -step)
-    fd = (
-        log_partition_ratio(plus, metric, k) - log_partition_ratio(minus, metric, k)
-    ) / (2.0 * step)
+    fd = central_difference(
+        metric, direction.profile, lambda mt: log_partition_ratio(mt, metric, k), VARIATION_STEP
+    )
     return fd, formula, abs(fd - formula)

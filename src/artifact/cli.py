@@ -48,16 +48,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_input(path: str, parse):
+    """parse(text) of an input file; malformed content is a ConfigError."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(path, f"malformed input file: {exc!r}") from exc
+
+
 def config_from_args(args) -> ExperimentConfig:
     data = {}
     if args.config:
-        with open(args.config) as fh:
-            data.update(json.load(fh))
+        data.update(_read_input(args.config, lambda text: dict(json.loads(text))))
     kind = args.command if args.command in KINDS else "partition"
     data["kind"] = kind
     if args.potential:
-        with open(args.potential) as fh:
-            pot = RadialPotential.from_json(fh.read())
+        pot = _read_input(args.potential, RadialPotential.from_json)
         data["n"] = pot.n
         data["potential_coeffs"] = list(pot.coeffs)
         data.pop("potential", None)

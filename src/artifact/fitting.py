@@ -29,8 +29,7 @@ class FitResult:
     condition: float
 
 
-def fit_expansion(samples, n: int, J: int, known_terms=None,
-                  condition_threshold: float = CONDITION_THRESHOLD) -> FitResult:
+def fit_expansion(samples, n: int, J: int, known_terms=None) -> FitResult:
     """Fit y(k) - known_terms(k) against the powers k^n, ..., k^{n-J}.
 
     ``samples`` is a sequence of (k, value) pairs with distinct k;
@@ -49,8 +48,8 @@ def fit_expansion(samples, n: int, J: int, known_terms=None,
     scale = np.linalg.norm(design, axis=0)
     scaled = design / scale
     condition = float(np.linalg.cond(scaled))
-    if condition > condition_threshold:
-        raise IllConditioned(condition, condition_threshold)
+    if condition > CONDITION_THRESHOLD:
+        raise IllConditioned(condition, CONDITION_THRESHOLD)
     coef, *_ = np.linalg.lstsq(scaled, y, rcond=None)
     coef = coef / scale
     residuals = y - design @ coef

@@ -1,9 +1,10 @@
 """Secondary forms and the energy functionals of the partition expansion.
 
-Implements the Bott-Chern form of Td_2, the functionals tilde-S_j and
-S_j (j = 0, 1, 2) by two independent routes (path integral over metric
-interpolation vs Bott-Chern assembly), where S_2 is the generalized
-Liouville action, and all cocycle/variation diagnostics.
+Implements the Bott-Chern form of Td_2, the functionals tilde-S_j
+(j = 0, 1, 2) by two independent routes (path integral over metric
+interpolation, and Bott-Chern assembly), and all cocycle/variation
+diagnostics.  S_j, with S_2 the generalized Liouville action, is built
+on the Bott-Chern route; the path route is its cross-check.
 """
 from __future__ import annotations
 
@@ -26,22 +27,27 @@ from .forms import (
     curvature_square_pair,
     todd2_form,
     todd2_polarization,
+    trace_against,
 )
 from .geometry import (
+    VARIATION_STEP,
     ProfilePotential,
     RadialKahlerMetric,
     ScalarField,
     bergman_coefficient,
     build_metric,
+    central_difference,
     characteristic_coefficient,
     class_volume,
     fubini_study,
     half_laplacian,
-    perturbed_metric,
+    richardson,
     scalar_curvature,
 )
 
 PATH_ORDER = 32
+SECOND_VARIATION_STEP = 1e-3
+GAMMA2_STEP = 2.5e-3
 
 
 def _check_pair(m1: RadialKahlerMetric, m0: RadialKahlerMetric):
@@ -63,7 +69,7 @@ def path_metric(m1: RadialKahlerMetric, m0: RadialKahlerMetric, t: float) -> Rad
         return m1
     pot = ProfilePotential(m0.n, (1.0 - t) * m0.potential.profile + t * m1.potential.profile)
     try:
-        return build_metric(pot, m0.rule, label=f"path t={t:.4f}")
+        return build_metric(pot, m0.rule)
     except NonPositiveMetric as exc:
         raise PathLeavesCone(t, cause=exc) from exc
 
@@ -116,11 +122,8 @@ def bc_todd2(m1: RadialKahlerMetric, m0: RadialKahlerMetric):
 
 @dataclass(frozen=True)
 class FunctionalLedger:
-    j: int
     value: float
-    route: str
-    endpoints: tuple
-    diagnostics: dict
+    path_refinement: float = 0.0  # nonzero only where a path t-quadrature enters
 
 
 def _mixed_power_sum(m1, m0, fvals, lead: RadialForm | None = None):
@@ -155,9 +158,7 @@ def tilde_S_path(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int,
     value, refinement = _path_quadrature(
         m1, m0, lambda mt: gamma_pairing(mt, j, rel, coefficient_fn)
     )
-    return FunctionalLedger(
-        j, value, "path", (m1.label, m0.label), {"path_refinement": refinement}
-    )
+    return FunctionalLedger(value, refinement)
 
 
 def tilde_S_bc(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int) -> FunctionalLedger:
@@ -170,14 +171,13 @@ def tilde_S_bc(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int) -> Functi
     n = m1.n
     rule = m1.rule
     if j == 0:
-        value = tilde_S0(m1, m0)
-        return FunctionalLedger(0, value, "bott-chern", (m1.label, m0.label), {})
+        return FunctionalLedger(tilde_S0(m1, m0))
     if j not in (1, 2):
         raise ValueError(f"j must be 0, 1, or 2, got {j}")
     rel = relative_potential_values(m1, m0, rule.nodes)
     om1, om0 = omega_form(m1), omega_form(m0)
     fact = math.factorial(n + 1 - j)
-    diagnostics = {}
+    refinement = 0.0
     if j == 1:
         d1, d0 = m1.nd, m0.nd
         half_log = 0.5 * np.log(
@@ -186,35 +186,32 @@ def tilde_S_bc(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int) -> Functi
         value = mixed_integral(rule, n, half_log, [om0] * n) / fact
         value -= _mixed_power_sum(m1, m0, rel, ricci_form(m1).scale(0.5)) / fact
     else:
-        bc_form, diagnostics["path_refinement"] = bc_todd2(m1, m0)
+        bc_form, refinement = bc_todd2(m1, m0)
         value = mixed_integral(rule, n, 1.0, [bc_form] + [om0] * (n - 1)) / fact
         td2 = todd2_form(m1)
         for s_pow in range(n - 1):
             forms = [om1] * s_pow + [om0] * (n - 2 - s_pow)
             value -= pair_integral(rule, n, rel, td2, forms) / fact
-    return FunctionalLedger(j, value, "bott-chern", (m1.label, m0.label), diagnostics)
+    return FunctionalLedger(value, refinement)
 
 
-def S_j(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int,
-        route: str = "bott-chern") -> FunctionalLedger:
-    """Potential-representative independent functionals:
+def S_j(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int) -> FunctionalLedger:
+    """Potential-representative independent functionals on the Bott-Chern route:
     S_0 = tilde-S_0/V and S_j = tilde-S_j - a^_j tilde-S_0 for j > 0."""
     _check_pair(m1, m0)
     n = m1.n
     s0 = tilde_S0(m1, m0)
     if j == 0:
-        return FunctionalLedger(0, s0 / class_volume(n), route, (m1.label, m0.label), {})
-    base = tilde_S_path(m1, m0, j) if route == "path" else tilde_S_bc(m1, m0, j)
+        return FunctionalLedger(s0 / class_volume(n))
+    base = tilde_S_bc(m1, m0, j)
     ahat = characteristic_coefficient(n, j)
-    return FunctionalLedger(
-        j, base.value - ahat * s0, route, (m1.label, m0.label), base.diagnostics
-    )
+    return FunctionalLedger(base.value - ahat * s0, base.path_refinement)
 
 
-def cocycle_defect(j: int, m2, m1, m0, route: str = "bott-chern") -> float:
-    v20 = S_j(m2, m0, j, route).value
-    v21 = S_j(m2, m1, j, route).value
-    v10 = S_j(m1, m0, j, route).value
+def cocycle_defect(j: int, m2, m1, m0) -> float:
+    v20 = S_j(m2, m0, j).value
+    v21 = S_j(m2, m1, j).value
+    v10 = S_j(m1, m0, j).value
     return abs(v20 - v21 - v10)
 
 
@@ -236,34 +233,34 @@ def first_variation_pairing(metric: RadialKahlerMetric, j: int, psi_values) -> f
     return ahat * metric.integrate(psi) + gamma_pairing(metric, j, psi)
 
 
-def first_variation(j: int, metric: RadialKahlerMetric, direction: ScalarField,
-                    step: float = 1e-4, route: str = "bott-chern"):
-    """(finite difference, formula, defect) for the first variation of S_j."""
+def _S_j_difference(j: int, metric: RadialKahlerMetric, direction: ScalarField) -> float:
+    """Central difference of S_j(., omega_FS) at the metric along the direction."""
     base = fubini_study(metric.n, metric.rule)
+    return central_difference(
+        metric, direction.profile, lambda mt: S_j(mt, base, j).value, VARIATION_STEP
+    )
+
+
+def first_variation(j: int, metric: RadialKahlerMetric, direction: ScalarField):
+    """(finite difference, formula, defect) for the first variation of S_j."""
     formula = first_variation_pairing(metric, j, direction.values)
-    plus = perturbed_metric(metric, direction.profile, step)
-    minus = perturbed_metric(metric, direction.profile, -step)
-    fd = (S_j(plus, base, j, route).value - S_j(minus, base, j, route).value) / (2.0 * step)
+    fd = _S_j_difference(j, metric, direction)
     return fd, formula, abs(fd - formula)
 
 
-def liouville_first_variation(metric: RadialKahlerMetric, direction: ScalarField,
-                              step: float = 1e-4):
+def liouville_first_variation(metric: RadialKahlerMetric, direction: ScalarField):
     """First variation of the generalized Liouville action S_2:
     FD of S_j(., ., 2) vs the displayed curvature integrand."""
-    base = fubini_study(metric.n, metric.rule)
     ahat = characteristic_coefficient(metric.n, 2)
     lapS = half_laplacian(metric, scalar_curvature(metric)).values
     integrand = ahat + lapS / 6.0 - metric.curvature_polynomial_values()
     formula = metric.integrate(direction.values * integrand)
-    plus = perturbed_metric(metric, direction.profile, step)
-    minus = perturbed_metric(metric, direction.profile, -step)
-    fd = (S_j(plus, base, 2).value - S_j(minus, base, 2).value) / (2.0 * step)
+    fd = _S_j_difference(2, metric, direction)
     return fd, formula, abs(fd - formula)
 
 
 def second_variation_S2(metric_ref: RadialKahlerMetric, dir_dot: ScalarField,
-                        dir_ddot: ScalarField, step: float = 1e-3):
+                        dir_ddot: ScalarField):
     """Second t-derivative of S_2 along phi_t = t phi-dot + t^2/2 phi-ddot
     based at the given metric: displayed formula vs Richardson finite
     differences.  Terms whose background wedge power would be negative
@@ -319,9 +316,7 @@ def second_variation_S2(metric_ref: RadialKahlerMetric, dir_dot: ScalarField,
     def second_diff(h):
         return (s2_at(h) + s2_at(-h)) / (h * h)  # S_2 at t=0 vanishes
 
-    coarse = second_diff(step)
-    fine = second_diff(0.5 * step)
-    fd = (4.0 * fine - coarse) / 3.0
+    fd = richardson(second_diff, SECOND_VARIATION_STEP)
     return total, fd, abs(total - fd)
 
 
@@ -337,23 +332,17 @@ def gamma_pairing(metric: RadialKahlerMetric, j: int, psi_values,
     return metric.integrate(psi * (lap_prev - aj))
 
 
-def gamma2_defect(metric: RadialKahlerMetric, dir1: ScalarField, dir2: ScalarField,
-                  step: float = 2.5e-3) -> float:
+def gamma2_defect(metric: RadialKahlerMetric, dir1: ScalarField, dir2: ScalarField) -> float:
     """Closedness defect |d/dt gamma^(2)_{phi+t d1}(d2) - (1 <-> 2)| via
     Richardson-extrapolated central differences."""
 
     def deriv_along(da: ScalarField, db: ScalarField) -> float:
-        def d_at(h):
-            plus = perturbed_metric(metric, da.profile, h)
-            minus = perturbed_metric(metric, da.profile, -h)
-            vb = db.profile(metric.rule.nodes)
-            return (
-                gamma_pairing(plus, 2, vb) - gamma_pairing(minus, 2, vb)
-            ) / (2.0 * h)
+        vb = db.profile(metric.rule.nodes)
 
-        coarse = d_at(step)
-        fine = d_at(0.5 * step)
-        return (4.0 * fine - coarse) / 3.0
+        def d_at(h):
+            return central_difference(metric, da.profile, lambda mt: gamma_pairing(mt, 2, vb), h)
+
+        return richardson(d_at, GAMMA2_STEP)
 
     return abs(deriv_along(dir1, dir2) - deriv_along(dir2, dir1))
 
@@ -370,8 +359,6 @@ def trace_identity_defects(metric: RadialKahlerMetric, alpha: RadialForm,
         n(n-1) a ^ b ^ omega^{n-2} = [(tr a)(tr b) - <a, b>] omega^n
 
     under integration against f (second defect only for n >= 2)."""
-    from .forms import trace_against
-
     n, rule = metric.n, metric.rule
     om = omega_form(metric)
     f = np.broadcast_to(np.asarray(f_values, dtype=float), rule.nodes.shape)

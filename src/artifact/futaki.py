@@ -1,4 +1,4 @@
-"""Hamiltonian potentials and localization invariants for the rotation field.
+"""Hamiltonian potentials and localization invariants of the rotation field.
 
 The diagonal torus field X = sum_i z^i d/dz^i on CP^n is Hamiltonian for
 every radial metric: contracting it into omega_phi produces an exact
@@ -15,7 +15,8 @@ radial frame, and both sides of the localization identity
 
 expanded by form degree.  On CP^n every such invariant vanishes, so the
 checks are equality of the two sides, metric independence, and the flow
-consistency of the pairing along the pullback path of Re X.
+consistency of the pairing along the pullback path of Re X.  X is the
+only field implemented: every invariant here is the rotation field's.
 """
 from __future__ import annotations
 
@@ -44,26 +45,16 @@ from .geometry import (
 )
 from .profiles import Profile
 
-ROTATION = "rotation"
-ZERO = "zero"
-_SPECS = (ROTATION, ZERO)
-
-
-def _check_spec(field_spec: str):
-    if field_spec not in _SPECS:
-        raise ValueError(f"unsupported field spec {field_spec!r}; known: {_SPECS}")
-
 
 @dataclass(frozen=True)
 class VectorFieldData:
-    """Hamiltonian data of a holomorphic field on a radial metric.
+    """Hamiltonian data of the rotation field X on a radial metric.
 
     ``theta`` stores the imaginary part of theta_X (theta_X = i theta).
     ``nabla_rad``/``nabla_sph`` are the two-sector eigenvalues of nabla X
     in the radial frame at the quadrature nodes.
     """
 
-    field_spec: str
     theta: ScalarField
     nabla_rad: np.ndarray
     nabla_sph: np.ndarray
@@ -82,54 +73,40 @@ def _moment_values(metric: RadialKahlerMetric, s=None) -> np.ndarray:
     return d["F"]
 
 
-def covariant_endomorphism(metric: RadialKahlerMetric, field_spec: str = ROTATION,
-                           s=None):
+def covariant_endomorphism(metric: RadialKahlerMetric, s=None):
     """Two-sector eigenvalues of nabla X in the radial frame."""
-    _check_spec(field_spec)
     s_arr = metric.rule.nodes if s is None else np.asarray(s, dtype=float)
-    if field_spec == ZERO:
-        z = np.zeros_like(s_arr)
-        return z, z.copy()
     d = metric.profile_data(s_arr)
     rad = d["sigp"] + d["sig"] * d["F2"] / d["F1"]
     sph = (1.0 - s_arr) * d["F1"] / d["G"]
     return rad, sph
 
 
-def hamiltonian_potential(metric: RadialKahlerMetric,
-                          field_spec: str = ROTATION) -> VectorFieldData:
+def hamiltonian_potential(metric: RadialKahlerMetric) -> VectorFieldData:
     """Solve iota_X omega + dbar theta_X = 0 for the normalized theta_X."""
-    _check_spec(field_spec)
     n = metric.n
-    if field_spec == ZERO:
-        theta = ScalarField.constant(metric, 0.0)
-        z = np.zeros_like(metric.rule.nodes)
-        return VectorFieldData(field_spec, theta, z, z.copy(), 0.0, 0.0, 0.0)
     c = metric.integrate(_moment_values(metric)) / class_volume(n)
     theta = ScalarField.from_callable(metric, lambda s: c - _moment_values(metric, s))
     # the contraction equation reduces to theta' + F' = 0 nodewise
     d = metric.nd
     residual = float(np.abs(theta.derivs(orders=(1,))[0] + d["F1"]).max())
     norm_defect = abs(metric.integrate(theta.values)) * math.factorial(n)
-    rad, sph = covariant_endomorphism(metric, field_spec)
-    return VectorFieldData(field_spec, theta, rad, sph, c, residual, norm_defect)
+    rad, sph = covariant_endomorphism(metric)
+    return VectorFieldData(theta, rad, sph, c, residual, norm_defect)
 
 
-def lu_lemma_defect(metric: RadialKahlerMetric, field_spec: str = ROTATION) -> float:
+def lu_lemma_defect(metric: RadialKahlerMetric) -> float:
     """Sup-norm residual of the trace identity iota_X ric = dbar Delta theta_X.
 
     Both sides are exact radial 1-forms, so the identity is equivalent to
     Tr(nabla X) and Delta F differing by a constant.
     """
-    _check_spec(field_spec)
-    if field_spec == ZERO:
-        return 0.0
     n = metric.n
     moment = ScalarField.from_callable(metric, lambda s: _moment_values(metric, s))
     lap_moment = half_laplacian(metric, moment)
 
     def gap(s):
-        rad, sph = covariant_endomorphism(metric, field_spec, s)
+        rad, sph = covariant_endomorphism(metric, s)
         return rad + (n - 1) * sph - lap_moment(s)
 
     return Profile.from_callable(gap).deriv().sup_norm()
@@ -174,22 +151,19 @@ def invariant_rhs(metric: RadialKahlerMetric, field_data: VectorFieldData,
     return (first + second) / math.factorial(n - 1)
 
 
-def invariant_defect(metric: RadialKahlerMetric, j: int,
-                     field_spec: str = ROTATION):
-    data = hamiltonian_potential(metric, field_spec)
+def invariant_defect(metric: RadialKahlerMetric, j: int):
+    data = hamiltonian_potential(metric)
     lhs = invariant_lhs(metric, data, j)
     rhs = invariant_rhs(metric, data, j)
     return lhs, rhs, abs(lhs - rhs)
 
 
-def metric_independence(field_spec: str, j: int, metrics) -> float:
+def metric_independence(j: int, metrics) -> float:
     """max - min of the invariant pairing over a list of metrics."""
     metrics = list(metrics)
     if not metrics:
         raise ValueError("need at least one metric")
-    values = [
-        invariant_lhs(m, hamiltonian_potential(m, field_spec), j) for m in metrics
-    ]
+    values = [invariant_lhs(m, hamiltonian_potential(m), j) for m in metrics]
     return float(max(values) - min(values))
 
 
@@ -203,19 +177,17 @@ def _pullback_metric(metric: RadialKahlerMetric, t: float) -> RadialKahlerMetric
         return np.log(w) + metric.potential.profile(st)
 
     pot = ProfilePotential(metric.n, Profile.from_callable(phi_t))
-    return build_metric(pot, metric.rule, label=f"{metric.label} flow t={t:g}")
+    return build_metric(pot, metric.rule)
 
 
-def flow_pairing_spread(metric: RadialKahlerMetric, j: int,
-                        times=(0.0, 0.1, 0.2)) -> float:
+def flow_pairing_spread(metric: RadialKahlerMetric, j: int) -> float:
     """Spread of int phi-dot_t (a_j - Delta a_{j-1}) omega_t^n/n! over the
     flow path; t-independence is the derivative form of metric independence."""
-    et_data = hamiltonian_potential(metric, ROTATION)
-    c = et_data.constant
+    c = hamiltonian_potential(metric).constant
     values = []
-    for t in times:
-        mt = _pullback_metric(metric, float(t))
-        et = math.exp(float(t))
+    for t in (0.0, 0.1, 0.2):
+        mt = _pullback_metric(metric, t)
+        et = math.exp(t)
         s = mt.rule.nodes
         st = et * s / (1.0 - s + et * s)
         phidot = _moment_values(metric, st) - c

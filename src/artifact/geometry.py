@@ -41,7 +41,7 @@ from .profiles import Profile, chebyshev_points
 from .quadrature import TWO_PI, RadialQuadrature
 
 MAX_POTENTIAL_DEGREE = 12
-FIELD_DEGREE = 160
+VARIATION_STEP = 1e-4  # central-difference step of the first-variation checks
 
 
 # ---------------------------------------------------------------------------
@@ -67,10 +67,6 @@ class RadialPotential:
         while d > 0 and c[d] == 0.0:
             d -= 1
         return d
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0.0 for c in self.coeffs)
 
     @cached_property
     def profile(self) -> Profile:
@@ -103,10 +99,6 @@ class ProfilePotential:
     n: int
     profile: Profile
 
-    @property
-    def is_zero(self) -> bool:
-        return False
-
 
 # ---------------------------------------------------------------------------
 # metric
@@ -115,14 +107,13 @@ class ProfilePotential:
 class RadialKahlerMetric:
     """A radial Kahler metric on CP^n, cached on a quadrature rule."""
 
-    def __init__(self, n, potential, rule: RadialQuadrature, label=""):
+    def __init__(self, n, potential, rule: RadialQuadrature):
         self.n = int(n)
         self.potential = potential
         self.rule = rule
         self._phi_stack = [potential.profile]
         for _ in range(4):
             self._phi_stack.append(self._phi_stack[-1].deriv())
-        self.label = label or ("fubini-study" if potential.is_zero else "radial")
         self.nd = self.profile_data(rule.nodes)
         self._field_cache = {}
 
@@ -238,8 +229,8 @@ class ScalarField:
         self._values = None
 
     @classmethod
-    def from_callable(cls, metric, fn: Callable, degree: int = FIELD_DEGREE):
-        return cls(metric, Profile.from_callable(fn, degree))
+    def from_callable(cls, metric, fn: Callable):
+        return cls(metric, Profile.from_callable(fn))
 
     @classmethod
     def constant(cls, metric, value: float):
@@ -254,9 +245,9 @@ class ScalarField:
     def __call__(self, s):
         return self.profile(s)
 
-    def derivs(self, s=None, orders=(1, 2)):
-        s = self.metric.rule.nodes if s is None else np.asarray(s, dtype=float)
-        return [self.profile.deriv(o)(s) for o in orders]
+    def derivs(self, orders=(1, 2)):
+        """s-derivatives of the given orders at the quadrature nodes."""
+        return [self.profile.deriv(o)(self.metric.rule.nodes) for o in orders]
 
 
 def _require_attached(metric, field: ScalarField):
@@ -268,12 +259,12 @@ def _require_attached(metric, field: ScalarField):
 # public operations
 
 
-def build_metric(potential, rule: RadialQuadrature, max_degree: int = MAX_POTENTIAL_DEGREE,
-                 label="") -> RadialKahlerMetric:
+def build_metric(potential, rule: RadialQuadrature,
+                 max_degree: int = MAX_POTENTIAL_DEGREE) -> RadialKahlerMetric:
     """Construct and positivity-check a radial metric."""
     if isinstance(potential, RadialPotential) and potential.degree > max_degree:
         raise ValueError(f"potential degree {potential.degree} exceeds bound {max_degree}")
-    metric = RadialKahlerMetric(potential.n, potential, rule, label=label)
+    metric = RadialKahlerMetric(potential.n, potential, rule)
     # positivity at the quadrature nodes plus a dense endpoint-including grid
     check = np.concatenate([rule.nodes, chebyshev_points(257), [0.0, 1.0]])
     d = metric.profile_data(check)
@@ -294,11 +285,21 @@ def class_volume(n: int) -> float:
     return TWO_PI**n / math.factorial(n)
 
 
-def perturbed_metric(metric: RadialKahlerMetric, direction_profile: Profile,
-                     t: float) -> RadialKahlerMetric:
-    """Metric with potential phi + t x direction (profile-backed)."""
-    pot = ProfilePotential(metric.n, metric.potential.profile + t * direction_profile)
-    return build_metric(pot, metric.rule, label=f"{metric.label}+{t:g}*dir")
+def central_difference(metric: RadialKahlerMetric, direction_profile: Profile,
+                       functional: Callable, step: float) -> float:
+    """(f(phi + h d) - f(phi - h d)) / 2h for a functional f of the metric,
+    with phi the metric's potential, d the direction and h the step."""
+    phi, rule = metric.potential.profile, metric.rule
+    plus = build_metric(ProfilePotential(metric.n, phi + step * direction_profile), rule)
+    minus = build_metric(ProfilePotential(metric.n, phi + (-step) * direction_profile), rule)
+    return (functional(plus) - functional(minus)) / (2.0 * step)
+
+
+def richardson(difference: Callable, step: float) -> float:
+    """(4 D(h/2) - D(h)) / 3: cancels the h^2 error of a symmetric difference D."""
+    coarse = difference(step)
+    fine = difference(0.5 * step)
+    return (4.0 * fine - coarse) / 3.0
 
 
 def scalar_curvature(metric: RadialKahlerMetric) -> ScalarField:

@@ -136,17 +136,20 @@ class ExperimentConfig:
         data = dict(data)
         pot = data.pop("potential", None)
         if pot is not None:
-            if pot.get("basis", "s-poly") != "s-poly":
-                raise ConfigError("potential.basis", f"unsupported {pot.get('basis')!r}")
-            data["potential_coeffs"] = [float(c) for c in pot["coeffs"]]
-            data.setdefault("n", int(pot["n"]))
+            try:
+                if pot.get("basis", "s-poly") != "s-poly":
+                    raise ConfigError("potential.basis", f"unsupported {pot.get('basis')!r}")
+                data["potential_coeffs"] = [float(c) for c in pot["coeffs"]]
+                data.setdefault("n", int(pot["n"]))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ConfigError("potential", f"malformed: {exc!r}") from exc
         known = {f.name for f in dataclasses.fields(cls)}
         extra = set(data) - known
         if extra:
             raise ConfigError(",".join(sorted(extra)), "unknown config fields")
         try:
             return cls(**data)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError("<config>", str(exc)) from exc
 
 
@@ -342,9 +345,6 @@ class VerifyReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failed_names(self):
-        return [c.name for c in self.checks if not c.passed]
 
 
 def corrupted_coefficient(delta: float):

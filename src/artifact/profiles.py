@@ -3,8 +3,8 @@
 All smooth radial quantities live on s in [0, 1].  A Profile stores a
 Chebyshev series on that interval and supports evaluation, spectral
 differentiation, and a tail diagnostic that flags non-smooth input.
-Differentiation is always spectral; no finite-difference stencils are
-used anywhere in production code paths.
+Differentiation is always spectral; the one finite-difference stencil,
+``geometry.central_difference``, serves only the variation checks.
 """
 from __future__ import annotations
 
@@ -49,8 +49,8 @@ class Profile:
     __rmul__ = __mul__
 
     @classmethod
-    def from_callable(cls, fn, degree: int = DEFAULT_DEGREE) -> "Profile":
-        coef = _ch.chebinterpolate(lambda x: fn(0.5 * (x + 1.0)), degree)
+    def from_callable(cls, fn) -> "Profile":
+        coef = _ch.chebinterpolate(lambda x: fn(0.5 * (x + 1.0)), DEFAULT_DEGREE)
         # drop trailing roundoff noise: keeps polynomial data exactly
         # polynomial and tames amplification under repeated differentiation
         scale = np.abs(coef).max()
@@ -85,6 +85,6 @@ class Profile:
             raise TailTooLarge(t, tol)
         return self
 
-    def sup_norm(self, num: int = 512) -> float:
-        s = np.linspace(0.0, 1.0, num)
+    def sup_norm(self) -> float:
+        s = np.linspace(0.0, 1.0, 512)
         return float(np.abs(self(s)).max())

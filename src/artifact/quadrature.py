@@ -60,7 +60,7 @@ class SphereGrid:
     integral; metric densities are supplied by the caller.
     """
 
-    __slots__ = ("band_limit", "nodes_s", "weights_s", "nodes_theta", "weight_theta")
+    __slots__ = ("nodes_s", "weights_s", "nodes_theta", "weight_theta")
 
     def __init__(self, band_limit: int):
         if band_limit < 1:
@@ -68,7 +68,6 @@ class SphereGrid:
         n_s = band_limit + 16
         n_theta = 2 * band_limit + 5
         base = RadialQuadrature(max(16, n_s))
-        self.band_limit = band_limit
         self.nodes_s = base.nodes
         self.weights_s = base.weights
         self.nodes_theta = TWO_PI * np.arange(n_theta) / n_theta

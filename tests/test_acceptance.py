@@ -224,7 +224,7 @@ def test_acceptance_10_localization_suite():
                 rhs = invariant_rhs(m, data, j)
                 assert abs(lhs - rhs) <= 1e-7
                 assert abs(lhs) <= 1e-7 and abs(rhs) <= 1e-7
-            assert metric_independence("rotation", j, metrics) <= 1e-7
+            assert metric_independence(j, metrics) <= 1e-7
         for m in metrics:
             assert lu_lemma_defect(m) <= 1e-8
 

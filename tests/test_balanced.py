@@ -30,7 +30,7 @@ S_DENSE = np.linspace(0.0, 1.0, 401)
 
 def test_hilbert_map_fs_level_one(fs_metric):
     H = hilb_map(fs_metric(1), 1)
-    assert np.abs(H.eta - 1.0).max() < 1e-13
+    assert np.abs(np.exp(H.log_eta) - 1.0).max() < 1e-13
 
 
 def test_hilbert_map_shift_scaling(fs_metric, rule200):

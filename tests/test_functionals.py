@@ -47,9 +47,17 @@ def test_both_routes_agree(rng, rule200):
             a = tilde_S_path(m1, m0, j)
             b = tilde_S_bc(m1, m0, j)
             assert abs(a.value - b.value) < 1e-10 * (1.0 + abs(b.value))
-            assert a.diagnostics["path_refinement"] < 1e-8
+            assert a.path_refinement < 1e-8
             if j == 2:  # only the Td_2 secondary form is a path integral
-                assert b.diagnostics["path_refinement"] < 1e-8
+                assert b.path_refinement < 1e-8
+
+
+def test_ledger_carries_the_bott_chern_refinement(rng, rule200):
+    m1 = random_metric(rng, 2, rule200)
+    m0 = random_metric(rng, 2, rule200)
+    assert S_j(m1, m0, 2).path_refinement == tilde_S_bc(m1, m0, 2).path_refinement
+    for j in (0, 1):
+        assert S_j(m1, m0, j).path_refinement == 0.0
 
 
 def test_path_metric_combines_potential_series(rng, rule200, monkeypatch):

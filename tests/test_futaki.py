@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from artifact import (
     RadialPotential,
@@ -33,29 +32,16 @@ def test_hamiltonian_residuals_on_random_metrics(rng, rule200):
         assert data.normalization_defect < 1e-10
 
 
-def test_zero_field_gives_zero_data(fs_metric):
-    data = hamiltonian_potential(fs_metric(2), "zero")
-    assert np.abs(data.theta.values).max() == 0.0
-    assert np.abs(data.trace).max() == 0.0
-    rad, sph = covariant_endomorphism(fs_metric(2), "zero")
-    assert np.abs(rad).max() == 0.0 and np.abs(sph).max() == 0.0
-
-
-def test_unsupported_field_spec(fs_metric):
-    with pytest.raises(ValueError):
-        hamiltonian_potential(fs_metric(1), "shear")
-
-
 def test_endomorphism_fs_closed_form(fs_metric):
     s = np.linspace(0.0, 1.0, 11)
-    rad, sph = covariant_endomorphism(fs_metric(1), "rotation", s)
+    rad, sph = covariant_endomorphism(fs_metric(1), s)
     assert np.abs(rad - (1.0 - 2.0 * s)).max() < 1e-12
     assert np.abs(sph - (1.0 - s)).max() < 1e-12
 
 
 def test_endomorphism_finite_at_strata(rng, rule200):
     m = random_metric(rng, 2, rule200)
-    rad, sph = covariant_endomorphism(m, "rotation", np.array([0.0, 1.0]))
+    rad, sph = covariant_endomorphism(m, np.array([0.0, 1.0]))
     assert np.all(np.isfinite(rad)) and np.all(np.isfinite(sph))
 
 
@@ -78,9 +64,9 @@ def test_localization_identity_and_vanishing(rng, rule200):
 def test_metric_independence_spread(rng, rule200):
     for n, j in ((1, 1), (2, 2)):
         metrics = [random_metric(rng, n, rule200) for _ in range(5)]
-        assert metric_independence("rotation", j, metrics) < 1e-9
+        assert metric_independence(j, metrics) < 1e-9
     single = [random_metric(rng, 1, rule200)]
-    assert metric_independence("rotation", 1, single) == 0.0
+    assert metric_independence(1, single) == 0.0
 
 
 def test_pairing_is_constant_along_rotation_flow(rng, rule200):

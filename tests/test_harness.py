@@ -79,12 +79,12 @@ def test_csv_values_keep_full_precision(tmp_path):
 def test_verify_suite_passes_both_profiles():
     for profile in TOLERANCE_PROFILES:
         report = verify_suite(profile)
-        assert report.passed, report.failed_names()
+        assert report.passed, [c.name for c in report.checks if not c.passed]
 
 
 def test_verify_suite_detects_corrupted_constant():
     report = verify_suite("default", corrupted_coefficient(0.05))
-    failed = set(report.failed_names())
+    failed = {c.name for c in report.checks if not c.passed}
     assert "route-equality" in failed
     assert "futaki-lhs-rhs" in failed
 
@@ -140,5 +140,18 @@ def test_cli_fit_rejects_too_few_k_values(capsys):
 
 def test_cli_rejects_bad_configuration(tmp_path, capsys):
     code = cli_main(["bergman", "--n", "7", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, text", [
+    ("functionals", "--potential", '{"n": 1, "basis": "cheb", "coeffs": ["0.0"]}'),
+    ("functionals", "--potential", '{"basis": "s-poly", "coeffs": ["0.0", "0.1"]}'),
+    ("fit", "--config", '{"n": 2, "k_min": 20, "k_'),
+], ids=["unknown-basis", "missing-n", "truncated-config"])
+def test_cli_reports_malformed_input_files(tmp_path, capsys, command, flag, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code = cli_main([command, flag, str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
