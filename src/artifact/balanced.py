@@ -33,9 +33,7 @@ from scipy.special import gammaln
 
 from .bergman import (
     LOG_TWO_PI,
-    _log_angular_sum,
     bergman_density,
-    degree_multiplicities,
     dim_h0,
     gram,
     log_partition_ratio,
@@ -82,15 +80,6 @@ class BasisMetric:
         if factor <= 0.0:
             raise ValueError(f"scaling must be positive, got {factor}")
         return BasisMetric(self.n, self.k, self.log_eta + math.log(factor))
-
-    def log_det(self) -> float:
-        """log det of the full d_k x d_k form in the monomial basis."""
-        n, k = self.n, self.k
-        d_k = dim_h0(n, k)
-        log_c_sum = (
-            _log_angular_sum(n, k) - d_k * n * LOG_TWO_PI + d_k * gammaln(n)
-        )
-        return float(log_c_sum + degree_multiplicities(n, k) @ self.log_eta)
 
 
 @dataclass(frozen=True)
@@ -162,7 +151,7 @@ def t_iteration(initial_potential, k: int, rule=None,
     current = initial_potential
     defects = []
     for it in range(max_iter + 1):
-        metric = build_metric(current, rule, max_degree=max(out_degree, 12))
+        metric = build_metric(current, rule)
         defect = balance_defect(metric, k)
         defects.append(defect)
         if defect <= tol:
@@ -194,17 +183,16 @@ def liouville_approx_SLk(potential: RadialPotential, k: int, rule=None,
     with phi normalized so that S_0[phi, 0] = 0.  ``route`` selects how
     the determinant term is computed: "identity" uses the partition-ratio
     identity log det_omega(H) - d_k log(d_k/V) = log Z_k[phi]/Z_k[0];
-    "raw" takes the literal Gram determinants.  The raw route subtracts
-    two log dets of size ~10^2 that share the angular sum (n = 1, k = 20:
-    -170.16 and -195.50) to reach a value near 5e-5, which amplifies
-    roundoff about 10^7-fold: its digits past about 1e-9 relative are
-    noise, so it is a cross-check only.
+    "raw" subtracts the literal Gram log dets, log det Gram[phi] -
+    log det Gram[0], the same term because H = (d_k/V) Gram entrywise.
+    Those log dets are of size ~10^2 and share the angular sum (n = 1,
+    k = 20: -195.494 and -195.496), so the raw route's digits past about
+    1e-9 relative are noise: it is a cross-check only.
     """
     if route not in ("identity", "raw"):
         raise ValueError(f"unknown route {route!r}")
     n = potential.n
     rule = rule or radial_rule(required_order(k))
-    d_k = dim_h0(n, k)
     phi = normalize_potential(potential, rule)
     metric = build_metric(phi, rule)
     base = fubini_study(n, rule)
@@ -212,7 +200,7 @@ def liouville_approx_SLk(potential: RadialPotential, k: int, rule=None,
     if route == "identity":
         det_term = log_partition_ratio(metric, base, k)
     else:
-        det_term = H.log_det() - gram(base, k).log_det - d_k * math.log(d_k / class_volume(n))
+        det_term = gram(metric, k).log_det - gram(base, k).log_det
     fsk = build_metric(fs_map_profile(H), rule)
     s1 = S_j(fsk, base, 1).value
     return float((TWO_PI**n * det_term - k**n * s1) * k ** (1 - n))

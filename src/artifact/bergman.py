@@ -99,14 +99,19 @@ def _radial_log_J(metric: RadialKahlerMetric, k: int) -> np.ndarray:
 
 
 def gram(metric: RadialKahlerMetric, k: int) -> GramData:
-    """Radial-diagonal Gram data for degree-k sections."""
-    log_Jm = _radial_log_J(metric, k)
-    if not np.all(np.isfinite(log_Jm)):
-        bad = int(np.argmin(np.isfinite(log_Jm)))
-        raise NonPositiveNorm(bad, 0.0)
-    n = metric.n
-    log_det = _log_angular_sum(n, k) + float(degree_multiplicities(n, k) @ log_Jm)
-    return GramData(log_Jm, None, log_det)
+    """Radial-diagonal Gram data for degree-k sections, computed once per
+    (metric, k)."""
+
+    def build():
+        log_Jm = _radial_log_J(metric, k)
+        if not np.all(np.isfinite(log_Jm)):
+            bad = int(np.argmin(np.isfinite(log_Jm)))
+            raise NonPositiveNorm(bad, 0.0)
+        n = metric.n
+        log_det = _log_angular_sum(n, k) + float(degree_multiplicities(n, k) @ log_Jm)
+        return GramData(log_Jm, None, log_det)
+
+    return metric._cached_field(("gram", k), build)
 
 
 def gram_full(metric: RadialKahlerMetric, k: int) -> GramData:

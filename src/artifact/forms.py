@@ -1,32 +1,30 @@
 """Radial differential forms and mixed-wedge integration.
 
-A closed U(n)-invariant (1,1)-form on CP^n is described, away from the
-two fixed strata, by two reduced coordinate profiles (rho, sig):
+A closed U(n)-invariant (p,p)-form on CP^n is described, away from the
+two fixed strata, by two reduced coordinate profiles (rho, sig): its
+coefficient on the radial frame pair wedged with p-1 spherical pairs,
+divided by (p-1)!, and its coefficient on p spherical pairs, divided by
+p!.  In this normalization omega_FS is the (1,1)-form rho = sig = 1, a
+metric form omega_phi is rho = F', sig = G, and a (2,2)-form with
+radial-spherical and spherical-spherical pair coefficients (rs, ss) is
+(rho, sig) = (rs, ss/2).  The wedge product follows one rule,
 
-    beta = (coordinate radial part) rho(s) + (spherical part) sig(s)
+    (rho_a, sig_a) ^ (rho_b, sig_b) = (rho_a sig_b + rho_b sig_a, sig_a sig_b),
 
-normalized so that omega_FS has rho = sig = 1 and a metric form
-omega_phi has rho = F', sig = G.  The top-wedge of n such forms then
-integrates against a function f as
+and a form of top degree n is its radial part alone, so forms whose
+degrees sum to n integrate against a function f as
 
-    int f beta_1 ^ ... ^ beta_n
-        = (2 pi)^n int_0^1 f s^{n-1} sum_j rho_j prod_{j' != j} sig_{j'} ds.
+    int f beta_1 ^ ... ^ beta_m = (2 pi)^n int_0^1 f s^{n-1} rho ds,
 
-A (2,2)-form T is described by a pair coefficient (rs, ss) giving its
-radial-spherical and spherical-spherical frame pairs in the same
-reduced normalization; for two (1,1)-forms a, b one has
-rs = rho_a sig_b + rho_b sig_a and ss = 2 sig_a sig_b, and
-
-    int f T ^ beta_1 ^ ... ^ beta_{n-2}
-        = (2 pi)^n int f s^{n-1} [ rs prod_j sig_j
-            + (ss/2) sum_j rho_j prod_{j' != j} sig_{j'} ] ds.
-
-These two evaluators carry every mixed-power energy, Bott-Chern
-pairing, and curvature-polynomial integral in the package.
+with rho the radial part of their wedge.  For n (1,1)-forms that is
+sum_j rho_j prod_{j' != j} sig_{j'}.  This one evaluator carries every
+mixed-power energy, Bott-Chern pairing, and curvature-polynomial
+integral in the package.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -35,36 +33,21 @@ from .quadrature import TWO_PI, RadialQuadrature
 
 @dataclass(frozen=True)
 class RadialForm:
-    """Reduced coordinate profiles of a radial (1,1)-form at rule nodes."""
+    """Reduced coordinate profiles of a radial (p,p)-form at rule nodes,
+    p = degree."""
 
     rho: np.ndarray
     sig: np.ndarray
+    degree: int = 1
 
     def __add__(self, other):
-        return RadialForm(self.rho + other.rho, self.sig + other.sig)
+        return RadialForm(self.rho + other.rho, self.sig + other.sig, self.degree)
 
     def __sub__(self, other):
-        return RadialForm(self.rho - other.rho, self.sig - other.sig)
+        return RadialForm(self.rho - other.rho, self.sig - other.sig, self.degree)
 
     def scale(self, c):
-        return RadialForm(c * self.rho, c * self.sig)
-
-
-@dataclass(frozen=True)
-class PairForm:
-    """Reduced pair coefficients of a radial (2,2)-form at rule nodes."""
-
-    rs: np.ndarray
-    ss: np.ndarray
-
-    def __add__(self, other):
-        return PairForm(self.rs + other.rs, self.ss + other.ss)
-
-    def __sub__(self, other):
-        return PairForm(self.rs - other.rs, self.ss - other.ss)
-
-    def scale(self, c):
-        return PairForm(c * self.rs, c * self.ss)
+        return RadialForm(c * self.rho, c * self.sig, self.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -106,21 +89,20 @@ def gradient_pair_form(metric, profile_f, profile_g) -> RadialForm:
     )
 
 
-def wedge_pair(a: RadialForm, b: RadialForm) -> PairForm:
-    return PairForm(a.rho * b.sig + b.rho * a.sig, 2.0 * a.sig * b.sig)
+def wedge_pair(a: RadialForm, b: RadialForm) -> RadialForm:
+    return RadialForm(a.rho * b.sig + b.rho * a.sig, a.sig * b.sig, a.degree + b.degree)
 
 
-def curvature_square_pair(metric) -> PairForm:
-    """The (2,2)-form Tr(iR ^ iR) in reduced pair coefficients."""
+def curvature_square_pair(metric) -> RadialForm:
+    """The (2,2)-form Tr(iR ^ iR)."""
     d = metric.nd
     A, B, C = metric.frame_curvature()
     n = metric.n
     rs_hat = 2.0 * (A * B + n * B * C - B**2)
-    ss_hat = 2.0 * (B**2 + n * C**2)
-    return PairForm(rs_hat * d["F1"] * d["G"], ss_hat * d["G"] ** 2)
+    return RadialForm(rs_hat * d["F1"] * d["G"], (B**2 + n * C**2) * d["G"] ** 2, 2)
 
 
-def todd2_form(metric) -> PairForm:
+def todd2_form(metric) -> RadialForm:
     """Td_2 of the curvature as a real (2,2)-form: (3 ric^2 - Tr(iR iR))/24."""
     ric = ricci_form(metric)
     return (wedge_pair(ric, ric).scale(3.0) - curvature_square_pair(metric)).scale(1.0 / 24.0)
@@ -140,40 +122,20 @@ def todd2_polarization(metric, p, q) -> RadialForm:
 
 
 def mixed_integral(rule: RadialQuadrature, n: int, f_values, forms) -> float:
-    """int f beta_1 ^ ... ^ beta_n over CP^n (raw wedge, no 1/n!)."""
+    """int f beta_1 ^ ... ^ beta_m over CP^n for forms whose degrees sum to n
+    (raw wedge, no 1/n!)."""
     forms = list(forms)
-    if len(forms) != n:
-        raise ValueError(f"need exactly {n} forms, got {len(forms)}")
+    degree = sum(fm.degree for fm in forms)
+    if degree != n:
+        raise ValueError(f"need forms of total degree {n}, got {degree}")
     s = rule.nodes
-    total = np.zeros_like(s)
-    for j in range(n):
-        term = np.array(forms[j].rho)
-        for jp in range(n):
-            if jp != j:
-                term = term * forms[jp].sig
-        total += term
     f = np.broadcast_to(np.asarray(f_values, dtype=float), s.shape)
-    return TWO_PI**n * rule.integrate(f * s ** (n - 1) * total)
+    return TWO_PI**n * rule.integrate(f * s ** (n - 1) * reduce(wedge_pair, forms).rho)
 
 
-def pair_integral(rule: RadialQuadrature, n: int, f_values, pair: PairForm, forms) -> float:
+def pair_integral(rule: RadialQuadrature, n: int, f_values, pair: RadialForm, forms) -> float:
     """int f T ^ beta_1 ^ ... ^ beta_{n-2} for a (2,2)-form T."""
-    forms = list(forms)
-    if len(forms) != n - 2:
-        raise ValueError(f"need exactly {n - 2} forms, got {len(forms)}")
-    s = rule.nodes
-    sig_prod = np.ones_like(s)
-    for fm in forms:
-        sig_prod = sig_prod * fm.sig
-    total = pair.rs * sig_prod
-    for j in range(len(forms)):
-        term = np.array(forms[j].rho)
-        for jp in range(len(forms)):
-            if jp != j:
-                term = term * forms[jp].sig
-        total += 0.5 * pair.ss * term
-    f = np.broadcast_to(np.asarray(f_values, dtype=float), s.shape)
-    return TWO_PI**n * rule.integrate(f * s ** (n - 1) * total)
+    return mixed_integral(rule, n, f_values, [pair, *forms])
 
 
 def omega_eigenvalues(metric, form: RadialForm):

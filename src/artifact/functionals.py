@@ -67,11 +67,10 @@ def path_metric(m1: RadialKahlerMetric, m0: RadialKahlerMetric, t: float) -> Rad
         return m0
     if t == 1.0:
         return m1
+    # F' and G are affine in t, so the path stays positive between the
+    # endpoints that build_metric checked
     pot = ProfilePotential(m0.n, (1.0 - t) * m0.potential.profile + t * m1.potential.profile)
-    try:
-        return build_metric(pot, m0.rule)
-    except NonPositiveMetric as exc:
-        raise PathLeavesCone(t, cause=exc) from exc
+    return RadialKahlerMetric(m0.n, pot, m0.rule)
 
 
 def _path_quadrature(m1: RadialKahlerMetric, m0: RadialKahlerMetric, integrand):
@@ -128,11 +127,11 @@ class FunctionalLedger:
 
 def _mixed_power_sum(m1, m0, fvals, lead: RadialForm | None = None):
     """sum_s int f lead ^ omega_1^s ^ omega_0^{P-s} over s = 0..P, where
-    P = n, or n - 1 when a leading (1,1)-form is given."""
+    P = n minus the degree of the leading form, if one is given."""
     n = m1.n
     om1, om0 = omega_form(m1), omega_form(m0)
     head = [] if lead is None else [lead]
-    power = n - len(head)
+    power = n - sum(fm.degree for fm in head)
     total = 0.0
     for s_pow in range(power + 1):
         forms = head + [om1] * s_pow + [om0] * (power - s_pow)
@@ -175,23 +174,20 @@ def tilde_S_bc(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int) -> Functi
     if j not in (1, 2):
         raise ValueError(f"j must be 0, 1, or 2, got {j}")
     rel = relative_potential_values(m1, m0, rule.nodes)
-    om1, om0 = omega_form(m1), omega_form(m0)
-    fact = math.factorial(n + 1 - j)
+    om0 = omega_form(m0)
     refinement = 0.0
     if j == 1:
         d1, d0 = m1.nd, m0.nd
         half_log = 0.5 * np.log(
             (d1["F1"] * d1["G"] ** (n - 1)) / (d0["F1"] * d0["G"] ** (n - 1))
         )
-        value = mixed_integral(rule, n, half_log, [om0] * n) / fact
-        value -= _mixed_power_sum(m1, m0, rel, ricci_form(m1).scale(0.5)) / fact
+        bc_term = mixed_integral(rule, n, half_log, [om0] * n)
+        td_j = ricci_form(m1).scale(0.5)
     else:
         bc_form, refinement = bc_todd2(m1, m0)
-        value = mixed_integral(rule, n, 1.0, [bc_form] + [om0] * (n - 1)) / fact
-        td2 = todd2_form(m1)
-        for s_pow in range(n - 1):
-            forms = [om1] * s_pow + [om0] * (n - 2 - s_pow)
-            value -= pair_integral(rule, n, rel, td2, forms) / fact
+        bc_term = mixed_integral(rule, n, 1.0, [bc_form] + [om0] * (n - 1))
+        td_j = todd2_form(m1)
+    value = (bc_term - _mixed_power_sum(m1, m0, rel, td_j)) / math.factorial(n + 1 - j)
     return FunctionalLedger(value, refinement)
 
 

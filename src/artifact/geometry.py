@@ -259,11 +259,12 @@ def _require_attached(metric, field: ScalarField):
 # public operations
 
 
-def build_metric(potential, rule: RadialQuadrature,
-                 max_degree: int = MAX_POTENTIAL_DEGREE) -> RadialKahlerMetric:
+def build_metric(potential, rule: RadialQuadrature) -> RadialKahlerMetric:
     """Construct and positivity-check a radial metric."""
-    if isinstance(potential, RadialPotential) and potential.degree > max_degree:
-        raise ValueError(f"potential degree {potential.degree} exceeds bound {max_degree}")
+    if isinstance(potential, RadialPotential) and potential.degree > MAX_POTENTIAL_DEGREE:
+        raise ValueError(
+            f"potential degree {potential.degree} exceeds bound {MAX_POTENTIAL_DEGREE}"
+        )
     metric = RadialKahlerMetric(potential.n, potential, rule)
     # positivity at the quadrature nodes plus a dense endpoint-including grid
     check = np.concatenate([rule.nodes, chebyshev_points(257), [0.0, 1.0]])

@@ -131,6 +131,26 @@ def test_iteration_cap_raises_with_trace():
     assert len(trace.defects) == 21
 
 
+def test_iteration_computes_gram_data_once_per_iterate(monkeypatch):
+    from artifact import bergman
+
+    calls = []
+    radial_log_J = bergman._radial_log_J
+    monkeypatch.setattr(bergman, "_radial_log_J",
+                        lambda metric, k: calls.append(k) or radial_log_J(metric, k))
+    with pytest.raises(NotConverged) as err:
+        t_iteration(RadialPotential(1, (0.0, 0.01, -0.005)), 10, max_iter=3)
+    assert len(err.value.trace.defects) == 4
+    assert len(calls) == 4
+
+
+def test_iteration_rejects_start_above_degree_bound():
+    start = RadialPotential(1, (0.0,) * 13 + (1e-3,))
+    assert start.degree == 13
+    with pytest.raises(ValueError, match="exceeds bound"):
+        t_iteration(start, 10, max_iter=1)
+
+
 def test_normalization_fixes_degree_energy(fs_metric, rule200):
     pot = RadialPotential(1, (0.7,))
     norm = normalize_potential(pot, rule200)

@@ -53,6 +53,21 @@ def test_pair_evaluator_matches_wedge_of_two_forms(rng, rule200):
     direct = mixed_integral(rule200, 3, f, [ric, ric, om])
     via_pair = pair_integral(rule200, 3, f, wedge_pair(ric, ric), [om])
     assert abs(direct - via_pair) < 1e-12 * (1.0 + abs(direct))
+    # Tr(iR ^ iR) is no wedge of two (1,1)-forms: check it against the closed
+    # formula rs prod_j sig_j + (ss/2) sum_j rho_j prod_{j' != j} sig_j'
+    s = rule200.nodes
+    for n in (2, 3):
+        m = random_metric(rng, n, rule200)
+        pair = curvature_square_pair(m)
+        rs, half_ss = pair.rho, pair.sig
+        forms = [ricci_form(m)] * (n - 2)
+        total = rs * np.prod([fm.sig for fm in forms], axis=0)
+        for j, fm in enumerate(forms):
+            others = [fo.sig for jp, fo in enumerate(forms) if jp != j]
+            total = total + half_ss * fm.rho * np.prod(others, axis=0)
+        closed = TWO_PI**n * rule200.integrate(f * s ** (n - 1) * total)
+        got = pair_integral(rule200, n, f, pair, forms)
+        assert abs(got - closed) < 1e-12 * abs(closed)
 
 
 def test_hessian_form_is_exact_on_fs_potential(fs_metric):

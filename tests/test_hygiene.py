@@ -1,7 +1,10 @@
 import ast
+import importlib
+import json
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "artifact"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "artifact"
 
 
 def unused_imports(path):
@@ -25,3 +28,18 @@ def test_no_unused_imports():
     assert modules
     unused = [entry for path in modules for entry in unused_imports(path)]
     assert unused == []
+
+
+def test_benchmark_layers_resolve():
+    # the traced benchmark wraps each target by name, so a rename must show here
+    layers = json.loads((ROOT / "benchmarks" / "layers.json").read_text())["layers"]
+    missing = []
+    for layer, spec in layers.items():
+        module = importlib.import_module(f"artifact.{layer}")
+        for fn in spec["functions"].values():
+            obj = module
+            for part in fn["target"].split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append(f"{layer}.{fn['target']}")
+    assert missing == []
