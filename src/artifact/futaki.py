@@ -103,7 +103,7 @@ def lu_lemma_defect(metric: RadialKahlerMetric) -> float:
     """
     n = metric.n
     moment = ScalarField.from_callable(metric, lambda s: _moment_values(metric, s))
-    lap_moment = half_laplacian(metric, moment)
+    lap_moment = half_laplacian(metric, moment).profile
 
     def gap(s):
         rad, sph = covariant_endomorphism(metric, s)

@@ -40,6 +40,7 @@ from .errors import NonPositiveMetric, UnsupportedCoefficient
 from .profiles import Profile, chebyshev_points
 from .quadrature import TWO_PI, RadialQuadrature
 
+DIMENSIONS = (1, 2, 3)  # the supported complex dimensions n
 MAX_POTENTIAL_DEGREE = 12
 VARIATION_STEP = 1e-4  # central-difference step of the first-variation checks
 
@@ -57,7 +58,7 @@ class RadialPotential:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if not 1 <= self.n <= 3:
+        if self.n not in DIMENSIONS:
             raise ValueError(f"complex dimension must be 1..3, got {self.n}")
 
     @property
@@ -215,35 +216,37 @@ class RadialKahlerMetric:
 
 
 class ScalarField:
-    """A smooth radial function attached to a metric.
-
-    Holds a Chebyshev profile (for spectral differentiation) plus cached
-    values at the metric's quadrature nodes.
+    """A smooth radial function attached to a metric, defined by a vectorized
+    function of s (a Profile is one).  Values come from that function; the
+    Chebyshev profile is interpolated once, and only to differentiate.
     """
 
-    __slots__ = ("metric", "profile", "_values")
+    __slots__ = ("metric", "fn", "_profile", "_values")
 
-    def __init__(self, metric: RadialKahlerMetric, profile: Profile):
+    def __init__(self, metric: RadialKahlerMetric, fn: Callable):
         self.metric = metric
-        self.profile = profile
+        self.fn = fn
+        self._profile = fn if isinstance(fn, Profile) else None
         self._values = None
 
     @classmethod
     def from_callable(cls, metric, fn: Callable):
-        return cls(metric, Profile.from_callable(fn))
+        return cls(metric, fn)
 
-    @classmethod
-    def constant(cls, metric, value: float):
-        return cls(metric, Profile(np.array([float(value)])))
+    @property
+    def profile(self) -> Profile:
+        if self._profile is None:
+            self._profile = Profile.from_callable(self.fn)
+        return self._profile
 
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._values = self.profile(self.metric.rule.nodes)
+            self._values = self.fn(self.metric.rule.nodes)
         return self._values
 
     def __call__(self, s):
-        return self.profile(s)
+        return self.fn(s)
 
     def derivs(self, orders=(1, 2)):
         """s-derivatives of the given orders at the quadrature nodes."""
@@ -318,28 +321,17 @@ def half_laplacian(metric: RadialKahlerMetric, f: ScalarField) -> ScalarField:
     )
 
 
-def laplacian_scalar_curvature(metric: RadialKahlerMetric) -> ScalarField:
-    return metric._cached_field(
-        "lapS", lambda: half_laplacian(metric, scalar_curvature(metric))
-    )
-
-
 def bergman_coefficient(metric: RadialKahlerMetric, j: int) -> ScalarField:
     """Density expansion coefficient a_j, normalized so that
     (2 pi)^n rho_k = sum_j a_j k^{n-j} holds exactly on Fubini-Study."""
     if j == 0:
-        return ScalarField.constant(metric, 1.0)
+        return ScalarField(metric, Profile([1.0]))
     if j == 1:
-        S = scalar_curvature(metric)
-        return ScalarField(metric, Profile(0.5 * S.profile.coef))
+        return ScalarField(metric, 0.5 * scalar_curvature(metric).profile)
     if j == 2:
-        lapS = laplacian_scalar_curvature(metric)
-
-        def a2(s):
-            return lapS(s) / 3.0 + metric.curvature_polynomial_values(s)
-
-        return metric._cached_field(
-            "a2", lambda: ScalarField.from_callable(metric, a2)
+        lapS = half_laplacian(metric, scalar_curvature(metric))
+        return ScalarField(
+            metric, lambda s: lapS(s) / 3.0 + metric.curvature_polynomial_values(s)
         )
     raise UnsupportedCoefficient(j)
 

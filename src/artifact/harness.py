@@ -32,6 +32,7 @@ from .functionals import (
 )
 from .futaki import hamiltonian_potential, invariant_lhs, invariant_rhs, lu_lemma_defect
 from .geometry import (
+    DIMENSIONS,
     RadialKahlerMetric,
     RadialPotential,
     ScalarField,
@@ -89,7 +90,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError("kind", f"must be one of {KINDS}, got {self.kind!r}")
-        if not 1 <= self.n <= 3:
+        if self.n not in DIMENSIONS:
             raise ConfigError("n", f"must be 1..3, got {self.n}")
         if self.tol_profile not in TOLERANCE_PROFILES:
             raise ConfigError(
@@ -358,8 +359,9 @@ def corrupted_coefficient(delta: float):
         a_j = bergman_coefficient(metric, j)
         if j != 2:
             return a_j
-        poly = ScalarField.from_callable(metric, metric.curvature_polynomial_values)
-        return ScalarField(metric, a_j.profile + delta * poly.profile)
+        return ScalarField(
+            metric, lambda s: a_j(s) + delta * metric.curvature_polynomial_values(s)
+        )
 
     return fn
 
@@ -393,7 +395,7 @@ def verify_suite(tol_profile: str = "default",
 
     # integrated characteristic numbers
     worst = 0.0
-    for n in (1, 2):
+    for n in DIMENSIONS:
         m = build_metric(RadialPotential(n, (0.0, 0.11, -0.05, 0.02)), rule)
         for j in (0, 1, 2):
             worst = max(worst, coefficient_average(m, j).discrepancy)
@@ -401,7 +403,7 @@ def verify_suite(tol_profile: str = "default",
 
     # two-route equality, with the injectable coefficient source
     worst = 0.0
-    for n in (1, 2):
+    for n in DIMENSIONS:
         m1 = build_metric(RadialPotential(n, (0.0, 0.1, -0.06)), rule)
         m0 = build_metric(RadialPotential(n, (0.0, -0.04, 0.03)), rule)
         for j in (1, 2):
@@ -412,7 +414,7 @@ def verify_suite(tol_profile: str = "default",
 
     # cocycle law
     worst = 0.0
-    for n in (1, 2):
+    for n in DIMENSIONS:
         mets = [
             build_metric(RadialPotential(n, c), rule)
             for c in ((0.0,), (0.0, 0.09, -0.04), (0.0, -0.05, 0.02, 0.01))
@@ -423,7 +425,7 @@ def verify_suite(tol_profile: str = "default",
 
     # localization identity, with the same injectable source
     worst = 0.0
-    for n in (1, 2):
+    for n in DIMENSIONS:
         m = build_metric(RadialPotential(n, (0.0, 0.12, -0.07, 0.02)), rule)
         data = hamiltonian_potential(m)
         for j in (0, 1, 2):
@@ -433,7 +435,7 @@ def verify_suite(tol_profile: str = "default",
     checks.append(CheckResult("futaki-lhs-rhs", worst, tols["futaki"]))
 
     worst = max(lu_lemma_defect(build_metric(RadialPotential(n, (0.0, 0.1, -0.05)), rule))
-                for n in (1, 2))
+                for n in DIMENSIONS)
     checks.append(CheckResult("lu-lemma", worst, tols["lu_lemma"]))
 
     # first variation vs finite differences

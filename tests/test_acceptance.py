@@ -123,6 +123,31 @@ def test_acceptance_03_pointwise_third_order_rate():
         )
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_second_coefficient_rate_in_higher_dimensions(n):
+    # test 03's normalised-remainder fit at n = 2, 3, where the B and C
+    # curvature frame terms, absent at n = 1, enter a_2 pointwise:
+    # (2 pi)^n rho_k / k^n - (1 + a_1/k + a_2/k^2) is O(k^-3)
+    rng = np.random.default_rng(3003)
+    rule = radial_rule(required_order(200))
+    ks = np.array([20, 28, 40, 57, 80, 113, 160, 200])
+    nodes = np.array([0.15, 0.3, 0.5, 0.7, 0.85])
+    x = np.log(ks) - np.log(ks).mean()
+    for _ in range(5):
+        m = draw_metric(rng, n, rule)
+        a1 = bergman_coefficient(m, 1)(nodes)
+        a2 = bergman_coefficient(m, 2)(nodes)
+        resid = np.empty((ks.size, nodes.size))
+        for i, k in enumerate(ks):
+            log_Jm = gram(m, int(k)).log_Jm
+            rho = TWO_PI**n * density_values(m, int(k), log_Jm, nodes)
+            resid[i] = rho / float(k) ** n - (1.0 + a1 / k + a2 / k**2)
+        y = np.log(np.abs(resid))
+        y -= y.mean(axis=0)
+        slope = float(x @ y.sum(axis=1) / (nodes.size * (x @ x)))
+        assert -3.5 <= slope <= -2.5, f"n={n}: slope {slope:.3f} at s={nodes}"
+
+
 def test_acceptance_04_integrated_characteristic_numbers():
     rng = np.random.default_rng(3004)
     for n in (1, 2):

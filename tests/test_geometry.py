@@ -16,8 +16,11 @@ from artifact import (
     radial_rule,
     scalar_curvature,
 )
+from artifact.balanced import balance_defect
 from artifact.errors import NonPositiveMetric, UnsupportedCoefficient
-from artifact.geometry import MAX_POTENTIAL_DEGREE, ProfilePotential, laplacian_scalar_curvature
+from artifact.functionals import gamma_pairing
+from artifact.geometry import MAX_POTENTIAL_DEGREE, ProfilePotential
+from artifact.profiles import Profile
 from artifact.quadrature import TWO_PI
 
 from conftest import random_metric, random_potential
@@ -126,7 +129,37 @@ def test_coefficient_averages_are_characteristic_numbers(rng, rule200):
 
 def test_laplacian_of_scalar_curvature_integrates_to_zero(rng, rule200):
     m = random_metric(rng, 2, rule200)
-    assert abs(m.integrate(laplacian_scalar_curvature(m).values)) < 1e-8
+    assert abs(m.integrate(half_laplacian(m, scalar_curvature(m)).values)) < 1e-8
+
+
+def test_only_differentiated_fields_are_interpolated(rng, rule200, monkeypatch):
+    pot = random_potential(rng, 2)
+    psi = np.sin(2.0 * rule200.nodes)
+    calls = []
+    original = Profile.from_callable.__func__
+
+    def counting(cls, fn):
+        calls.append(fn)
+        return original(cls, fn)
+
+    monkeypatch.setattr(Profile, "from_callable", classmethod(counting))
+    for j in (1, 2):
+        m = build_metric(pot, rule200)
+        del calls[:]
+        gamma_pairing(m, j, psi)
+        assert len(calls) == 1, f"gamma_pairing j={j} fitted {len(calls)} series"
+    m = build_metric(pot, rule200)
+    del calls[:]
+    balance_defect(m, 10)
+    assert calls == []
+
+
+def test_nodal_a2_matches_its_interpolant(rng, rule200):
+    m = random_metric(rng, 2, rule200)
+    a2 = bergman_coefficient(m, 2)
+    nodal = a2.values
+    interpolated = a2.profile(rule200.nodes)
+    assert np.abs(nodal - interpolated).max() < 1e-12 * np.abs(nodal).max()
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,12 +1,13 @@
 import hashlib
 import json
 import os
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from artifact import ExperimentConfig, run_experiment, run_fit, verify_suite
+from artifact import ExperimentConfig, geometry, run_experiment, run_fit, verify_suite
 from artifact.cli import main as cli_main
 from artifact.errors import ConfigError
 from artifact.harness import TOLERANCE_PROFILES, corrupted_coefficient
@@ -87,6 +88,21 @@ def test_verify_suite_detects_corrupted_constant():
     failed = {c.name for c in report.checks if not c.passed}
     assert "route-equality" in failed
     assert "futaki-lhs-rhs" in failed
+
+
+def test_verify_suite_covers_every_dimension(monkeypatch):
+    original = geometry.build_metric
+    seen = set()
+
+    def recording(potential, rule):
+        seen.add(potential.n)
+        return original(potential, rule)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("artifact") and getattr(module, "build_metric", None) is original:
+            monkeypatch.setattr(module, "build_metric", recording)
+    verify_suite("default")
+    assert seen == {1, 2, 3}
 
 
 def test_fit_run_matches_functionals(tmp_path):
