@@ -67,10 +67,11 @@ def path_metric(m1: RadialKahlerMetric, m0: RadialKahlerMetric, t: float) -> Rad
         return m0
     if t == 1.0:
         return m1
-    # F' and G are affine in t, so the path stays positive between the
-    # endpoints that build_metric checked
-    pot = ProfilePotential(m0.n, (1.0 - t) * m0.potential.profile + t * m1.potential.profile)
-    return RadialKahlerMetric(m0.n, pot, m0.rule)
+    # stack and nd are affine in t, so F' and G stay positive between checked ends
+    stack = [(1.0 - t) * a + t * b for a, b in zip(m0.phi_stack, m1.phi_stack)]
+    nd = {key: v if key in ("s", "sig", "sigp") else (1.0 - t) * v + t * m1.nd[key]
+          for key, v in m0.nd.items()}
+    return RadialKahlerMetric(m0.n, ProfilePotential(m0.n, stack[0]), m0.rule, stack, nd)
 
 
 def _path_quadrature(m1: RadialKahlerMetric, m0: RadialKahlerMetric, integrand):

@@ -69,16 +69,14 @@ class VectorFieldData:
 
 
 def _moment_values(metric: RadialKahlerMetric, s=None) -> np.ndarray:
-    d = metric.nd if s is None else metric.profile_data(np.asarray(s, dtype=float))
-    return d["F"]
+    return metric.profile_data(s)["F"]
 
 
 def covariant_endomorphism(metric: RadialKahlerMetric, s=None):
     """Two-sector eigenvalues of nabla X in the radial frame."""
-    s_arr = metric.rule.nodes if s is None else np.asarray(s, dtype=float)
-    d = metric.profile_data(s_arr)
+    d = metric.profile_data(s)
     rad = d["sigp"] + d["sig"] * d["F2"] / d["F1"]
-    sph = (1.0 - s_arr) * d["F1"] / d["G"]
+    sph = (1.0 - d["s"]) * d["F1"] / d["G"]
     return rad, sph
 
 

@@ -105,46 +105,50 @@ class ProfilePotential:
 # metric
 
 
-class RadialKahlerMetric:
-    """A radial Kahler metric on CP^n, cached on a quadrature rule."""
+def _stack_data(stack, s):
+    """Profile data at s from the stack of phi and its first four
+    s-derivatives; affine in the stack apart from "s", "sig" and "sigp"."""
+    s = np.asarray(s, dtype=float)
+    p0, p1, p2, p3, p4 = [p(s) for p in stack]
+    sig = s * (1.0 - s)
+    sigp = 1.0 - 2.0 * s
+    F = s + sig * p1
+    F1 = 1.0 + sigp * p1 + sig * p2
+    F2 = -2.0 * p1 + 2.0 * sigp * p2 + sig * p3
+    F3 = -6.0 * p2 + 3.0 * sigp * p3 + sig * p4
+    G = 1.0 + (1.0 - s) * p1
+    G1 = -p1 + (1.0 - s) * p2
+    G2 = -2.0 * p2 + (1.0 - s) * p3
+    return {"s": s, "sig": sig, "sigp": sigp, "phi": p0, "F": F, "F1": F1,
+            "F2": F2, "F3": F3, "G": G, "G1": G1, "G2": G2}
 
-    def __init__(self, n, potential, rule: RadialQuadrature):
+
+class RadialKahlerMetric:
+    """A radial Kahler metric on CP^n: phi's derivative stack and ``nd`` at the rule nodes."""
+
+    def __init__(self, n, potential, rule: RadialQuadrature, stack, nd):
         self.n = int(n)
         self.potential = potential
         self.rule = rule
-        self._phi_stack = [potential.profile]
-        for _ in range(4):
-            self._phi_stack.append(self._phi_stack[-1].deriv())
-        self.nd = self.profile_data(rule.nodes)
+        self.phi_stack = stack
+        self.nd = nd
         self._field_cache = {}
 
     # -- pointwise profile calculus -------------------------------------
 
     def phi_derivs(self, s):
         """phi and its first four s-derivatives at s."""
-        return [p(s) for p in self._phi_stack]
+        return [p(s) for p in self.phi_stack]
 
-    def profile_data(self, s):
-        s = np.asarray(s, dtype=float)
-        p0, p1, p2, p3, p4 = self.phi_derivs(s)
-        sig = s * (1.0 - s)
-        sigp = 1.0 - 2.0 * s
-        F = s + sig * p1
-        F1 = 1.0 + sigp * p1 + sig * p2
-        F2 = -2.0 * p1 + 2.0 * sigp * p2 + sig * p3
-        F3 = -6.0 * p2 + 3.0 * sigp * p3 + sig * p4
-        G = 1.0 + (1.0 - s) * p1
-        G1 = -p1 + (1.0 - s) * p2
-        G2 = -2.0 * p2 + (1.0 - s) * p3
-        return {
-            "s": s, "sig": sig, "sigp": sigp, "phi": p0,
-            "F": F, "F1": F1, "F2": F2, "F3": F3,
-            "G": G, "G1": G1, "G2": G2,
-        }
+    def profile_data(self, s=None):
+        """Profile data at s; ``nd`` at the rule's own nodes (or s=None)."""
+        if s is None or s is self.rule.nodes:
+            return self.nd
+        return _stack_data(self.phi_stack, s)
 
     def frame_curvature(self, s=None):
         """Frame components (A, B, C) of the curvature tensor."""
-        d = self.nd if s is None else self.profile_data(s)
+        d = self.profile_data(s)
         sig, sigp = d["sig"], d["sigp"]
         F1, F2, F3 = d["F1"], d["F2"], d["F3"]
         G, G1, G2 = d["G"], d["G1"], d["G2"]
@@ -197,7 +201,7 @@ class RadialKahlerMetric:
 
     def laplacian_values(self, f1, f2, s=None):
         """Half-Laplacian of a radial field from its s-derivatives."""
-        d = self.nd if s is None else self.profile_data(s)
+        d = self.profile_data(s)
         out = (d["sigp"] * f1 + d["sig"] * f2) / d["F1"]
         if self.n > 1:
             out = out + (self.n - 1) * (1.0 - d["s"]) * f1 / d["G"]
@@ -268,7 +272,10 @@ def build_metric(potential, rule: RadialQuadrature) -> RadialKahlerMetric:
         raise ValueError(
             f"potential degree {potential.degree} exceeds bound {MAX_POTENTIAL_DEGREE}"
         )
-    metric = RadialKahlerMetric(potential.n, potential, rule)
+    stack = [potential.profile]
+    for _ in range(4):
+        stack.append(stack[-1].deriv())
+    metric = RadialKahlerMetric(potential.n, potential, rule, stack, _stack_data(stack, rule.nodes))
     # positivity at the quadrature nodes plus a dense endpoint-including grid
     check = np.concatenate([rule.nodes, chebyshev_points(257), [0.0, 1.0]])
     d = metric.profile_data(check)

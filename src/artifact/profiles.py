@@ -5,6 +5,9 @@ Chebyshev series on that interval and supports evaluation, spectral
 differentiation, and a tail diagnostic that flags non-smooth input.
 Differentiation is always spectral; the one finite-difference stencil,
 ``geometry.central_difference``, serves only the variation checks.
+A fit is one product with the degree-160 interpolation operator, built once
+at import (bit for bit numpy's ``chebinterpolate``); a path metric fits
+nothing, since ``functionals.path_metric`` combines its endpoints affinely.
 """
 from __future__ import annotations
 
@@ -15,6 +18,9 @@ from .errors import TailTooLarge
 
 DEFAULT_DEGREE = 160
 TAIL_TOL = 1e-10
+
+_CHEB_X = _ch.chebpts1(DEFAULT_DEGREE + 1)
+_CHEB_VANDER = _ch.chebvander(_CHEB_X, DEFAULT_DEGREE)
 
 
 def chebyshev_points(num: int) -> np.ndarray:
@@ -50,7 +56,10 @@ class Profile:
 
     @classmethod
     def from_callable(cls, fn) -> "Profile":
-        coef = _ch.chebinterpolate(lambda x: fn(0.5 * (x + 1.0)), DEFAULT_DEGREE)
+        # chebinterpolate's arithmetic on the cached operator, bit for bit
+        coef = np.dot(_CHEB_VANDER.T, fn(0.5 * (_CHEB_X + 1.0)))
+        coef[0] /= DEFAULT_DEGREE + 1
+        coef[1:] /= 0.5 * (DEFAULT_DEGREE + 1)
         # drop trailing roundoff noise: keeps polynomial data exactly
         # polynomial and tames amplification under repeated differentiation
         scale = np.abs(coef).max()

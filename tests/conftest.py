@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from artifact import RadialPotential, build_metric, dim_h0, radial_rule
+from artifact.profiles import Profile
 from artifact.quadrature import TWO_PI
 
 
@@ -34,6 +35,18 @@ def random_potential(rng, n, scale=0.12, terms=4):
 
 def random_metric(rng, n, rule, scale=0.12, terms=4):
     return build_metric(random_potential(rng, n, scale, terms), rule)
+
+
+def count_profile_calls(monkeypatch, *names):
+    """Patch the named Profile methods to log each call; returns the log."""
+    calls = []
+    for name in names:
+        def counted(self, *args, _original=getattr(Profile, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Profile, name, counted)
+    return calls
 
 
 @pytest.fixture

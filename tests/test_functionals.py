@@ -16,7 +16,7 @@ from artifact import (
     tilde_S_path,
 )
 from artifact.forms import hessian_form, ricci_form
-from artifact.geometry import characteristic_coefficient
+from artifact.geometry import ProfilePotential, characteristic_coefficient
 from artifact.functionals import (
     gamma2_defect,
     gamma_pairing,
@@ -27,7 +27,7 @@ from artifact.functionals import (
 from artifact.profiles import Profile
 from artifact.quadrature import TWO_PI
 
-from conftest import random_metric
+from conftest import count_profile_calls, random_metric
 
 
 def test_degree_energy_of_constant(fs_metric, rule200):
@@ -80,6 +80,22 @@ def test_path_metric_combines_potential_series(rng, rule200, monkeypatch):
     want = [(1.0 - t) * a + t * b for a, b in zip(m0.phi_derivs(s), m1.phi_derivs(s))]
     for g, w in zip(got, want):
         assert np.abs(g - w).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_path_metric_is_the_affine_combination_of_its_endpoints(rng, rule200, monkeypatch, n):
+    m1 = random_metric(rng, n, rule200)
+    m0 = random_metric(rng, n, rule200)
+    for t in (0.25, 0.5, 0.9):
+        combined = (1.0 - t) * m0.potential.profile + t * m1.potential.profile
+        want = build_metric(ProfilePotential(n, combined), rule200).nd
+        with monkeypatch.context() as patch:
+            calls = count_profile_calls(patch, "deriv", "__call__")
+            mt = path_metric(m1, m0, t)
+            assert calls == []  # no re-derivation and no evaluation
+        assert mt.nd.keys() == want.keys()
+        for key, w in want.items():
+            assert np.abs(mt.nd[key] - w).max() <= 1e-13 * np.abs(w).max(), key
 
 
 def test_additive_constant_invariance(rng, rule200):

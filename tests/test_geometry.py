@@ -23,7 +23,7 @@ from artifact.geometry import MAX_POTENTIAL_DEGREE, ProfilePotential
 from artifact.profiles import Profile
 from artifact.quadrature import TWO_PI
 
-from conftest import random_metric, random_potential
+from conftest import count_profile_calls, random_metric, random_potential
 
 
 def test_potential_serialization_round_trip():
@@ -152,6 +152,14 @@ def test_only_differentiated_fields_are_interpolated(rng, rule200, monkeypatch):
     del calls[:]
     balance_defect(m, 10)
     assert calls == []
+
+
+def test_nodal_a2_reuses_the_nodal_profile_data(rng, rule200, monkeypatch):
+    m = random_metric(rng, 2, rule200)
+    scalar_curvature(m).profile  # fit S first, so only the a_2 evaluation counts
+    calls = count_profile_calls(monkeypatch, "__call__")
+    bergman_coefficient(m, 2).values
+    assert len(calls) == 2  # S' and S'' at the nodes; nothing rebuilds m.nd
 
 
 def test_nodal_a2_matches_its_interpolant(rng, rule200):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact.errors import TailTooLarge
-from artifact.profiles import Profile, chebyshev_points
+from artifact.profiles import DEFAULT_DEGREE, Profile, chebyshev_points
 
 S = np.linspace(0.0, 1.0, 257)
 
@@ -12,6 +12,20 @@ S = np.linspace(0.0, 1.0, 257)
 def test_polynomial_reproduction():
     p = Profile.from_callable(lambda s: 3.0 - 2.0 * s + 0.5 * s**4)
     assert np.abs(p(S) - (3.0 - 2.0 * S + 0.5 * S**4)).max() < 1e-13
+
+
+def test_fit_matches_numpy_interpolation_bit_for_bit():
+    # the cached operator must reproduce chebinterpolate and the 5e-14 chop
+    for fn in (
+        lambda s: np.exp(np.sin(4.0 * s)),
+        lambda s: 3.0 - 2.0 * s + 0.5 * s**4,
+        lambda s: np.abs(s - 0.4),
+    ):
+        ref = np.polynomial.chebyshev.chebinterpolate(
+            lambda x: fn(0.5 * (x + 1.0)), DEFAULT_DEGREE
+        )
+        kept = np.nonzero(np.abs(ref) > 5e-14 * np.abs(ref).max())[0]
+        assert np.array_equal(Profile.from_callable(fn).coef, ref[: kept[-1] + 1])
 
 
 def test_derivative_of_analytic_function():
