@@ -169,7 +169,7 @@ def log_partition_ratio(metric_phi: RadialKahlerMetric, metric_ref: RadialKahler
     """log Z_k[phi] - log Z_k[ref]; basis factors cancel degree by degree."""
     if metric_phi.n != metric_ref.n:
         raise ValueError("metrics live on different manifolds")
-    diff = _radial_log_J(metric_phi, k) - _radial_log_J(metric_ref, k)
+    diff = gram(metric_phi, k).log_Jm - gram(metric_ref, k).log_Jm
     return float(degree_multiplicities(metric_phi.n, k) @ diff)
 
 

@@ -80,13 +80,11 @@ def hessian_form(metric, profile) -> RadialForm:
     return RadialForm(d["sigp"] * v1 + d["sig"] * v2, (1.0 - d["s"]) * v1)
 
 
-def gradient_pair_form(metric, profile_f, profile_g) -> RadialForm:
-    """i df ^ dbar g for radial profiles f, g (purely radial sector)."""
+def gradient_pair_form(metric, profile) -> RadialForm:
+    """i df ^ dbar f for a radial profile f (purely radial sector)."""
     d = metric.nd
-    return RadialForm(
-        d["sig"] * profile_f.deriv()(d["s"]) * profile_g.deriv()(d["s"]),
-        np.zeros_like(d["s"]),
-    )
+    f1 = profile.deriv()(d["s"])
+    return RadialForm(d["sig"] * f1 * f1, np.zeros_like(d["s"]))
 
 
 def wedge_pair(a: RadialForm, b: RadialForm) -> RadialForm:
@@ -111,10 +109,9 @@ def todd2_form(metric) -> RadialForm:
 def todd2_polarization(metric, p, q) -> RadialForm:
     """Td_2 with one slot on E = (p, q) and one on R, as a real (1,1)-form:
     (1/12) [3 tr(E) ric - Tr(E . iR)]."""
-    trace = p + (metric.n - 1) * q
-    return (
-        ricci_form(metric).scale(3.0 * trace) - curvature_trace_form(metric, p, q)
-    ).scale(1.0 / 12.0)
+    # Tr(E . iR) is linear in E and ric is its value at E = 1
+    trace3 = 3.0 * (p + (metric.n - 1) * q)
+    return curvature_trace_form(metric, trace3 - p, trace3 - q).scale(1.0 / 12.0)
 
 
 # ---------------------------------------------------------------------------

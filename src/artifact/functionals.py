@@ -44,10 +44,15 @@ from .geometry import (
     richardson,
     scalar_curvature,
 )
+from .quadrature import RadialQuadrature
 
 PATH_ORDER = 32
 SECOND_VARIATION_STEP = 1e-3
 GAMMA2_STEP = 2.5e-3
+
+# the coarse and fine t-rules of every path integral, mapped to [0, 1]
+_PATH_RULE = RadialQuadrature(PATH_ORDER)
+_PATH_RULE_FINE = RadialQuadrature(2 * PATH_ORDER)
 
 
 def _check_pair(m1: RadialKahlerMetric, m0: RadialKahlerMetric):
@@ -82,15 +87,14 @@ def _path_quadrature(m1: RadialKahlerMetric, m0: RadialKahlerMetric, integrand):
     its largest change from the value at PATH_ORDER nodes.
     """
 
-    def at_order(order):
-        x, w = np.polynomial.legendre.leggauss(order)
+    def at(t_rule):
         total = 0.0
-        for t, wt in zip(0.5 * (x + 1.0), 0.5 * w):
+        for t, wt in zip(t_rule.nodes, t_rule.weights):
             total = total + wt * integrand(path_metric(m1, m0, float(t)))
         return total
 
-    coarse = at_order(PATH_ORDER)
-    fine = at_order(2 * PATH_ORDER)
+    coarse = at(_PATH_RULE)
+    fine = at(_PATH_RULE_FINE)
     return fine, float(np.max(np.abs(fine - coarse)))
 
 
@@ -273,11 +277,11 @@ def second_variation_S2(metric_ref: RadialKahlerMetric, dir_dot: ScalarField,
 
     total = first_variation_pairing(m, 2, dir_ddot.values)
     total += ahat2 * m.integrate(dir_dot.values * lap_dot.values)
-    grad_lap = gradient_pair_form(m, lap_dot.profile, lap_dot.profile)
+    grad_lap = gradient_pair_form(m, lap_dot.profile)
     total += mixed_integral(rule, n, 1.0, [grad_lap] + [om] * (n - 1)) / (
         6.0 * math.factorial(n - 1)
     )
-    grad_dot = gradient_pair_form(m, dir_dot.profile, dir_dot.profile)
+    grad_dot = gradient_pair_form(m, dir_dot.profile)
     if n >= 2:
         hess_S = hessian_form(m, S_field.profile)
         total -= mixed_integral(rule, n, 1.0, [grad_dot, hess_S] + [om] * (n - 2)) / (

@@ -68,10 +68,6 @@ class VectorFieldData:
         return self.nabla_rad + (n - 1) * self.nabla_sph
 
 
-def _moment_values(metric: RadialKahlerMetric, s=None) -> np.ndarray:
-    return metric.profile_data(s)["F"]
-
-
 def covariant_endomorphism(metric: RadialKahlerMetric, s=None):
     """Two-sector eigenvalues of nabla X in the radial frame."""
     d = metric.profile_data(s)
@@ -83,11 +79,11 @@ def covariant_endomorphism(metric: RadialKahlerMetric, s=None):
 def hamiltonian_potential(metric: RadialKahlerMetric) -> VectorFieldData:
     """Solve iota_X omega + dbar theta_X = 0 for the normalized theta_X."""
     n = metric.n
-    c = metric.integrate(_moment_values(metric)) / class_volume(n)
-    theta = ScalarField.from_callable(metric, lambda s: c - _moment_values(metric, s))
-    # the contraction equation reduces to theta' + F' = 0 nodewise
     d = metric.nd
-    residual = float(np.abs(theta.derivs(orders=(1,))[0] + d["F1"]).max())
+    c = metric.integrate(d["F"]) / class_volume(n)
+    theta = ScalarField.from_callable(metric, lambda s: c - metric.profile_data(s)["F"])
+    # the contraction equation reduces to theta' + F' = 0 nodewise
+    residual = float(np.abs(theta.profile.deriv()(metric.rule.nodes) + d["F1"]).max())
     norm_defect = abs(metric.integrate(theta.values)) * math.factorial(n)
     rad, sph = covariant_endomorphism(metric)
     return VectorFieldData(theta, rad, sph, c, residual, norm_defect)
@@ -100,7 +96,7 @@ def lu_lemma_defect(metric: RadialKahlerMetric) -> float:
     Tr(nabla X) and Delta F differing by a constant.
     """
     n = metric.n
-    moment = ScalarField.from_callable(metric, lambda s: _moment_values(metric, s))
+    moment = ScalarField.from_callable(metric, lambda s: metric.profile_data(s)["F"])
     lap_moment = half_laplacian(metric, moment).profile
 
     def gap(s):
@@ -149,13 +145,6 @@ def invariant_rhs(metric: RadialKahlerMetric, field_data: VectorFieldData,
     return (first + second) / math.factorial(n - 1)
 
 
-def invariant_defect(metric: RadialKahlerMetric, j: int):
-    data = hamiltonian_potential(metric)
-    lhs = invariant_lhs(metric, data, j)
-    rhs = invariant_rhs(metric, data, j)
-    return lhs, rhs, abs(lhs - rhs)
-
-
 def metric_independence(j: int, metrics) -> float:
     """max - min of the invariant pairing over a list of metrics."""
     metrics = list(metrics)
@@ -188,6 +177,6 @@ def flow_pairing_spread(metric: RadialKahlerMetric, j: int) -> float:
         et = math.exp(t)
         s = mt.rule.nodes
         st = et * s / (1.0 - s + et * s)
-        phidot = _moment_values(metric, st) - c
+        phidot = metric.profile_data(st)["F"] - c
         values.append(-gamma_pairing(mt, j, phidot))
     return float(max(values) - min(values))

@@ -43,6 +43,7 @@ from .quadrature import TWO_PI, RadialQuadrature
 DIMENSIONS = (1, 2, 3)  # the supported complex dimensions n
 MAX_POTENTIAL_DEGREE = 12
 VARIATION_STEP = 1e-4  # central-difference step of the first-variation checks
+_POSITIVITY_GRID = np.concatenate([chebyshev_points(257), [0.0, 1.0]])  # dense, with endpoints
 
 
 # ---------------------------------------------------------------------------
@@ -157,31 +158,22 @@ class RadialKahlerMetric:
         C = (G - (1.0 - d["s"]) * G1) / G**2
         return A, B, C
 
-    def ricci_eigenvalues(self, s=None):
-        """(mu_rad, mu_sph): Ricci eigenvalues in the FS-relative frame."""
-        return self._ricci_from_frame(*self.frame_curvature(s))
-
-    def _ricci_from_frame(self, A, B, C):
-        n = self.n
-        return A + (n - 1) * B, B + n * C
-
-    def scalar_curvature_values(self, s=None):
-        mu_r, mu_s = self.ricci_eigenvalues(s)
-        return mu_r + (self.n - 1) * mu_s
-
     def curvature_norms(self, s=None):
-        """(|R|^2, |Ric|^2) pointwise."""
+        """(|R|^2, |Ric|^2, S) pointwise, from the Ricci eigenvalues
+        mu_rad = A + (n-1) B and mu_sph = B + n C in the FS-relative frame."""
         A, B, C = self.frame_curvature(s)
-        mu_r, mu_s = self._ricci_from_frame(A, B, C)
         n = self.n
+        mu_r, mu_s = A + (n - 1) * B, B + n * C
         riem = A**2 + 4.0 * (n - 1) * B**2 + 2.0 * n * (n - 1) * C**2
         ric = mu_r**2 + (n - 1) * mu_s**2
-        return riem, ric
+        return riem, ric, mu_r + (n - 1) * mu_s
+
+    def scalar_curvature_values(self, s=None):
+        return self.curvature_norms(s)[2]
 
     def curvature_polynomial_values(self, s=None):
         """(|R|^2 - 4|Ric|^2 + 3 S^2)/24, the curvature polynomial of a_2."""
-        riem, ric = self.curvature_norms(s)
-        S = self.scalar_curvature_values(s)
+        riem, ric, S = self.curvature_norms(s)
         return (riem - 4.0 * ric + 3.0 * S**2) / 24.0
 
     # -- integration ----------------------------------------------------
@@ -252,10 +244,6 @@ class ScalarField:
     def __call__(self, s):
         return self.fn(s)
 
-    def derivs(self, orders=(1, 2)):
-        """s-derivatives of the given orders at the quadrature nodes."""
-        return [self.profile.deriv(o)(self.metric.rule.nodes) for o in orders]
-
 
 def _require_attached(metric, field: ScalarField):
     if field.metric is not metric:
@@ -275,15 +263,16 @@ def build_metric(potential, rule: RadialQuadrature) -> RadialKahlerMetric:
     stack = [potential.profile]
     for _ in range(4):
         stack.append(stack[-1].deriv())
-    metric = RadialKahlerMetric(potential.n, potential, rule, stack, _stack_data(stack, rule.nodes))
-    # positivity at the quadrature nodes plus a dense endpoint-including grid
-    check = np.concatenate([rule.nodes, chebyshev_points(257), [0.0, 1.0]])
-    d = metric.profile_data(check)
+    # positivity at the nodes and the dense grid; the data is elementwise in s,
+    # so its head is exactly the nodal data
+    check = np.concatenate([rule.nodes, _POSITIVITY_GRID])
+    d = _stack_data(stack, check)
     for name, vals in (("radial", d["F1"]), ("spherical", d["G"])):
         idx = int(np.argmin(vals))
         if vals[idx] <= 0.0:
             raise NonPositiveMetric(check[idx], vals[idx], sector=name)
-    return metric
+    nd = {key: v[: rule.order] for key, v in d.items()}
+    return RadialKahlerMetric(potential.n, potential, rule, stack, nd)
 
 
 def fubini_study(n: int, rule: RadialQuadrature) -> RadialKahlerMetric:

@@ -69,6 +69,21 @@ def test_partition_ratio_gates_both_rules(rng):
         log_partition_ratio(fubini_study(1, radial_rule(40)), m, k)
 
 
+def test_partition_ratio_reads_the_cached_gram_data(rng, rule200, monkeypatch):
+    from artifact import bergman
+
+    k = 40
+    m, base = random_metric(rng, 2, rule200), fubini_study(2, rule200)
+    j_phi, j_ref = gram(m, k).log_Jm, gram(base, k).log_Jm
+    calls = []
+    radial_log_J = bergman._radial_log_J
+    monkeypatch.setattr(bergman, "_radial_log_J",
+                        lambda metric, k: calls.append(k) or radial_log_J(metric, k))
+    got = log_partition_ratio(m, base, k)
+    assert calls == []
+    assert got == float(degree_multiplicities(2, k) @ (j_phi - j_ref))
+
+
 def test_full_hermitian_mode_agrees_with_radial_reduction(rng, rule200):
     m = random_metric(rng, 1, rule200)
     k = 14

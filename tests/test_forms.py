@@ -5,6 +5,7 @@ import numpy as np
 from artifact import ScalarField
 from artifact.forms import (
     curvature_square_pair,
+    curvature_trace_form,
     form_inner,
     gradient_pair_form,
     hessian_form,
@@ -13,6 +14,7 @@ from artifact.forms import (
     pair_integral,
     ricci_form,
     todd2_form,
+    todd2_polarization,
     trace_against,
     wedge_pair,
 )
@@ -77,7 +79,7 @@ def test_hessian_form_is_exact_on_fs_potential(fs_metric):
     # generic smooth profile: cross-check rho/sig against spectral derivatives
     h = hessian_form(m, v.profile)
     s = m.rule.nodes
-    v1, v2 = v.derivs(orders=(1, 2))
+    v1, v2 = v.profile.deriv()(s), v.profile.deriv(2)(s)
     assert np.abs(h.rho - ((1 - 2 * s) * v1 + s * (1 - s) * v2)).max() < 1e-9
     assert np.abs(h.sig - (1 - s) * v1).max() < 1e-9
 
@@ -85,7 +87,7 @@ def test_hessian_form_is_exact_on_fs_potential(fs_metric):
 def test_gradient_pair_is_positive_semidefinite(rng, rule200):
     m = random_metric(rng, 2, rule200)
     f = ScalarField.from_callable(m, lambda s: np.cos(s))
-    g = gradient_pair_form(m, f.profile, f.profile)
+    g = gradient_pair_form(m, f.profile)
     assert np.all(g.rho >= -1e-14)
     assert np.abs(g.sig).max() == 0.0
 
@@ -95,3 +97,17 @@ def test_trace_and_inner_against_omega(rng, rule200):
     om = omega_form(m)
     assert np.abs(trace_against(m, om) - m.n).max() < 1e-13
     assert np.abs(form_inner(m, om, om) - m.n).max() < 1e-13
+
+
+def test_todd2_polarization_matches_two_term_reference(rng, rule200):
+    # (3 tr(E) ric - Tr(E . iR))/12 written out, for nodewise and constant E
+    for n in (1, 2, 3):
+        m = random_metric(rng, n, rule200)
+        ric = ricci_form(m)
+        for p, q in (rng.normal(size=(2, rule200.order)), rng.normal(size=2)):
+            trace = p + (n - 1) * q
+            e_ric = curvature_trace_form(m, p, q)
+            got = todd2_polarization(m, p, q)
+            for part, want in ((got.rho, (3.0 * trace * ric.rho - e_ric.rho) / 12.0),
+                               (got.sig, (3.0 * trace * ric.sig - e_ric.sig) / 12.0)):
+                assert np.abs(part - want).max() <= 1e-14 * np.abs(want).max()

@@ -16,8 +16,10 @@ from artifact import (
     tilde_S_path,
 )
 from artifact.forms import hessian_form, ricci_form
-from artifact.geometry import ProfilePotential, characteristic_coefficient
+from artifact.geometry import ProfilePotential, RadialKahlerMetric, characteristic_coefficient
 from artifact.functionals import (
+    PATH_ORDER,
+    bc_todd2,
     gamma2_defect,
     gamma_pairing,
     liouville_first_variation,
@@ -96,6 +98,22 @@ def test_path_metric_is_the_affine_combination_of_its_endpoints(rng, rule200, mo
         assert mt.nd.keys() == want.keys()
         for key, w in want.items():
             assert np.abs(mt.nd[key] - w).max() <= 1e-13 * np.abs(w).max(), key
+
+
+def test_bc_todd2_evaluates_the_frame_once_per_path_metric(rng, rule200, monkeypatch):
+    from artifact import functionals
+
+    m1, m0 = random_metric(rng, 2, rule200), random_metric(rng, 2, rule200)
+    paths, frames = [], []
+    path = functionals.path_metric
+    frame = RadialKahlerMetric.frame_curvature
+    monkeypatch.setattr(functionals, "path_metric",
+                        lambda a, b, t: paths.append(path(a, b, t)) or paths[-1])
+    monkeypatch.setattr(RadialKahlerMetric, "frame_curvature",
+                        lambda self, s=None: frames.append(self) or frame(self, s))
+    bc_todd2(m1, m0)
+    assert len(paths) == 3 * PATH_ORDER  # the coarse and the fine t-rule
+    assert [id(m) for m in frames] == [id(m) for m in paths]
 
 
 def test_additive_constant_invariance(rng, rule200):

@@ -71,7 +71,7 @@ def test_fubini_study_constants(fs_metric):
         assert np.abs(C - 1.0).max() < 1e-12
         S = scalar_curvature(m)
         assert np.abs(S.values - n * (n + 1)).max() < 1e-11
-        riem, ric = m.curvature_norms(m.rule.nodes)
+        riem, ric, _ = m.curvature_norms(m.rule.nodes)
         assert np.abs(riem - 2.0 * n * (n + 1)).max() < 1e-11
         assert np.abs(ric - n * (n + 1) ** 2).max() < 1e-11
 
@@ -160,6 +160,23 @@ def test_nodal_a2_reuses_the_nodal_profile_data(rng, rule200, monkeypatch):
     calls = count_profile_calls(monkeypatch, "__call__")
     bergman_coefficient(m, 2).values
     assert len(calls) == 2  # S' and S'' at the nodes; nothing rebuilds m.nd
+
+
+def test_nodal_data_is_the_head_of_the_positivity_pass(rng, rule200, monkeypatch):
+    from artifact import geometry
+
+    passes = []
+    stack_data = geometry._stack_data
+    monkeypatch.setattr(geometry, "_stack_data",
+                        lambda stack, s: passes.append(len(s)) or stack_data(stack, s))
+    for n in (1, 2, 3):
+        passes.clear()
+        m = random_metric(rng, n, rule200)
+        assert len(passes) == 1  # one pass serves the check and the nodes
+        want = stack_data(m.phi_stack, rule200.nodes)
+        assert m.nd.keys() == want.keys()
+        for key, w in want.items():
+            assert np.array_equal(m.nd[key], w), key
 
 
 def test_nodal_a2_matches_its_interpolant(rng, rule200):

@@ -131,6 +131,39 @@ def test_cli_reads_potential_files(tmp_path):
     assert len(lines) == 4  # header + j = 0, 1, 2
 
 
+SMOKE_POTENTIAL = '{"n": 1, "basis": "s-poly", "coeffs": ["0.0", "0.01", "-0.005"]}'
+
+
+def _read_rows(path):
+    header, *lines = path.read_text().strip().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+def test_cli_futaki_run_meets_its_tolerance(tmp_path):
+    pot = tmp_path / "pot.json"
+    pot.write_text(SMOKE_POTENTIAL)
+    out = tmp_path / "futaki"
+    assert cli_main(["futaki", "--potential", str(pot), "--out", str(out)]) == 0
+    rows = _read_rows(out / "futaki.csv")
+    assert [row["j"] for row in rows] == ["0", "1", "2"]
+    for row in rows:
+        assert float(row["defect"]) <= TOLERANCE_PROFILES["default"]["futaki"]
+
+
+def test_cli_balanced_run_converges(tmp_path):
+    pot = tmp_path / "pot.json"
+    pot.write_text(SMOKE_POTENTIAL)
+    out = tmp_path / "balanced"
+    code = cli_main(["balanced", "--potential", str(pot), "--k-min", "4", "--k-max", "8",
+                     "--k-stride", "2", "--out", str(out)])
+    assert code == 0
+    rows = _read_rows(out / "balanced.csv")
+    assert [row["k"] for row in rows] == ["4", "6", "8"]
+    for row in rows:
+        assert row["converged"] == "True"
+        assert float(row["final_defect"]) <= 1e-10
+
+
 def test_cli_fit_reads_config_file(tmp_path, monkeypatch):
     cfg = tmp_path / "fit.json"
     cfg.write_text(json.dumps({"n": 2, "k_min": 20, "k_max": 40, "k_stride": 4}))

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,3 +44,53 @@ def test_benchmark_layers_resolve():
             if not callable(obj):
                 missing.append(f"{layer}.{fn['target']}")
     assert missing == []
+
+
+def _identifiers(text):
+    """Every dotted-name part of a string: getattr and monkeypatch targets,
+    benchmark layer targets."""
+    return {part for token in re.findall(r"[A-Za-z_][\w.]*", text) for part in token.split(".")}
+
+
+def _docstrings(tree):
+    bodies = [node.body for node in ast.walk(tree) if isinstance(
+        node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+    return {id(body[0].value) for body in bodies
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)}
+
+
+def named_functions(paths):
+    """(defined, named): the non-dunder functions and methods defined in
+    src/artifact, and every name the files read, patch or list (docstrings
+    and comments name nothing)."""
+    defined, named = {}, set()
+    for path in paths:
+        if path.suffix == ".json":
+            named |= _identifiers(path.read_text())
+            continue
+        tree = ast.parse(path.read_text())
+        docstrings = _docstrings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if SRC in path.parents and not node.name.startswith("__"):
+                    defined[node.name] = f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.split(".")[-1])
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in docstrings):
+                named |= _identifiers(node.value)
+    return defined, named
+
+
+def test_every_function_is_named_outside_its_definition():
+    paths = [p for folder in ("src", "tests", "benchmarks")
+             for p in sorted((ROOT / folder).rglob("*"))
+             if p.suffix in (".py", ".json") and "results" not in p.relative_to(ROOT).parts]
+    defined, named = named_functions(paths)
+    assert defined
+    unnamed = sorted(f"{where} {name}" for name, where in defined.items() if name not in named)
+    assert unnamed == []
