@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -143,7 +143,13 @@ class BergmanDensity:
     field: ScalarField
     min_value: float
     max_value: float
-    integral_defect: float
+    k: int
+
+    @cached_property
+    def integral_defect(self) -> float:
+        """int rho_k omega_phi^n/n! - dim H^0, evaluated at the nodes on first read."""
+        metric = self.field.metric
+        return float(metric.integrate(self.field.values) - dim_h0(metric.n, self.k))
 
 
 def density_values(metric: RadialKahlerMetric, k: int, log_Jm: np.ndarray, s) -> np.ndarray:
@@ -160,8 +166,7 @@ def bergman_density(metric: RadialKahlerMetric, k: int) -> BergmanDensity:
         metric, lambda s: density_values(metric, k, log_Jm, s)
     )
     dense = density_values(metric, k, log_Jm, np.linspace(0.0, 1.0, 513))
-    defect = metric.integrate(field.values) - dim_h0(metric.n, k)
-    return BergmanDensity(field, float(dense.min()), float(dense.max()), float(defect))
+    return BergmanDensity(field, float(dense.min()), float(dense.max()), k)
 
 
 def log_partition_ratio(metric_phi: RadialKahlerMetric, metric_ref: RadialKahlerMetric,

@@ -4,7 +4,9 @@ Implements the Bott-Chern form of Td_2, the functionals tilde-S_j
 (j = 0, 1, 2) by two independent routes (path integral over metric
 interpolation, and Bott-Chern assembly), and all cocycle/variation
 diagnostics.  S_j, with S_2 the generalized Liouville action, is built
-on the Bott-Chern route; the path route is its cross-check.
+on the Bott-Chern route; the path route is its cross-check.  It pairs
+gamma^(j) in weak form and fits nothing: S is interpolated only where a
+pointwise derivative of it is read.
 """
 from __future__ import annotations
 
@@ -34,11 +36,11 @@ from .geometry import (
     ProfilePotential,
     RadialKahlerMetric,
     ScalarField,
-    bergman_coefficient,
     build_metric,
     central_difference,
     characteristic_coefficient,
     class_volume,
+    coefficient_split,
     fubini_study,
     half_laplacian,
     richardson,
@@ -62,21 +64,17 @@ def _check_pair(m1: RadialKahlerMetric, m0: RadialKahlerMetric):
         raise ValueError("metrics use incompatible quadrature rules")
 
 
-def relative_potential_values(m1: RadialKahlerMetric, m0: RadialKahlerMetric, s):
-    return m1.potential.profile(s) - m0.potential.profile(s)
-
-
 def path_metric(m1: RadialKahlerMetric, m0: RadialKahlerMetric, t: float) -> RadialKahlerMetric:
     """Metric of the linear potential interpolation at time t."""
     if t == 0.0:
         return m0
     if t == 1.0:
         return m1
-    # stack and nd are affine in t, so F' and G stay positive between checked ends
-    stack = [(1.0 - t) * a + t * b for a, b in zip(m0.phi_stack, m1.phi_stack)]
+    # nd is affine in t, so F' and G stay positive between checked ends
+    phi = (1.0 - t) * m0.potential.profile + t * m1.potential.profile
     nd = {key: v if key in ("s", "sig", "sigp") else (1.0 - t) * v + t * m1.nd[key]
           for key, v in m0.nd.items()}
-    return RadialKahlerMetric(m0.n, ProfilePotential(m0.n, stack[0]), m0.rule, stack, nd)
+    return RadialKahlerMetric(m0.n, ProfilePotential(m0.n, phi), m0.rule, nd)
 
 
 def _path_quadrature(m1: RadialKahlerMetric, m0: RadialKahlerMetric, integrand):
@@ -147,20 +145,21 @@ def _mixed_power_sum(m1, m0, fvals, lead: RadialForm | None = None):
 def tilde_S0(m1: RadialKahlerMetric, m0: RadialKahlerMetric) -> float:
     """Degree-(n+1) energy: -(1/(n+1)!) sum_s int phi~ omega_1^s omega_0^{n-s}."""
     _check_pair(m1, m0)
-    rel = relative_potential_values(m1, m0, m1.rule.nodes)
+    rel = m1.nd["phi"] - m0.nd["phi"]
     return -_mixed_power_sum(m1, m0, rel) / math.factorial(m1.n + 1)
 
 
 def tilde_S_path(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int,
-                 coefficient_fn=bergman_coefficient) -> FunctionalLedger:
+                 coefficient_fn=coefficient_split) -> FunctionalLedger:
     """Route one: t-quadrature of gamma^(j)(phi-dot) along the linear
     potential path."""
     _check_pair(m1, m0)
     if j not in (0, 1, 2):
         raise ValueError(f"j must be 0, 1, or 2, got {j}")
-    rel = relative_potential_values(m1, m0, m1.rule.nodes)
+    s = m1.rule.nodes  # phi-dot = phi_1 - phi_0 and two derivatives, the same at every t
+    dot = [a(s) - b(s) for a, b in zip(m1.phi_stack[:3], m0.phi_stack[:3])]
     value, refinement = _path_quadrature(
-        m1, m0, lambda mt: gamma_pairing(mt, j, rel, coefficient_fn)
+        m1, m0, lambda mt: gamma_pairing(mt, j, *dot, coefficient_fn)
     )
     return FunctionalLedger(value, refinement)
 
@@ -178,7 +177,7 @@ def tilde_S_bc(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int) -> Functi
         return FunctionalLedger(tilde_S0(m1, m0))
     if j not in (1, 2):
         raise ValueError(f"j must be 0, 1, or 2, got {j}")
-    rel = relative_potential_values(m1, m0, rule.nodes)
+    rel = m1.nd["phi"] - m0.nd["phi"]
     om0 = omega_form(m0)
     refinement = 0.0
     if j == 1:
@@ -220,18 +219,19 @@ def cocycle_defect(j: int, m2, m1, m0) -> float:
 # variations
 
 
-def first_variation_pairing(metric: RadialKahlerMetric, j: int, psi_values) -> float:
-    """Variational integrand of S_j paired with psi.
+def first_variation_pairing(metric: RadialKahlerMetric, j: int, direction: ScalarField) -> float:
+    """Variational integrand of S_j paired with the direction psi.
 
     For j > 0 this is a^_j int psi omega_phi^n/n! + gamma^(j)(psi);
     for j = 0 the functional is the normalized degree-(n+1) energy, whose
     variation is -(1/V) int psi omega_phi^n/n!.
     """
-    psi = np.asarray(psi_values, dtype=float)
+    psi = direction.values
     if j == 0:
         return -metric.integrate(psi) / class_volume(metric.n)
     ahat = characteristic_coefficient(metric.n, j)
-    return ahat * metric.integrate(psi) + gamma_pairing(metric, j, psi)
+    psi1, psi2 = (direction.profile.deriv(k)(metric.rule.nodes) for k in (1, 2))
+    return ahat * metric.integrate(psi) + gamma_pairing(metric, j, psi, psi1, psi2)
 
 
 def _S_j_difference(j: int, metric: RadialKahlerMetric, direction: ScalarField) -> float:
@@ -244,7 +244,7 @@ def _S_j_difference(j: int, metric: RadialKahlerMetric, direction: ScalarField) 
 
 def first_variation(j: int, metric: RadialKahlerMetric, direction: ScalarField):
     """(finite difference, formula, defect) for the first variation of S_j."""
-    formula = first_variation_pairing(metric, j, direction.values)
+    formula = first_variation_pairing(metric, j, direction)
     fd = _S_j_difference(j, metric, direction)
     return fd, formula, abs(fd - formula)
 
@@ -254,7 +254,7 @@ def liouville_first_variation(metric: RadialKahlerMetric, direction: ScalarField
     FD of S_j(., ., 2) vs the displayed curvature integrand."""
     ahat = characteristic_coefficient(metric.n, 2)
     lapS = half_laplacian(metric, scalar_curvature(metric)).values
-    integrand = ahat + lapS / 6.0 - metric.curvature_polynomial_values()
+    integrand = ahat + lapS / 6.0 - metric.curvature_scalars()[1]
     formula = metric.integrate(direction.values * integrand)
     fd = _S_j_difference(2, metric, direction)
     return fd, formula, abs(fd - formula)
@@ -275,7 +275,7 @@ def second_variation_S2(metric_ref: RadialKahlerMetric, dir_dot: ScalarField,
     hess_dot = hessian_form(m, dir_dot.profile)
     ahat2 = characteristic_coefficient(n, 2)
 
-    total = first_variation_pairing(m, 2, dir_ddot.values)
+    total = first_variation_pairing(m, 2, dir_ddot)
     total += ahat2 * m.integrate(dir_dot.values * lap_dot.values)
     grad_lap = gradient_pair_form(m, lap_dot.profile)
     total += mixed_integral(rule, n, 1.0, [grad_lap] + [om] * (n - 1)) / (
@@ -321,16 +321,21 @@ def second_variation_S2(metric_ref: RadialKahlerMetric, dir_dot: ScalarField,
     return total, fd, abs(total - fd)
 
 
-def gamma_pairing(metric: RadialKahlerMetric, j: int, psi_values,
-                  coefficient_fn=bergman_coefficient) -> float:
-    """The 1-form gamma^(j): int psi (Delta a_{j-1} - a_j) omega_phi^n/n!,
-    with Delta a_{-1} = 0."""
-    psi = np.asarray(psi_values, dtype=float)
-    aj = coefficient_fn(metric, j).values
-    if j == 0:
-        return metric.integrate(-psi * aj)
-    lap_prev = half_laplacian(metric, coefficient_fn(metric, j - 1)).values
-    return metric.integrate(psi * (lap_prev - aj))
+def gamma_pairing(metric: RadialKahlerMetric, j: int, psi, psi1, psi2,
+                  coefficient_fn=coefficient_split) -> float:
+    """The 1-form gamma^(j)(psi) = int psi (Delta a_{j-1} - a_j) omega_phi^n/n!
+    (a_{-1} = 0), from psi and its first two s-derivatives at the nodes, in weak
+    form: Delta is self-adjoint against omega_phi^n/n!, as the radial boundary
+    terms carry sig = s(1-s), which vanishes at both ends.  With a_j = Delta u_j
+    + v_j (``coefficient_split``) and u_{j-1} = 0 (true for j <= 2) it is
+    int [(v_{j-1} - u_j) Delta psi - v_j psi], so nothing is interpolated."""
+    S, P = metric.curvature_scalars()
+    mu, v = coefficient_fn(j, S, P)
+    integrand = -v * psi
+    if j > 0:
+        v_prev = coefficient_fn(j - 1, S, P)[1]
+        integrand = integrand + (v_prev - mu * S) * metric.laplacian_values(psi1, psi2)
+    return metric.integrate(integrand)
 
 
 def gamma2_defect(metric: RadialKahlerMetric, dir1: ScalarField, dir2: ScalarField) -> float:
@@ -338,10 +343,10 @@ def gamma2_defect(metric: RadialKahlerMetric, dir1: ScalarField, dir2: ScalarFie
     Richardson-extrapolated central differences."""
 
     def deriv_along(da: ScalarField, db: ScalarField) -> float:
-        vb = db.profile(metric.rule.nodes)
+        vb = [db.profile.deriv(k)(metric.rule.nodes) for k in range(3)]
 
         def d_at(h):
-            return central_difference(metric, da.profile, lambda mt: gamma_pairing(mt, 2, vb), h)
+            return central_difference(metric, da.profile, lambda mt: gamma_pairing(mt, 2, *vb), h)
 
         return richardson(d_at, GAMMA2_STEP)
 

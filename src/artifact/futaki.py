@@ -38,9 +38,9 @@ from .geometry import (
     ProfilePotential,
     RadialKahlerMetric,
     ScalarField,
-    bergman_coefficient,
     build_metric,
     class_volume,
+    coefficient_split,
     half_laplacian,
 )
 from .profiles import Profile
@@ -107,12 +107,13 @@ def lu_lemma_defect(metric: RadialKahlerMetric) -> float:
 
 
 def invariant_lhs(metric: RadialKahlerMetric, field_data: VectorFieldData, j: int,
-                  coefficient_fn=bergman_coefficient) -> float:
+                  coefficient_fn=coefficient_split) -> float:
     """Pairing int theta (a_j - Delta a_{j-1}) omega^n/n! = -gamma^(j)(theta)
     (imaginary part)."""
     if j not in (0, 1, 2):
         raise ValueError(f"j must be 0, 1, or 2, got {j}")
-    return -gamma_pairing(metric, j, field_data.theta.values, coefficient_fn)
+    theta1, theta2 = -metric.nd["F1"], -metric.nd["F2"]  # theta = c - F exactly
+    return -gamma_pairing(metric, j, field_data.theta.values, theta1, theta2, coefficient_fn)
 
 
 def invariant_rhs(metric: RadialKahlerMetric, field_data: VectorFieldData,
@@ -176,7 +177,10 @@ def flow_pairing_spread(metric: RadialKahlerMetric, j: int) -> float:
         mt = _pullback_metric(metric, t)
         et = math.exp(t)
         s = mt.rule.nodes
-        st = et * s / (1.0 - s + et * s)
-        phidot = metric.profile_data(st)["F"] - c
-        values.append(-gamma_pairing(mt, j, phidot))
+        w = 1.0 - s + et * s
+        # phi-dot_t(s) = F(st) - c with st = et s/w, differentiated by the chain rule
+        ds, dds = et / w**2, -2.0 * et * (et - 1.0) / w**3
+        d = metric.profile_data(et * s / w)
+        values.append(-gamma_pairing(mt, j, d["F"] - c, d["F1"] * ds,
+                                     d["F2"] * ds**2 + d["F1"] * dds))
     return float(max(values) - min(values))

@@ -124,18 +124,31 @@ def _stack_data(stack, s):
             "F2": F2, "F3": F3, "G": G, "G1": G1, "G2": G2}
 
 
-class RadialKahlerMetric:
-    """A radial Kahler metric on CP^n: phi's derivative stack and ``nd`` at the rule nodes."""
+def _derivative_stack(profile):
+    """[phi, phi', ..., phi''''] from the profile of phi."""
+    stack = [profile]
+    for _ in range(4):
+        stack.append(stack[-1].deriv())
+    return stack
 
-    def __init__(self, n, potential, rule: RadialQuadrature, stack, nd):
+
+class RadialKahlerMetric:
+    """A radial Kahler metric on CP^n: ``nd`` at the rule nodes, and phi's derivative stack."""
+
+    def __init__(self, n, potential, rule: RadialQuadrature, nd, stack=None):
         self.n = int(n)
         self.potential = potential
         self.rule = rule
-        self.phi_stack = stack
         self.nd = nd
         self._field_cache = {}
+        if stack is not None:  # else derived from the potential on first read
+            self.phi_stack = stack
 
     # -- pointwise profile calculus -------------------------------------
+
+    @cached_property
+    def phi_stack(self):
+        return _derivative_stack(self.potential.profile)
 
     def phi_derivs(self, s):
         """phi and its first four s-derivatives at s."""
@@ -168,13 +181,10 @@ class RadialKahlerMetric:
         ric = mu_r**2 + (n - 1) * mu_s**2
         return riem, ric, mu_r + (n - 1) * mu_s
 
-    def scalar_curvature_values(self, s=None):
-        return self.curvature_norms(s)[2]
-
-    def curvature_polynomial_values(self, s=None):
-        """(|R|^2 - 4|Ric|^2 + 3 S^2)/24, the curvature polynomial of a_2."""
+    def curvature_scalars(self, s=None):
+        """(S, P) pointwise, P = (|R|^2 - 4|Ric|^2 + 3 S^2)/24 the curvature polynomial."""
         riem, ric, S = self.curvature_norms(s)
-        return (riem - 4.0 * ric + 3.0 * S**2) / 24.0
+        return S, (riem - 4.0 * ric + 3.0 * S**2) / 24.0
 
     # -- integration ----------------------------------------------------
 
@@ -260,9 +270,7 @@ def build_metric(potential, rule: RadialQuadrature) -> RadialKahlerMetric:
         raise ValueError(
             f"potential degree {potential.degree} exceeds bound {MAX_POTENTIAL_DEGREE}"
         )
-    stack = [potential.profile]
-    for _ in range(4):
-        stack.append(stack[-1].deriv())
+    stack = _derivative_stack(potential.profile)
     # positivity at the nodes and the dense grid; the data is elementwise in s,
     # so its head is exactly the nodal data
     check = np.concatenate([rule.nodes, _POSITIVITY_GRID])
@@ -272,7 +280,7 @@ def build_metric(potential, rule: RadialQuadrature) -> RadialKahlerMetric:
         if vals[idx] <= 0.0:
             raise NonPositiveMetric(check[idx], vals[idx], sector=name)
     nd = {key: v[: rule.order] for key, v in d.items()}
-    return RadialKahlerMetric(potential.n, potential, rule, stack, nd)
+    return RadialKahlerMetric(potential.n, potential, rule, nd, stack)
 
 
 def fubini_study(n: int, rule: RadialQuadrature) -> RadialKahlerMetric:
@@ -304,7 +312,7 @@ def richardson(difference: Callable, step: float) -> float:
 
 def scalar_curvature(metric: RadialKahlerMetric) -> ScalarField:
     return metric._cached_field(
-        "S", lambda: ScalarField.from_callable(metric, metric.scalar_curvature_values)
+        "S", lambda: ScalarField.from_callable(metric, lambda s: metric.curvature_norms(s)[2])
     )
 
 
@@ -317,19 +325,22 @@ def half_laplacian(metric: RadialKahlerMetric, f: ScalarField) -> ScalarField:
     )
 
 
+def coefficient_split(j: int, S, P):
+    """(u_j / S, v_j) with a_j = Delta u_j + v_j, from the scalar curvature S and the
+    curvature polynomial P (Lu 2000): (u_j, v_j) = (0, 1), (0, S/2) and (S/3, P) for
+    j = 0, 1, 2.  u_j is a constant multiple of S, so Delta u_j needs only Delta S."""
+    if j not in (0, 1, 2):
+        raise UnsupportedCoefficient(j)
+    return ((0.0, np.ones_like(S)), (0.0, 0.5 * S), (1.0 / 3.0, P))[j]
+
+
 def bergman_coefficient(metric: RadialKahlerMetric, j: int) -> ScalarField:
-    """Density expansion coefficient a_j, normalized so that
-    (2 pi)^n rho_k = sum_j a_j k^{n-j} holds exactly on Fubini-Study."""
-    if j == 0:
-        return ScalarField(metric, Profile([1.0]))
-    if j == 1:
-        return ScalarField(metric, 0.5 * scalar_curvature(metric).profile)
-    if j == 2:
-        lapS = half_laplacian(metric, scalar_curvature(metric))
-        return ScalarField(
-            metric, lambda s: lapS(s) / 3.0 + metric.curvature_polynomial_values(s)
-        )
-    raise UnsupportedCoefficient(j)
+    """Density expansion coefficient a_j (``coefficient_split``), normalized so that (2 pi)^n
+    rho_k = sum_j a_j k^{n-j} holds exactly on Fubini-Study; S is fitted only for Delta S."""
+    mu = coefficient_split(j, 0.0, 0.0)[0]  # u_j / S, a constant; rejects j > 2
+    lapS = half_laplacian(metric, scalar_curvature(metric)) if mu else (lambda s: 0.0)
+    return ScalarField(metric, lambda s: mu * lapS(s)
+                       + coefficient_split(j, *metric.curvature_scalars(s))[1])
 
 
 def characteristic_coefficients(n: int) -> tuple:

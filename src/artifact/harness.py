@@ -33,12 +33,11 @@ from .functionals import (
 from .futaki import hamiltonian_potential, invariant_lhs, invariant_rhs, lu_lemma_defect
 from .geometry import (
     DIMENSIONS,
-    RadialKahlerMetric,
     RadialPotential,
     ScalarField,
-    bergman_coefficient,
     build_metric,
     coefficient_average,
+    coefficient_split,
     fubini_study,
 )
 from .quadrature import TWO_PI, radial_rule, required_order
@@ -349,25 +348,21 @@ class VerifyReport:
 
 
 def corrupted_coefficient(delta: float):
-    """Coefficient source with the curvature-polynomial constant of the
-    second expansion term perturbed: its 1/24 prefactor becomes
-    (1 + delta)/24.  Used to confirm the suite is sensitive to the
+    """Coefficient split (``coefficient_split``) with the curvature-polynomial
+    constant of the second expansion term perturbed: its 1/24 prefactor
+    becomes (1 + delta)/24.  Used to confirm the suite is sensitive to the
     constants it claims to verify.
     """
 
-    def fn(metric: RadialKahlerMetric, j: int) -> ScalarField:
-        a_j = bergman_coefficient(metric, j)
-        if j != 2:
-            return a_j
-        return ScalarField(
-            metric, lambda s: a_j(s) + delta * metric.curvature_polynomial_values(s)
-        )
+    def fn(j: int, S, P):
+        mu, v = coefficient_split(j, S, P)
+        return (mu, (1.0 + delta) * P) if j == 2 else (mu, v)
 
     return fn
 
 
 def verify_suite(tol_profile: str = "default",
-                 coefficient_fn=bergman_coefficient) -> VerifyReport:
+                 coefficient_fn=coefficient_split) -> VerifyReport:
     """Run the cross-module identity checks at the named tolerance profile.
 
     ``coefficient_fn`` is the source of the density-expansion coefficients

@@ -68,6 +68,22 @@ def test_density_and_fs_map_share_one_stratum_sum(rng, rule200):
             assert np.abs(lhs - np.exp(k * (fs - phi))).max() < 1e-12, (n, k)
 
 
+def test_balance_defect_makes_one_stratum_sum(rng, rule200, monkeypatch):
+    from artifact import bergman
+
+    m = random_metric(rng, 2, rule200)
+    k = 10
+    sums = []
+    stratum_sum = bergman.log_stratum_sum
+    monkeypatch.setattr(bergman, "log_stratum_sum",
+                        lambda *args: sums.append(args) or stratum_sum(*args))
+    balance_defect(m, k)
+    assert len(sums) == 1  # the 513 dense points only; the nodal integral is lazy
+    dens = bergman.bergman_density(m, k)
+    eager = m.integrate(density_values(m, k, gram(m, k).log_Jm, rule200.nodes)) - dim_h0(2, k)
+    assert dens.integral_defect == float(eager)
+
+
 def test_fs_map_gauge_scaling(fs_metric):
     k, lam = 12, 3.0
     H = hilb_map(fs_metric(1), k)

@@ -16,7 +16,13 @@ from artifact import (
     tilde_S_path,
 )
 from artifact.forms import hessian_form, ricci_form
-from artifact.geometry import ProfilePotential, RadialKahlerMetric, characteristic_coefficient
+from artifact.geometry import (
+    ProfilePotential,
+    RadialKahlerMetric,
+    bergman_coefficient,
+    characteristic_coefficient,
+    half_laplacian,
+)
 from artifact.functionals import (
     PATH_ORDER,
     bc_todd2,
@@ -183,8 +189,36 @@ def test_gamma_pairing_kills_constants_for_j1(rng, rule200):
         m = random_metric(rng, n, rule200)
         vol = TWO_PI**n / math.factorial(n)
         for j in (1, 2):
-            got = gamma_pairing(m, j, 1.0)
+            got = gamma_pairing(m, j, 1.0, 0.0, 0.0)
             assert abs(got + characteristic_coefficient(n, j) * vol) < 1e-10
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_weak_gamma_pairing_matches_the_strong_form(rng, rule200, n):
+    # int psi (Delta a_{j-1} - a_j), with Delta a_{j-1} interpolated and differentiated
+    s = rule200.nodes
+    psi = (np.sin(2.0 * s) - 0.4 * s**2, 2.0 * np.cos(2.0 * s) - 0.8 * s,
+           -4.0 * np.sin(2.0 * s) - 0.8)
+    for _ in range(5):
+        m = random_metric(rng, n, rule200)
+        for j in (1, 2):
+            lap_prev = half_laplacian(m, bergman_coefficient(m, j - 1)).values
+            strong = m.integrate(psi[0] * (lap_prev - bergman_coefficient(m, j).values))
+            weak = gamma_pairing(m, j, *psi)
+            assert abs(weak - strong) <= 1e-10 * abs(strong), (n, j)
+
+
+def test_route_one_fits_nothing_and_builds_no_path_stack(rng, rule200, monkeypatch):
+    from artifact import geometry
+
+    m1, m0 = random_metric(rng, 2, rule200), random_metric(rng, 2, rule200)
+    stacks = []
+    monkeypatch.setattr(geometry, "_derivative_stack", lambda p: stacks.append(p))
+    fits = count_profile_calls(monkeypatch, "from_callable")
+    for j in (0, 1, 2):
+        tilde_S_path(m1, m0, j)
+        tilde_S_bc(m1, m0, j)
+    assert fits == [] and stacks == []
 
 
 def test_contraction_identities(rng, rule200):
