@@ -49,7 +49,6 @@ from .functionals import (
     cocycle_defect,
     first_variation,
     second_variation_S2,
-    tilde_S0,
     tilde_S_bc,
     tilde_S_path,
 )

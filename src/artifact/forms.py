@@ -7,12 +7,14 @@ divided by (p-1)!, and its coefficient on p spherical pairs, divided by
 p!.  In this normalization omega_FS is the (1,1)-form rho = sig = 1, a
 metric form omega_phi is rho = F', sig = G, and a (2,2)-form with
 radial-spherical and spherical-spherical pair coefficients (rs, ss) is
-(rho, sig) = (rs, ss/2).  The wedge product follows one rule,
+(rho, sig) = (rs, ss/2), and a function f is the degree-0 form (0, f).
+The wedge product follows one rule,
 
     (rho_a, sig_a) ^ (rho_b, sig_b) = (rho_a sig_b + rho_b sig_a, sig_a sig_b),
 
-and a form of top degree n is its radial part alone, so forms whose
-degrees sum to n integrate against a function f as
+so (0, f) ^ beta = f beta, exactly for f = 1.  A form of top degree n is
+its radial part alone, so forms whose degrees sum to n integrate against a
+function f as
 
     int f beta_1 ^ ... ^ beta_m = (2 pi)^n int_0^1 f s^{n-1} rho ds,
 
@@ -20,6 +22,11 @@ with rho the radial part of their wedge.  For n (1,1)-forms that is
 sum_j rho_j prod_{j' != j} sig_{j'}.  This one evaluator carries every
 mixed-power energy, Bott-Chern pairing, and curvature-polynomial
 integral in the package.
+
+The Todd forms Td_0 = 1, Td_1 = ric/2 and Td_2 = (3 ric^2 - Tr(iR ^ iR))/24
+are one graded family (``todd_form``), and so are their first variations
+(``todd_variation``), so a formula stated for Td_j is one expression for
+j = 0, 1, 2.
 """
 from __future__ import annotations
 
@@ -74,10 +81,8 @@ def ricci_form(metric) -> RadialForm:
 
 def hessian_form(metric, profile) -> RadialForm:
     """i ddbar v for a radial profile v."""
-    d = metric.nd
-    v1 = profile.deriv()(d["s"])
-    v2 = profile.deriv(2)(d["s"])
-    return RadialForm(d["sigp"] * v1 + d["sig"] * v2, (1.0 - d["s"]) * v1)
+    s = metric.rule.nodes
+    return RadialForm(*metric.hessian(profile.deriv()(s), profile.deriv(2)(s)))
 
 
 def gradient_pair_form(metric, profile) -> RadialForm:
@@ -100,18 +105,25 @@ def curvature_square_pair(metric) -> RadialForm:
     return RadialForm(rs_hat * d["F1"] * d["G"], (B**2 + n * C**2) * d["G"] ** 2, 2)
 
 
-def todd2_form(metric) -> RadialForm:
-    """Td_2 of the curvature as a real (2,2)-form: (3 ric^2 - Tr(iR iR))/24."""
+def todd_form(metric, j) -> RadialForm:
+    """Td_j of the curvature as a real (j,j)-form: 1, ric/2 and
+    (3 ric^2 - Tr(iR iR))/24 for j = 0, 1, 2."""
+    if j == 0:
+        return RadialForm(np.zeros_like(metric.nd["s"]), np.ones_like(metric.nd["s"]), 0)
     ric = ricci_form(metric)
+    if j == 1:
+        return ric.scale(0.5)
     return (wedge_pair(ric, ric).scale(3.0) - curvature_square_pair(metric)).scale(1.0 / 24.0)
 
 
-def todd2_polarization(metric, p, q) -> RadialForm:
-    """Td_2 with one slot on E = (p, q) and one on R, as a real (1,1)-form:
-    (1/12) [3 tr(E) ric - Tr(E . iR)]."""
+def todd_variation(metric, j, p, q) -> RadialForm:
+    """d/de Td_j(R + e E) at e = 0 for the two-sector endomorphism E = (p, q),
+    as a real (j-1,j-1)-form, j = 1, 2: tr(E)/2 and (1/12) [3 tr(E) ric - Tr(E . iR)]."""
+    trace = p + (metric.n - 1) * q
+    if j == 1:
+        return RadialForm(np.zeros_like(trace), 0.5 * trace, 0)
     # Tr(E . iR) is linear in E and ric is its value at E = 1
-    trace3 = 3.0 * (p + (metric.n - 1) * q)
-    return curvature_trace_form(metric, trace3 - p, trace3 - q).scale(1.0 / 12.0)
+    return curvature_trace_form(metric, 3.0 * trace - p, 3.0 * trace - q).scale(1.0 / 12.0)
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,12 @@ from .forms import (
     omega_form,
     pair_integral,
     ricci_form,
-    curvature_square_pair,
-    todd2_form,
-    todd2_polarization,
+    todd_form,
+    todd_variation,
     trace_against,
 )
 from .geometry import (
+    ORDERS,
     VARIATION_STEP,
     ProfilePotential,
     RadialKahlerMetric,
@@ -111,7 +111,7 @@ def bc_todd2(m1: RadialKahlerMetric, m0: RadialKahlerMetric):
     d_omega = omega_form(m1) - omega_form(m0)
 
     def integrand(mt):
-        form = todd2_polarization(mt, *omega_eigenvalues(mt, d_omega))
+        form = todd_variation(mt, 2, *omega_eigenvalues(mt, d_omega))
         return np.array([form.rho, form.sig])
 
     value, refinement = _path_quadrature(m1, m0, integrand)
@@ -128,33 +128,12 @@ class FunctionalLedger:
     path_refinement: float = 0.0  # nonzero only where a path t-quadrature enters
 
 
-def _mixed_power_sum(m1, m0, fvals, lead: RadialForm | None = None):
-    """sum_s int f lead ^ omega_1^s ^ omega_0^{P-s} over s = 0..P, where
-    P = n minus the degree of the leading form, if one is given."""
-    n = m1.n
-    om1, om0 = omega_form(m1), omega_form(m0)
-    head = [] if lead is None else [lead]
-    power = n - sum(fm.degree for fm in head)
-    total = 0.0
-    for s_pow in range(power + 1):
-        forms = head + [om1] * s_pow + [om0] * (power - s_pow)
-        total += mixed_integral(m1.rule, n, fvals, forms)
-    return total
-
-
-def tilde_S0(m1: RadialKahlerMetric, m0: RadialKahlerMetric) -> float:
-    """Degree-(n+1) energy: -(1/(n+1)!) sum_s int phi~ omega_1^s omega_0^{n-s}."""
-    _check_pair(m1, m0)
-    rel = m1.nd["phi"] - m0.nd["phi"]
-    return -_mixed_power_sum(m1, m0, rel) / math.factorial(m1.n + 1)
-
-
 def tilde_S_path(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int,
                  coefficient_fn=coefficient_split) -> FunctionalLedger:
     """Route one: t-quadrature of gamma^(j)(phi-dot) along the linear
     potential path."""
     _check_pair(m1, m0)
-    if j not in (0, 1, 2):
+    if j not in ORDERS:
         raise ValueError(f"j must be 0, 1, or 2, got {j}")
     s = m1.rule.nodes  # phi-dot = phi_1 - phi_0 and two derivatives, the same at every t
     dot = [a(s) - b(s) for a, b in zip(m1.phi_stack[:3], m0.phi_stack[:3])]
@@ -165,34 +144,32 @@ def tilde_S_path(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int,
 
 
 def tilde_S_bc(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int) -> FunctionalLedger:
-    """Route two: Bott-Chern assembly.
+    """Route two: Bott-Chern assembly, one expression for j = 0, 1, 2,
 
     tilde-S_j = -i int BC(Td_j) omega_0^{n+1-j}/(n+1-j)!
-                - (1/(n+1-j)!) sum_{s<=n-j} int Td_j(R_1) phi~ omega_1^s omega_0^{n-j-s}.
+                - (1/(n+1-j)!) sum_{s<=n-j} int Td_j(R_1) phi~ omega_1^s omega_0^{n-j-s},
+
+    where -i BC(Td_j) is 0, (1/2) log(omega_1^n/omega_0^n) and ``bc_todd2``.
     """
     _check_pair(m1, m0)
-    n = m1.n
-    rule = m1.rule
-    if j == 0:
-        return FunctionalLedger(tilde_S0(m1, m0))
-    if j not in (1, 2):
+    if j not in ORDERS:
         raise ValueError(f"j must be 0, 1, or 2, got {j}")
-    rel = m1.nd["phi"] - m0.nd["phi"]
-    om0 = omega_form(m0)
-    refinement = 0.0
+    n, rule = m1.n, m1.rule
+    om1, om0 = omega_form(m1), omega_form(m0)
+    bc_term, refinement = 0.0, 0.0
     if j == 1:
         d1, d0 = m1.nd, m0.nd
         half_log = 0.5 * np.log(
             (d1["F1"] * d1["G"] ** (n - 1)) / (d0["F1"] * d0["G"] ** (n - 1))
         )
         bc_term = mixed_integral(rule, n, half_log, [om0] * n)
-        td_j = ricci_form(m1).scale(0.5)
-    else:
+    elif j == 2:
         bc_form, refinement = bc_todd2(m1, m0)
         bc_term = mixed_integral(rule, n, 1.0, [bc_form] + [om0] * (n - 1))
-        td_j = todd2_form(m1)
-    value = (bc_term - _mixed_power_sum(m1, m0, rel, td_j)) / math.factorial(n + 1 - j)
-    return FunctionalLedger(value, refinement)
+    td_j, rel = todd_form(m1, j), m1.nd["phi"] - m0.nd["phi"]
+    energy = sum(mixed_integral(rule, n, rel, [td_j] + [om1] * s + [om0] * (n - j - s))
+                 for s in range(n - j + 1))
+    return FunctionalLedger((bc_term - energy) / math.factorial(n + 1 - j), refinement)
 
 
 def S_j(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int) -> FunctionalLedger:
@@ -200,7 +177,7 @@ def S_j(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int) -> FunctionalLed
     S_0 = tilde-S_0/V and S_j = tilde-S_j - a^_j tilde-S_0 for j > 0."""
     _check_pair(m1, m0)
     n = m1.n
-    s0 = tilde_S0(m1, m0)
+    s0 = tilde_S_bc(m1, m0, 0).value
     if j == 0:
         return FunctionalLedger(s0 / class_volume(n))
     base = tilde_S_bc(m1, m0, j)
@@ -289,13 +266,9 @@ def second_variation_S2(metric_ref: RadialKahlerMetric, dir_dot: ScalarField,
         )
     total += 0.25 * m.integrate(lap_dot.values**2 * S_field.values)
     if n >= 3:
-        total += mixed_integral(rule, n, 1.0, [grad_dot, ric, ric] + [om] * (n - 3)) / (
-            8.0 * math.factorial(n - 3)
-        )
-        # Tr(R^2) = -Tr(iR iR) as a real (2,2)-form
-        total -= pair_integral(
-            rule, n, 1.0, curvature_square_pair(m), [grad_dot] + [om] * (n - 3)
-        ) / (24.0 * math.factorial(n - 3))
+        total += pair_integral(
+            rule, n, 1.0, todd_form(m, 2), [grad_dot] + [om] * (n - 3)
+        ) / math.factorial(n - 3)
     total -= 0.5 * m.integrate(lap_dot.values * form_inner(m, hess_dot, ric))
     A, B, C = m.frame_curvature()
     p_hat, q_hat = omega_eigenvalues(m, hess_dot)

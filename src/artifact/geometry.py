@@ -41,6 +41,7 @@ from .profiles import Profile, chebyshev_points
 from .quadrature import TWO_PI, RadialQuadrature
 
 DIMENSIONS = (1, 2, 3)  # the supported complex dimensions n
+ORDERS = (0, 1, 2)  # the supported orders j of a_j, Td_j and S_j
 MAX_POTENTIAL_DEGREE = 12
 VARIATION_STEP = 1e-4  # central-difference step of the first-variation checks
 _POSITIVITY_GRID = np.concatenate([chebyshev_points(257), [0.0, 1.0]])  # dense, with endpoints
@@ -201,13 +202,18 @@ class RadialKahlerMetric:
     def volume(self) -> float:
         return self.integrate(np.ones_like(self.rule.nodes))
 
-    def laplacian_values(self, f1, f2, s=None):
-        """Half-Laplacian of a radial field from its s-derivatives."""
+    def hessian(self, f1, f2, s=None):
+        """Reduced coordinates (rho, sig) of i ddbar f at s for a radial field f
+        with s-derivatives f1, f2 there."""
         d = self.profile_data(s)
-        out = (d["sigp"] * f1 + d["sig"] * f2) / d["F1"]
-        if self.n > 1:
-            out = out + (self.n - 1) * (1.0 - d["s"]) * f1 / d["G"]
-        return out
+        return d["sigp"] * f1 + d["sig"] * f2, (1.0 - d["s"]) * f1
+
+    def laplacian_values(self, f1, f2, s=None):
+        """Half-Laplacian of a radial field from its s-derivatives: the
+        omega-trace rho/F' + (n-1) sig/G of its Hessian."""
+        d = self.profile_data(s)
+        rho, sig = self.hessian(f1, f2, s)
+        return rho / d["F1"] + (self.n - 1) * sig / d["G"]
 
     def _cached_field(self, key, builder):
         field = self._field_cache.get(key)
@@ -329,7 +335,7 @@ def coefficient_split(j: int, S, P):
     """(u_j / S, v_j) with a_j = Delta u_j + v_j, from the scalar curvature S and the
     curvature polynomial P (Lu 2000): (u_j, v_j) = (0, 1), (0, S/2) and (S/3, P) for
     j = 0, 1, 2.  u_j is a constant multiple of S, so Delta u_j needs only Delta S."""
-    if j not in (0, 1, 2):
+    if j not in ORDERS:
         raise UnsupportedCoefficient(j)
     return ((0.0, np.ones_like(S)), (0.0, 0.5 * S), (1.0 / 3.0, P))[j]
 

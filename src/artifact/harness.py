@@ -33,6 +33,7 @@ from .functionals import (
 from .futaki import hamiltonian_potential, invariant_lhs, invariant_rhs, lu_lemma_defect
 from .geometry import (
     DIMENSIONS,
+    ORDERS,
     RadialPotential,
     ScalarField,
     build_metric,
@@ -228,7 +229,7 @@ def _partition_rows(config, metric, base):
 
 def _functionals_rows(config, metric, base):
     rows = []
-    for j in (0, 1, 2):
+    for j in ORDERS:
         path = tilde_S_path(metric, base, j).value
         bc = tilde_S_bc(metric, base, j).value
         sj = S_j(metric, base, j).value
@@ -239,7 +240,7 @@ def _functionals_rows(config, metric, base):
 def _futaki_rows(config, metric):
     data = hamiltonian_potential(metric)
     rows = []
-    for j in (0, 1, 2):
+    for j in ORDERS:
         lhs = invariant_lhs(metric, data, j)
         rhs = invariant_rhs(metric, data, j)
         rows.append((j, lhs, rhs, abs(lhs - rhs)))
@@ -313,7 +314,7 @@ def run_fit(config: ExperimentConfig):
     samples = [
         (k, TWO_PI**n * log_partition_ratio(metric, base, k)) for k in config.k_values
     ]
-    s_vals = {j: S_j(metric, base, j).value for j in (0, 1, 2)}
+    s_vals = {j: S_j(metric, base, j).value for j in ORDERS}
 
     def known(k):
         return k * dim_h0(n, int(round(k))) * TWO_PI**n * s_vals[0]
@@ -392,7 +393,7 @@ def verify_suite(tol_profile: str = "default",
     worst = 0.0
     for n in DIMENSIONS:
         m = build_metric(RadialPotential(n, (0.0, 0.11, -0.05, 0.02)), rule)
-        for j in (0, 1, 2):
+        for j in ORDERS:
             worst = max(worst, coefficient_average(m, j).discrepancy)
     checks.append(CheckResult("riemann-roch-averages", worst, tols["riemann_roch"]))
 
@@ -401,7 +402,7 @@ def verify_suite(tol_profile: str = "default",
     for n in DIMENSIONS:
         m1 = build_metric(RadialPotential(n, (0.0, 0.1, -0.06)), rule)
         m0 = build_metric(RadialPotential(n, (0.0, -0.04, 0.03)), rule)
-        for j in (1, 2):
+        for j in ORDERS[1:]:
             a = tilde_S_path(m1, m0, j, coefficient_fn=coefficient_fn).value
             b = tilde_S_bc(m1, m0, j).value
             worst = max(worst, abs(a - b) / (1.0 + abs(b)))
@@ -414,7 +415,7 @@ def verify_suite(tol_profile: str = "default",
             build_metric(RadialPotential(n, c), rule)
             for c in ((0.0,), (0.0, 0.09, -0.04), (0.0, -0.05, 0.02, 0.01))
         ]
-        for j in (1, 2):
+        for j in ORDERS[1:]:
             worst = max(worst, abs(cocycle_defect(j, mets[2], mets[1], mets[0])))
     checks.append(CheckResult("cocycle", worst, tols["cocycle"]))
 
@@ -423,7 +424,7 @@ def verify_suite(tol_profile: str = "default",
     for n in DIMENSIONS:
         m = build_metric(RadialPotential(n, (0.0, 0.12, -0.07, 0.02)), rule)
         data = hamiltonian_potential(m)
-        for j in (0, 1, 2):
+        for j in ORDERS:
             lhs = invariant_lhs(m, data, j, coefficient_fn=coefficient_fn)
             rhs = invariant_rhs(m, data, j)
             worst = max(worst, abs(lhs - rhs))
@@ -437,7 +438,7 @@ def verify_suite(tol_profile: str = "default",
     m = build_metric(RadialPotential(1, (0.0, 0.08, -0.03)), rule)
     direction = ScalarField.from_callable(m, lambda s: np.sin(2.0 * s) - 0.5 * s)
     worst = 0.0
-    for j in (0, 1, 2):
+    for j in ORDERS:
         fd, formula, defect = first_variation(j, m, direction)
         worst = max(worst, defect / (1.0 + abs(formula)))
     checks.append(CheckResult("first-variation", worst, tols["first_variation"]))

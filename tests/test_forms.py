@@ -4,6 +4,7 @@ import numpy as np
 
 from artifact import ScalarField
 from artifact.forms import (
+    RadialForm,
     curvature_square_pair,
     curvature_trace_form,
     form_inner,
@@ -13,8 +14,8 @@ from artifact.forms import (
     omega_form,
     pair_integral,
     ricci_form,
-    todd2_form,
-    todd2_polarization,
+    todd_form,
+    todd_variation,
     trace_against,
     wedge_pair,
 )
@@ -43,7 +44,7 @@ def test_characteristic_numbers_on_cp2(rng, rule200):
         assert abs(c1sq - 9.0 * TWO_PI**2) < 1e-10
         theta2 = pair_integral(rule200, 2, 1.0, curvature_square_pair(m), [])
         assert abs(theta2 - 3.0 * TWO_PI**2) < 1e-10
-        td2 = pair_integral(rule200, 2, 1.0, todd2_form(m), [])
+        td2 = pair_integral(rule200, 2, 1.0, todd_form(m, 2), [])
         assert abs(td2 - TWO_PI**2) < 1e-10
 
 
@@ -99,15 +100,35 @@ def test_trace_and_inner_against_omega(rng, rule200):
     assert np.abs(form_inner(m, om, om) - m.n).max() < 1e-13
 
 
-def test_todd2_polarization_matches_two_term_reference(rng, rule200):
-    # (3 tr(E) ric - Tr(E . iR))/12 written out, for nodewise and constant E
+def test_todd_variation_matches_two_term_reference(rng, rule200):
+    # (3 tr(E) ric - Tr(E . iR))/12 written out for j = 2, and tr(E)/2 as a
+    # degree-0 form for j = 1, for nodewise and constant E
     for n in (1, 2, 3):
         m = random_metric(rng, n, rule200)
         ric = ricci_form(m)
         for p, q in (rng.normal(size=(2, rule200.order)), rng.normal(size=2)):
             trace = p + (n - 1) * q
             e_ric = curvature_trace_form(m, p, q)
-            got = todd2_polarization(m, p, q)
+            got = todd_variation(m, 2, p, q)
             for part, want in ((got.rho, (3.0 * trace * ric.rho - e_ric.rho) / 12.0),
                                (got.sig, (3.0 * trace * ric.sig - e_ric.sig) / 12.0)):
                 assert np.abs(part - want).max() <= 1e-14 * np.abs(want).max()
+            got = todd_variation(m, 1, p, q)
+            assert got.degree == 0
+            assert np.all(got.rho == 0.0)
+            assert np.abs(got.sig - trace / 2.0).max() <= 1e-14 * np.abs(trace).max()
+
+
+def test_degree_zero_form_multiplies(rng, rule200):
+    # (0, f) ^ beta = f beta, so a function rides along as a leading form
+    for n in (1, 2, 3):
+        m = random_metric(rng, n, rule200)
+        f = np.cos(3.0 * rule200.nodes) + 1.5
+        lead = RadialForm(np.zeros_like(f), f, 0)
+        ric = ricci_form(m)
+        got = wedge_pair(lead, ric)
+        assert got.degree == 1
+        assert np.array_equal(got.rho, f * ric.rho) and np.array_equal(got.sig, f * ric.sig)
+        forms = [ric] + [omega_form(m)] * (n - 1)
+        want = mixed_integral(rule200, n, f, forms)
+        assert abs(mixed_integral(rule200, n, 1.0, [lead] + forms) - want) <= 1e-15 * abs(want)

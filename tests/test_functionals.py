@@ -11,11 +11,10 @@ from artifact import (
     cocycle_defect,
     first_variation,
     second_variation_S2,
-    tilde_S0,
     tilde_S_bc,
     tilde_S_path,
 )
-from artifact.forms import hessian_form, ricci_form
+from artifact.forms import hessian_form, mixed_integral, omega_form, ricci_form
 from artifact.geometry import (
     ProfilePotential,
     RadialKahlerMetric,
@@ -44,7 +43,19 @@ def test_degree_energy_of_constant(fs_metric, rule200):
         vol = TWO_PI**n / math.factorial(n)
         c = 0.37
         m = build_metric(RadialPotential(n, (c,)), rule200)
-        assert abs(tilde_S0(m, fs_metric(n)) + c * vol) < 1e-12
+        assert abs(tilde_S_bc(m, fs_metric(n), 0).value + c * vol) < 1e-12
+
+
+def test_bott_chern_degree_energy_is_the_mixed_power_sum(rng, rule200):
+    # j = 0 has no Bott-Chern term and Td_0 = 1 wedges exactly
+    for n in (1, 2, 3):
+        m1, m0 = random_metric(rng, n, rule200), random_metric(rng, n, rule200)
+        om1, om0 = omega_form(m1), omega_form(m0)
+        rel = m1.nd["phi"] - m0.nd["phi"]
+        total = 0.0
+        for s in range(n + 1):
+            total += mixed_integral(rule200, n, rel, [om1] * s + [om0] * (n - s))
+        assert tilde_S_bc(m1, m0, 0).value == -total / math.factorial(n + 1)
 
 
 def test_both_routes_agree(rng, rule200):
