@@ -18,9 +18,14 @@ log(1 + (e^t - 1) s) + c and t = log|lambda|^2, is a fixed point at every
 level, and the iteration converges to one of them that depends on the
 starting potential.
 
-FS(H) is a profile potential, evaluated only through its Chebyshev series
-like every potential; ``project_potential`` converts that series back to
-power-basis coefficients once, when the iteration stops.
+Inside the T-iteration FS(H) is never fitted.  With P the stratum sum of
+FS(H) and p_m the share of its m-th term, phi = (1/k) log P, G =
+E_p[m]/(ks) and F' = Var_p[m]/(k s(1-s)) exactly, and e^(-k phi) = 1/P, so
+each step after the first reads FS(H) at the quadrature nodes and its
+Bergman density on the dense grid from two stratum sums
+(``fs_map_metric``).  ``fs_map_profile`` fits FS(H) as a Chebyshev series
+once, when the iteration stops, and ``project_potential`` converts that
+series back to power-basis coefficients.
 """
 from __future__ import annotations
 
@@ -32,12 +37,15 @@ from numpy.polynomial import Chebyshev, Polynomial
 from scipy.special import gammaln
 
 from .bergman import (
+    DENSE_GRID,
     LOG_TWO_PI,
     bergman_density,
     dim_h0,
     gram,
+    log_density,
     log_partition_ratio,
     log_stratum_sum,
+    stratum_moments,
 )
 from .errors import NotConverged, ProjectionTail
 from .functionals import S_j
@@ -46,6 +54,7 @@ from .geometry import (
     RadialKahlerMetric,
     RadialPotential,
     build_metric,
+    check_positive,
     class_volume,
     fubini_study,
 )
@@ -88,6 +97,16 @@ class IterationTrace:
     iterations: int
     converged: bool
 
+    @property
+    def contraction_rate(self) -> float:
+        """Geometric-mean ratio of successive defects over the second half of
+        the steps (nan before the first step)."""
+        d = self.defects
+        if len(d) < 2:
+            return math.nan
+        half = (len(d) - 1) // 2
+        return float((d[-1] / d[half]) ** (1.0 / (len(d) - 1 - half)))
+
 
 def hilb_map(metric: RadialKahlerMetric, k: int) -> BasisMetric:
     """Rescaled L^2 form of the potential: eta_m from the radial Gram data."""
@@ -97,13 +116,39 @@ def hilb_map(metric: RadialKahlerMetric, k: int) -> BasisMetric:
     return BasisMetric(n, k, gd.log_Jm + log_scale)
 
 
+def _fs_weights(H: BasisMetric) -> np.ndarray:
+    """Stratum weights w_m = -log (n-1)! - log eta_m, so that k phi_H = log_stratum_sum."""
+    return -gammaln(H.n) - H.log_eta
+
+
 def fs_map_profile(H: BasisMetric) -> ProfilePotential:
     """The Fubini-Study potential of H as a smooth radial profile."""
-    n, k = H.n, H.k
-    log_weights = -gammaln(n) - H.log_eta
+    n, k, log_weights = H.n, H.k, _fs_weights(H)
     return ProfilePotential(
         n, Profile.from_callable(lambda s: log_stratum_sum(n, k, log_weights, s) / k)
     )
+
+
+def fs_map_metric(H: BasisMetric, rule) -> tuple:
+    """(metric, balance defect) of FS(H), from the stratum moments and no series.
+
+    The metric carries only the nodal data phi, F, F' and G (no potential),
+    which is what ``hilb_map`` reads.  F' and G are checked positive at the
+    nodes and at the interior points of the dense grid (at s = 0 and 1 both
+    are 0/0 limits, ratios of positive weights).  The defect reads the
+    density exp(LSS(-log J) - log P)/(2 pi)^n on the dense grid.
+    """
+    n, k, log_weights = H.n, H.k, _fs_weights(H)
+    s = np.concatenate([rule.nodes, DENSE_GRID])
+    log_P, mean, var = stratum_moments(n, k, log_weights, s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = {"s": s, "phi": log_P / k, "F": mean / k, "F1": var / (k * s * (1.0 - s)),
+             "G": mean / (k * s)}
+    inner = (s > 0.0) & (s < 1.0)
+    check_positive(s[inner], d["F1"][inner], d["G"][inner])
+    metric = RadialKahlerMetric(n, None, rule, {key: v[: rule.order] for key, v in d.items()})
+    rho = np.exp(log_density(n, k, gram(metric, k).log_Jm, DENSE_GRID, log_P[rule.order:]))
+    return metric, _sup_defect(n, k, rho.min(), rho.max())
 
 
 def project_potential(potential: ProfilePotential, degree: int,
@@ -125,43 +170,46 @@ def project_potential(potential: ProfilePotential, degree: int,
     return RadialPotential(potential.n, tuple(power))
 
 
+def _sup_defect(n: int, k: int, low: float, high: float) -> float:
+    """sup |(V/d_k) rho - 1| for a density rho with range [low, high]."""
+    scale = class_volume(n) / dim_h0(n, k)
+    return float(max(abs(scale * high - 1.0), abs(scale * low - 1.0)))
+
+
 def balance_defect(metric: RadialKahlerMetric, k: int) -> float:
     """sup |(V/d_k) rho_k - 1| over [0, 1]."""
-    n = metric.n
-    scale = class_volume(n) / dim_h0(n, k)
     dens = bergman_density(metric, k)
-    return float(
-        max(abs(scale * dens.max_value - 1.0), abs(scale * dens.min_value - 1.0))
-    )
+    return _sup_defect(metric.n, k, dens.min_value, dens.max_value)
 
 
 def t_iteration(initial_potential, k: int, rule=None,
                 max_iter: int = MAX_ITERATIONS, tol: float = BALANCE_TOL):
     """Alternate Hilb and FS from the initial potential until balanced.
 
-    Returns (balanced potential, IterationTrace); the returned potential
-    is projected to the power basis at twice the starting degree.  Raises
-    NotConverged (carrying the trace) when max_iter is exhausted.
+    Step 0 builds the starting metric; every later step maps H = Hilb(metric)
+    to the nodal metric of FS(H) (``fs_map_metric``).  Returns (balanced
+    potential, IterationTrace); the returned potential is projected to the
+    power basis at twice the starting degree.  Raises NotConverged (carrying
+    the trace) when max_iter is exhausted.
     """
     rule = rule or radial_rule(required_order(k))
     if isinstance(initial_potential, RadialPotential):
         out_degree = 2 * max(initial_potential.degree, 1)
     else:
         out_degree = 2 * max(initial_potential.profile.coef.size - 1, 1)
-    current = initial_potential
-    defects = []
-    for it in range(max_iter + 1):
-        metric = build_metric(current, rule)
-        defect = balance_defect(metric, k)
+    metric = build_metric(initial_potential, rule)
+    defects = [balance_defect(metric, k)]
+    H = None
+    while not defects[-1] <= tol:
+        if len(defects) > max_iter:
+            raise NotConverged(IterationTrace(tuple(defects), max_iter, False))
+        H = hilb_map(metric, k)
+        metric, defect = fs_map_metric(H, rule)
         defects.append(defect)
-        if defect <= tol:
-            if not isinstance(current, RadialPotential):
-                current = project_potential(current, out_degree)
-            return current, IterationTrace(tuple(defects), it, True)
-        if it == max_iter:
-            break
-        current = fs_map_profile(hilb_map(metric, k))
-    raise NotConverged(IterationTrace(tuple(defects), max_iter, False))
+    current = initial_potential if H is None else fs_map_profile(H)
+    if not isinstance(current, RadialPotential):
+        current = project_potential(current, out_degree)
+    return current, IterationTrace(tuple(defects), len(defects) - 1, True)
 
 
 def normalize_potential(potential: RadialPotential, rule=None) -> RadialPotential:

@@ -19,10 +19,17 @@ alpha_i = a occurs in C(k-a+n-1, n-1) of them, so
 The Bergman density and the Fubini-Study map of a diagonal form are the
 same log-space stratum sum
 
-    log sum_m (n-1+m)!/m! s^m (1-s)^(k-m) e^(w_m)
+    log P(s) = log sum_m (n-1+m)!/m! s^m (1-s)^(k-m) e^(w_m)
 
-with different weights w (``log_stratum_sum``).  A 2D full-Hermitian mode
-on CP^1 cross-checks the reduction.
+with different weights w (``log_stratum_sum``).  The shares p_m of the m-th
+term in P form a probability distribution on the degrees, and the
+Fubini-Study potential phi = (1/k) log P has, exactly,
+
+    F = E_p[m]/k,   G = E_p[m]/(ks),   F' = Var_p[m]/(k s(1-s)),
+
+so a T-step reads FS(H) at the nodes from the two moments of p
+(``stratum_moments``) and fits no series.  A 2D full-Hermitian mode on CP^1
+cross-checks the reduction.
 """
 from __future__ import annotations
 
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import NonPositiveNorm
 from .geometry import (VARIATION_STEP, RadialKahlerMetric, ScalarField, central_difference,
@@ -39,6 +46,7 @@ from .geometry import (VARIATION_STEP, RadialKahlerMetric, ScalarField, central_
 from .quadrature import TWO_PI, check_resolution, sphere_grid
 
 LOG_TWO_PI = math.log(TWO_PI)
+DENSE_GRID = np.linspace(0.0, 1.0, 513)  # where densities are bounded, endpoints included
 
 
 def dim_h0(n: int, k: int) -> int:
@@ -63,8 +71,14 @@ def _log_angular_sum(n: int, k: int) -> float:
     return sum(terms.tolist())
 
 
-def log_stratum_sum(n: int, k: int, log_weights: np.ndarray, s) -> np.ndarray:
-    """log sum_m (n-1+m)!/m! s^m (1-s)^(k-m) e^(w_m) at each s in [0, 1]."""
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log sum exp(a) along an axis, shifted by the largest term."""
+    top = a.max(axis=axis, keepdims=True)
+    return np.log(np.exp(a - top).sum(axis=axis)) + np.squeeze(top, axis)
+
+
+def _stratum_terms(n: int, k: int, log_weights: np.ndarray, s) -> np.ndarray:
+    """log of the term (n-1+m)!/m! s^m (1-s)^(k-m) e^(w_m), m = 0..k by rows, s by columns."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     m = np.arange(k + 1)
     log_D = gammaln(n + m) - gammaln(m + 1)
@@ -73,7 +87,22 @@ def log_stratum_sum(n: int, k: int, log_weights: np.ndarray, s) -> np.ndarray:
         t_1ms = np.outer(k - m, np.log1p(-s))
     t_s[0, :] = 0.0  # m = 0 contributes s^0 = 1 even at s = 0
     t_1ms[-1, :] = 0.0  # m = k contributes (1-s)^0 = 1 even at s = 1
-    return logsumexp(t_s + t_1ms + (log_D + log_weights)[:, None], axis=0)
+    return t_s + t_1ms + (log_D + log_weights)[:, None]
+
+
+def log_stratum_sum(n: int, k: int, log_weights: np.ndarray, s) -> np.ndarray:
+    """log P(s) = log sum_m (n-1+m)!/m! s^m (1-s)^(k-m) e^(w_m) at each s in [0, 1]."""
+    return _logsumexp(_stratum_terms(n, k, log_weights, s), 0)
+
+
+def stratum_moments(n: int, k: int, log_weights: np.ndarray, s):
+    """(log P, E_p[m], Var_p[m]) at each s, with p_m the m-th term's share of P."""
+    terms = _stratum_terms(n, k, log_weights, s)
+    log_P = _logsumexp(terms, 0)
+    p = np.exp(terms - log_P)
+    m = np.arange(k + 1.0)[:, None]
+    mean = (m * p).sum(axis=0)
+    return log_P, mean, ((m - mean) ** 2 * p).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -95,7 +124,7 @@ def _radial_log_J(metric: RadialKahlerMetric, k: int) -> np.ndarray:
     m = np.arange(k + 1)
     # (k+1) x nodes exponent matrix; all entries moderate since s is interior
     expo = np.outer(m + n - 1, log_s) + np.outer(k - m, log_1ms) + log_base[None, :]
-    return logsumexp(expo, axis=1)
+    return _logsumexp(expo, 1)
 
 
 def gram(metric: RadialKahlerMetric, k: int) -> GramData:
@@ -152,12 +181,15 @@ class BergmanDensity:
         return float(metric.integrate(self.field.values) - dim_h0(metric.n, self.k))
 
 
+def log_density(n: int, k: int, log_Jm: np.ndarray, s, k_phi) -> np.ndarray:
+    """log rho_k at s from the Gram data and k phi(s): the stratum sum of 1/J_m over e^(k phi)."""
+    return log_stratum_sum(n, k, -log_Jm, s) - k_phi - n * LOG_TWO_PI
+
+
 def density_values(metric: RadialKahlerMetric, k: int, log_Jm: np.ndarray, s) -> np.ndarray:
     """Bergman density rho_k at arbitrary s in [0, 1] (stable log-space sum)."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    n = metric.n
-    phi = metric.potential.profile(s)
-    return np.exp(log_stratum_sum(n, k, -log_Jm, s) - k * phi - n * LOG_TWO_PI)
+    return np.exp(log_density(metric.n, k, log_Jm, s, k * metric.potential.profile(s)))
 
 
 def bergman_density(metric: RadialKahlerMetric, k: int) -> BergmanDensity:
@@ -165,7 +197,7 @@ def bergman_density(metric: RadialKahlerMetric, k: int) -> BergmanDensity:
     field = ScalarField.from_callable(
         metric, lambda s: density_values(metric, k, log_Jm, s)
     )
-    dense = density_values(metric, k, log_Jm, np.linspace(0.0, 1.0, 513))
+    dense = density_values(metric, k, log_Jm, DENSE_GRID)
     return BergmanDensity(field, float(dense.min()), float(dense.max()), k)
 
 

@@ -35,7 +35,6 @@ from .geometry import (
     build_metric,
     class_volume,
     coefficient_split,
-    half_laplacian,
 )
 from .profiles import Profile
 
@@ -76,23 +75,16 @@ def hamiltonian_potential(metric: RadialKahlerMetric) -> VectorFieldData:
 
 
 def lu_lemma_defect(metric: RadialKahlerMetric) -> float:
-    """Sup-norm residual of the trace identity iota_X ric = dbar Delta theta_X.
+    """Residual of the trace identity iota_X ric = dbar Delta theta_X.
 
-    Both sides are exact radial 1-forms, so the identity is equivalent to
-    Tr(nabla X) and Delta F differing by a constant.  With the exact nodal F'
-    and F'' the gap is constant to 8.9e-16 for n = 1..3, so this reading
-    (about 3e-12 to 6e-12 on the verify metrics) is the error of fitting F and
-    its Laplacian and differentiating, not a geometric residual.
+    Both sides are exact radial 1-forms, so the identity says Tr(nabla X) and
+    Delta F differ by a constant; the residual is the spread (max - min) of
+    that gap over the nodes, from the nodal F' and F''.
     """
-    n = metric.n
-    moment = ScalarField.from_callable(metric, lambda s: metric.profile_data(s)["F"])
-    lap_moment = half_laplacian(metric, moment).profile
-
-    def gap(s):
-        rad, sph = covariant_endomorphism(metric, s)
-        return rad + (n - 1) * sph - lap_moment(s)
-
-    return Profile.from_callable(gap).deriv().sup_norm()
+    d = metric.nd
+    rad, sph = covariant_endomorphism(metric)
+    gap = rad + (metric.n - 1) * sph - metric.laplacian_values(d["F1"], d["F2"])
+    return float(gap.max() - gap.min())
 
 
 def invariant_lhs(metric: RadialKahlerMetric, field_data: VectorFieldData, j: int,

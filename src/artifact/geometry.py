@@ -134,7 +134,11 @@ def _derivative_stack(profile):
 
 
 class RadialKahlerMetric:
-    """A radial Kahler metric on CP^n: ``nd`` at the rule nodes, and phi's derivative stack."""
+    """A radial Kahler metric on CP^n: ``nd`` at the rule nodes, and phi's derivative stack.
+
+    A metric given by its nodal data alone (the T-iteration's FS(H)) has no
+    potential and no stack; only what reads ``nd`` applies to it.
+    """
 
     def __init__(self, n, potential, rule: RadialQuadrature, nd, stack=None):
         self.n = int(n)
@@ -270,6 +274,14 @@ def _require_attached(metric, field: ScalarField):
 # public operations
 
 
+def check_positive(s, F1, G) -> None:
+    """Raise NonPositiveMetric at the first s where F' or G is not positive."""
+    for name, vals in (("radial", F1), ("spherical", G)):
+        idx = int(np.argmin(vals))
+        if vals[idx] <= 0.0:
+            raise NonPositiveMetric(s[idx], vals[idx], sector=name)
+
+
 def build_metric(potential, rule: RadialQuadrature) -> RadialKahlerMetric:
     """Construct and positivity-check a radial metric."""
     if isinstance(potential, RadialPotential) and potential.degree > MAX_POTENTIAL_DEGREE:
@@ -281,10 +293,7 @@ def build_metric(potential, rule: RadialQuadrature) -> RadialKahlerMetric:
     # so its head is exactly the nodal data
     check = np.concatenate([rule.nodes, _POSITIVITY_GRID])
     d = _stack_data(stack, check)
-    for name, vals in (("radial", d["F1"]), ("spherical", d["G"])):
-        idx = int(np.argmin(vals))
-        if vals[idx] <= 0.0:
-            raise NonPositiveMetric(check[idx], vals[idx], sector=name)
+    check_positive(check, d["F1"], d["G"])
     nd = {key: v[: rule.order] for key, v in d.items()}
     return RadialKahlerMetric(potential.n, potential, rule, nd, stack)
 

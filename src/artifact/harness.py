@@ -253,10 +253,11 @@ def _balanced_rows(config, rule):
     for k in config.k_values:
         try:
             _, trace = t_iteration(pot, k, rule)
-            rows.append((k, trace.iterations, trace.converged, trace.defects[-1]))
         except NotConverged as exc:
-            rows.append((k, exc.trace.iterations, False, exc.trace.defects[-1]))
-    return ["k", "iterations", "converged", "final_defect"], rows
+            trace = exc.trace
+        rows.append((k, trace.iterations, trace.converged, trace.defects[-1],
+                     trace.contraction_rate))
+    return ["k", "iterations", "converged", "final_defect", "contraction_rate"], rows
 
 
 def run_experiment(config: ExperimentConfig) -> RunManifest:

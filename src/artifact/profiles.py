@@ -93,7 +93,3 @@ class Profile:
         if t > tol:
             raise TailTooLarge(t, tol)
         return self
-
-    def sup_norm(self) -> float:
-        s = np.linspace(0.0, 1.0, 512)
-        return float(np.abs(self(s)).max())

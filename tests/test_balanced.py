@@ -1,7 +1,10 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from artifact import (
     RadialPotential,
@@ -15,7 +18,7 @@ from artifact import (
     radial_rule,
     t_iteration,
 )
-from artifact.balanced import BasisMetric, project_potential
+from artifact.balanced import BasisMetric, fs_map_metric, project_potential
 from artifact.bergman import density_values, gram
 from artifact.errors import NotConverged, ProjectionTail
 from artifact.functionals import S_j
@@ -23,7 +26,7 @@ from artifact.geometry import ProfilePotential
 from artifact.profiles import Profile
 from artifact.quadrature import TWO_PI, required_order
 
-from conftest import random_metric
+from conftest import count_profile_calls, random_metric
 
 S_DENSE = np.linspace(0.0, 1.0, 401)
 
@@ -52,7 +55,7 @@ def test_basis_metric_validation():
 def test_fs_map_fixes_fubini_study(fs_metric):
     for n, k in ((1, 12), (2, 9), (3, 6)):
         prof = fs_map_profile(hilb_map(fs_metric(n), k))
-        assert prof.profile.sup_norm() < 1e-12
+        assert np.abs(prof.profile(np.linspace(0.0, 1.0, 512))).max() < 1e-12
 
 
 def test_density_and_fs_map_share_one_stratum_sum(rng, rule200):
@@ -66,6 +69,66 @@ def test_density_and_fs_map_share_one_stratum_sum(rng, rule200):
             fs = fs_map_profile(hilb_map(m, k)).profile(S_DENSE)
             lhs = vol * rho / dim_h0(n, k)
             assert np.abs(lhs - np.exp(k * (fs - phi))).max() < 1e-12, (n, k)
+
+
+def _fs_moments_reference(n, k, log_weights, s):
+    """(phi, F, F', G) of FS(H) at one s from the degree shares p_m, in 40-digit decimals."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        s = Decimal(float(s))
+        terms = [Decimal(math.factorial(n - 1 + m) // math.factorial(m))
+                 * Decimal(float(log_weights[m])).exp() * s**m * (1 - s) ** (k - m)
+                 for m in range(k + 1)]
+        P = sum(terms)
+        mean = sum(m * t for m, t in enumerate(terms)) / P
+        var = sum((m - mean) ** 2 * t for m, t in enumerate(terms)) / P
+        return [float(v) for v in (P.ln() / k, mean / k, var / (k * s * (1 - s)), mean / (k * s))]
+
+
+def test_moments_give_the_fs_metric_and_its_defect(rng, rule200):
+    # phi = log P/k, F = E_p[m]/k, F' = Var_p[m]/(k s(1-s)), G = E_p[m]/(ks): exact to
+    # roundoff against decimals, and to the fit's resolution against the fitted FS(H)
+    keys = ("phi", "F", "F1", "G")
+    for n in (1, 2, 3):
+        m = random_metric(rng, n, rule200)
+        for k in (5, 20, 40):
+            H = hilb_map(m, k)
+            nodal, defect = fs_map_metric(H, rule200)
+            assert nodal.potential is None
+            sample = np.arange(0, rule200.order, 9)
+            exact = np.array([_fs_moments_reference(n, k, -gammaln(n) - H.log_eta, s)
+                              for s in rule200.nodes[sample]]).T
+            fitted = build_metric(fs_map_profile(H), rule200)
+            for key, ref in zip(keys, exact):
+                scale = np.abs(ref).max()
+                assert np.abs(nodal.nd[key][sample] - ref).max() < 1e-13 * scale, (n, k, key)
+                gap = np.abs(nodal.nd[key] - fitted.nd[key]).max()
+                assert gap < 5e-12 * np.abs(fitted.nd[key]).max(), (n, k, key)
+            assert abs(defect - balance_defect(fitted, k)) < 1e-13, (n, k)
+
+
+def test_iteration_fits_fs_once_when_it_stops(monkeypatch):
+    start = RadialPotential(1, (0.0, 0.01, -0.005))
+    calls = count_profile_calls(monkeypatch, "from_callable", "deriv")
+    _, trace = t_iteration(start, 10)
+    assert trace.iterations > 100
+    # the start's derivative stack, then one fit of the final FS(H)
+    assert sorted(calls) == ["deriv"] * 4 + ["from_callable"]
+    calls.clear()
+    with pytest.raises(NotConverged):
+        t_iteration(start, 10, max_iter=20)
+    assert calls == ["deriv"] * 4
+
+
+def test_contraction_rate_of_the_plain_map():
+    start = RadialPotential(1, (0.0, 0.01, -0.005))  # acceptance 11a's start
+    _, trace = t_iteration(start, 10)
+    assert abs(trace.contraction_rate - 0.923) <= 0.002
+    with pytest.raises(NotConverged) as err:
+        t_iteration(start, 20)
+    assert abs(err.value.trace.contraction_rate - 0.976) <= 0.002
+    fs_start = t_iteration(RadialPotential(1, (0.0,)), 10)[1]
+    assert fs_start.iterations == 0 and math.isnan(fs_start.contraction_rate)
 
 
 def test_balance_defect_makes_one_stratum_sum(rng, rule200, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from artifact import (
     RadialPotential,
@@ -18,8 +19,12 @@ from artifact import (
 )
 from artifact.bergman import (
     _log_angular_sum,
+    _logsumexp,
+    _stratum_terms,
     degree_multiplicities,
     donaldson_variation_check,
+    log_stratum_sum,
+    stratum_moments,
 )
 from artifact.errors import ResolutionTooLow
 from artifact.geometry import fubini_study
@@ -135,3 +140,33 @@ def test_density_integral_counts_sections(coeffs):
     dens = bergman_density(m, 12)
     assert abs(dens.integral_defect) < 1e-10
     assert dens.min_value > 0.0
+
+
+@pytest.mark.parametrize("shape", [(21, 161), (41, 232), (121, 345), (201, 432)])
+def test_logsumexp_matches_scipy(rng, shape):
+    a = rng.normal(0.0, 30.0, size=shape)
+    for axis in (0, 1):
+        assert np.abs(_logsumexp(a, axis) - logsumexp(a, axis=axis)).max() < 1e-13
+    # the stratum terms: at s = 0 and s = 1 every term but one is -inf
+    k, n = shape[0] - 1, 2
+    s = np.linspace(0.0, 1.0, shape[1])
+    terms = _stratum_terms(n, k, rng.normal(size=k + 1), s)
+    assert np.isneginf(terms[1:, 0]).all() and np.isneginf(terms[:-1, -1]).all()
+    ours = _logsumexp(terms, 0)
+    assert np.isfinite(ours).all()
+    assert np.abs(ours - logsumexp(terms, axis=0)).max() < 1e-13
+
+
+def test_stratum_moments_are_those_of_the_term_shares(rng):
+    n, k = 2, 12
+    w = rng.normal(size=k + 1)
+    s = np.linspace(0.0, 1.0, 33)
+    log_P, mean, var = stratum_moments(n, k, w, s)
+    assert np.array_equal(log_P, log_stratum_sum(n, k, w, s))
+    m = np.arange(k + 1)
+    D = np.array([math.factorial(n - 1 + i) / math.factorial(i) for i in m])
+    terms = D[:, None] * s[None, :] ** m[:, None] * (1.0 - s[None, :]) ** (k - m)[:, None]
+    p = terms * np.exp(w)[:, None]
+    p /= p.sum(axis=0)
+    assert np.abs(mean - m @ p).max() < 1e-12
+    assert np.abs(var - ((m[:, None] - m @ p) ** 2 * p).sum(axis=0)).max() < 1e-12

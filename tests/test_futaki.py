@@ -12,7 +12,7 @@ from artifact import (
 )
 from artifact.futaki import flow_pairing_spread
 
-from conftest import random_metric
+from conftest import count_profile_calls, random_metric
 
 
 def test_rotation_hamiltonian_on_fs_cp1(fs_metric):
@@ -47,6 +47,14 @@ def test_trace_identity_residual(rng, rule200):
     assert lu_lemma_defect(build_metric(RadialPotential(1, (0.0,)), rule200)) < 1e-10
     for n in (1, 2):
         assert lu_lemma_defect(random_metric(rng, n, rule200)) < 1e-8
+
+
+def test_trace_identity_reads_the_nodes_and_fits_nothing(rng, rule200, monkeypatch):
+    metrics = [random_metric(rng, n, rule200) for n in (1, 2, 3)]
+    calls = count_profile_calls(monkeypatch, "from_callable", "deriv", "__call__")
+    for m in metrics:
+        assert lu_lemma_defect(m) < 1e-14  # Tr(nabla X) - Delta F is constant to roundoff
+    assert calls == []
 
 
 def test_localization_identity_and_vanishing(rng, rule200):

@@ -162,6 +162,7 @@ def test_cli_balanced_run_converges(tmp_path):
     for row in rows:
         assert row["converged"] == "True"
         assert float(row["final_defect"]) <= 1e-10
+        assert 0.0 < float(row["contraction_rate"]) < 1.0
 
 
 def test_cli_fit_reads_config_file(tmp_path, monkeypatch):
