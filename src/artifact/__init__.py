@@ -40,7 +40,6 @@ from .bergman import (
     bergman_density,
     dim_h0,
     gram,
-    gram_full,
     log_partition_ratio,
 )
 from .functionals import (

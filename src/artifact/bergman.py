@@ -28,8 +28,7 @@ Fubini-Study potential phi = (1/k) log P has, exactly,
     F = E_p[m]/k,   G = E_p[m]/(ks),   F' = Var_p[m]/(k s(1-s)),
 
 so a T-step reads FS(H) at the nodes from the two moments of p
-(``stratum_moments``) and fits no series.  A 2D full-Hermitian mode on CP^1
-cross-checks the reduction.
+(``stratum_moments``) and fits no series.
 """
 from __future__ import annotations
 
@@ -43,7 +42,7 @@ from scipy.special import gammaln
 from .errors import NonPositiveNorm
 from .geometry import (VARIATION_STEP, RadialKahlerMetric, ScalarField, central_difference,
                        half_laplacian)
-from .quadrature import TWO_PI, check_resolution, sphere_grid
+from .quadrature import TWO_PI, check_resolution
 
 LOG_TWO_PI = math.log(TWO_PI)
 DENSE_GRID = np.linspace(0.0, 1.0, 513)  # where densities are bounded, endpoints included
@@ -107,8 +106,7 @@ def stratum_moments(n: int, k: int, log_weights: np.ndarray, s):
 
 @dataclass(frozen=True)
 class GramData:
-    log_Jm: np.ndarray | None  # radial-diagonal mode; None in full-Hermitian mode
-    matrix: np.ndarray | None
+    log_Jm: np.ndarray
     log_det: float
 
 
@@ -138,33 +136,9 @@ def gram(metric: RadialKahlerMetric, k: int) -> GramData:
             raise NonPositiveNorm(bad, 0.0)
         n = metric.n
         log_det = _log_angular_sum(n, k) + float(degree_multiplicities(n, k) @ log_Jm)
-        return GramData(log_Jm, None, log_det)
+        return GramData(log_Jm, log_det)
 
     return metric._cached_field(("gram", k), build)
-
-
-def gram_full(metric: RadialKahlerMetric, k: int) -> GramData:
-    """Full-Hermitian Gram matrix on CP^1 from 2D quadrature."""
-    if metric.n != 1:
-        raise ValueError("full-Hermitian mode is only implemented on CP^1")
-    grid = sphere_grid(2 * k + 32)
-    s = grid.nodes_s
-    d = metric.profile_data(s)
-    w = grid.weights_s * grid.weight_theta * np.exp(-k * d["phi"]) * d["F1"]
-    i_arr = np.arange(k + 1)
-    # radial factor s^{i/2} (1-s)^{(k-i)/2} stays bounded for all i <= k
-    rad = np.exp(0.5 * (np.outer(i_arr, np.log(s)) + np.outer(k - i_arr, np.log1p(-s))))
-    phase = np.exp(1j * np.outer(i_arr, grid.nodes_theta))
-    # E[i, (a,b)] = basis value x sqrt(weight); Gram = E E^H is Hermitian PSD
-    E = (rad[:, :, None] * np.sqrt(w)[None, :, None]) * phase[:, None, :]
-    E = E.reshape(k + 1, -1)
-    M = E @ E.conj().T
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise NonPositiveNorm(-1, float(np.min(np.linalg.eigvalsh(M)))) from exc
-    log_det = float(2.0 * np.sum(np.log(np.real(np.diag(L)))))
-    return GramData(None, M, log_det)
 
 
 @dataclass(frozen=True)

@@ -132,14 +132,13 @@ def todd_variation(metric, j, p, q) -> RadialForm:
 
 def mixed_integral(rule: RadialQuadrature, n: int, f_values, forms) -> float:
     """int f beta_1 ^ ... ^ beta_m over CP^n for forms whose degrees sum to n
-    (raw wedge, no 1/n!)."""
+    (raw wedge, no 1/n!); an array of shape (T,) for (T, N) data."""
     forms = list(forms)
     degree = sum(fm.degree for fm in forms)
     if degree != n:
         raise ValueError(f"need forms of total degree {n}, got {degree}")
-    s = rule.nodes
-    f = np.broadcast_to(np.asarray(f_values, dtype=float), s.shape)
-    return TWO_PI**n * rule.integrate(f * s ** (n - 1) * reduce(wedge_pair, forms).rho)
+    f = np.asarray(f_values, dtype=float)
+    return TWO_PI**n * rule.integrate(f * rule.nodes ** (n - 1) * reduce(wedge_pair, forms).rho)
 
 
 def pair_integral(rule: RadialQuadrature, n: int, f_values, pair: RadialForm, forms) -> float:

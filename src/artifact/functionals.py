@@ -6,7 +6,8 @@ interpolation, and Bott-Chern assembly), and all cocycle/variation
 diagnostics.  S_j, with S_2 the generalized Liouville action, is built
 on the Bott-Chern route; the path route is its cross-check.  It pairs
 gamma^(j) in weak form and fits nothing: S is interpolated only where a
-pointwise derivative of it is read.
+pointwise derivative of it is read.  A t-integral along the path evaluates
+its integrand once per t-rule, on one path metric with a t-axis.
 """
 from __future__ import annotations
 
@@ -64,34 +65,37 @@ def _check_pair(m1: RadialKahlerMetric, m0: RadialKahlerMetric):
         raise ValueError("metrics use incompatible quadrature rules")
 
 
-def path_metric(m1: RadialKahlerMetric, m0: RadialKahlerMetric, t: float) -> RadialKahlerMetric:
-    """Metric of the linear potential interpolation at time t."""
-    if t == 0.0:
-        return m0
-    if t == 1.0:
-        return m1
+def path_metric(m1: RadialKahlerMetric, m0: RadialKahlerMetric, t) -> RadialKahlerMetric:
+    """Metric of the linear potential interpolation at time t.
+
+    For an array of times t of shape (T,) it is one metric with a t-axis:
+    every affine ``nd`` entry has shape (T, N), "s", "sig" and "sigp" stay
+    (N,), and it carries no potential, like FS(H).
+    """
+    if np.ndim(t) == 0 and t in (0.0, 1.0):
+        return m1 if t else m0
     # nd is affine in t, so F' and G stay positive between checked ends
-    phi = (1.0 - t) * m0.potential.profile + t * m1.potential.profile
-    nd = {key: v if key in ("s", "sig", "sigp") else (1.0 - t) * v + t * m1.nd[key]
+    tt = np.asarray(t, dtype=float)[..., None]
+    nd = {key: v if key in ("s", "sig", "sigp") else (1.0 - tt) * v + tt * m1.nd[key]
           for key, v in m0.nd.items()}
-    return RadialKahlerMetric(m0.n, ProfilePotential(m0.n, phi), m0.rule, nd)
+    potential = None if np.ndim(t) else ProfilePotential(
+        m0.n, (1.0 - t) * m0.potential.profile + t * m1.potential.profile)
+    return RadialKahlerMetric(m0.n, potential, m0.rule, nd)
 
 
 def _path_quadrature(m1: RadialKahlerMetric, m0: RadialKahlerMetric, integrand):
     """Gauss-Legendre integral over t in [0, 1] of integrand(metric_t) along
-    the linear potential path; integrand returns a float or an array.
+    the linear potential path: one integrand call per t-rule, on the (T, N)
+    path metric at its T nodes, returning an array with the t-axis first.
 
     Returns (value, path_refinement): the value at 2 PATH_ORDER nodes and
     its largest change from the value at PATH_ORDER nodes.
     """
 
     def at(t_rule):
-        total = 0.0
-        for t, wt in zip(t_rule.nodes, t_rule.weights):
-            total = total + wt * integrand(path_metric(m1, m0, float(t)))
-        return total
+        return np.tensordot(t_rule.weights, integrand(path_metric(m1, m0, t_rule.nodes)), axes=1)
 
-    coarse = at(_PATH_RULE)
+    coarse = at(_PATH_RULE)  # its t-stack is freed before the fine one is built
     fine = at(_PATH_RULE_FINE)
     return fine, float(np.max(np.abs(fine - coarse)))
 
@@ -112,7 +116,7 @@ def bc_todd2(m1: RadialKahlerMetric, m0: RadialKahlerMetric):
 
     def integrand(mt):
         form = todd_variation(mt, 2, *omega_eigenvalues(mt, d_omega))
-        return np.array([form.rho, form.sig])
+        return np.stack([form.rho, form.sig], axis=-2)
 
     value, refinement = _path_quadrature(m1, m0, integrand)
     return RadialForm(*value), refinement
@@ -140,7 +144,7 @@ def tilde_S_path(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int,
     value, refinement = _path_quadrature(
         m1, m0, lambda mt: gamma_pairing(mt, j, *dot, coefficient_fn)
     )
-    return FunctionalLedger(value, refinement)
+    return FunctionalLedger(float(value), refinement)
 
 
 def tilde_S_bc(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int) -> FunctionalLedger:

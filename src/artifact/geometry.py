@@ -199,7 +199,8 @@ class RadialKahlerMetric:
         return d["s"] ** (self.n - 1) * d["F1"] * d["G"] ** (self.n - 1) / math.factorial(self.n - 1)
 
     def integrate(self, values) -> float:
-        """Integral of a nodal field against omega_phi^n/n!."""
+        """Integral of a nodal field against omega_phi^n/n!, over the last
+        axis: a float for (N,) data, an array of shape (T,) for (T, N) data."""
         vals = np.asarray(values, dtype=float)
         return TWO_PI**self.n * self.rule.integrate(vals * self.measure_values())
 

@@ -7,7 +7,8 @@ Differentiation is always spectral; the one finite-difference stencil,
 ``geometry.central_difference``, serves only the variation checks.
 A fit is one product with the degree-160 interpolation operator, built once
 at import (bit for bit numpy's ``chebinterpolate``); a path metric fits
-nothing, since ``functionals.path_metric`` combines its endpoints affinely.
+nothing, since ``functionals.path_metric`` combines its endpoints' nodal
+data affinely, at one t or over a whole t-rule at once.
 """
 from __future__ import annotations
 

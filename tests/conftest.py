@@ -1,13 +1,15 @@
 import math
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from artifact import RadialPotential, build_metric, dim_h0, radial_rule
+from artifact import RadialPotential, build_metric, dim_h0, functionals, radial_rule
+from artifact.errors import NonPositiveNorm
 from artifact.profiles import Profile
-from artifact.quadrature import TWO_PI
+from artifact.quadrature import TWO_PI, RadialQuadrature
 
 
 @pytest.fixture(scope="session")
@@ -85,3 +87,75 @@ def monomial_angular_factor(alpha) -> float:
     for a in alpha:
         num *= math.factorial(a)
     return TWO_PI**n * num / math.factorial(m + n - 1)
+
+
+# 2D quadrature oracles for the radial reduction on CP^1
+
+
+class SphereGrid:
+    """Product grid on CP^1: Gauss in s times uniform azimuth.
+
+    The flat measure ds dtheta on the grid is exactly the Fubini-Study
+    area element, so ``integrate`` of a plain field gives its FS
+    integral; metric densities are supplied by the caller.
+    """
+
+    def __init__(self, band_limit: int):
+        if band_limit < 1:
+            raise ValueError("band limit must be >= 1")
+        n_theta = 2 * band_limit + 5
+        base = RadialQuadrature(max(16, band_limit + 16))
+        self.nodes_s = base.nodes
+        self.weights_s = base.weights
+        self.nodes_theta = TWO_PI * np.arange(n_theta) / n_theta
+        self.weight_theta = TWO_PI / n_theta
+
+    def integrate(self, field2d) -> float:
+        partial = np.asarray(field2d).sum(axis=1) * self.weight_theta
+        return float(np.real(self.weights_s @ partial))
+
+
+class FullGram(NamedTuple):
+    matrix: np.ndarray
+    log_det: float
+
+
+def gram_full(metric, k: int) -> FullGram:
+    """Full-Hermitian Gram matrix on CP^1 from 2D quadrature."""
+    if metric.n != 1:
+        raise ValueError("full-Hermitian mode is only implemented on CP^1")
+    grid = SphereGrid(2 * k + 32)
+    s = grid.nodes_s
+    d = metric.profile_data(s)
+    w = grid.weights_s * grid.weight_theta * np.exp(-k * d["phi"]) * d["F1"]
+    i_arr = np.arange(k + 1)
+    # radial factor s^{i/2} (1-s)^{(k-i)/2} stays bounded for all i <= k
+    rad = np.exp(0.5 * (np.outer(i_arr, np.log(s)) + np.outer(k - i_arr, np.log1p(-s))))
+    phase = np.exp(1j * np.outer(i_arr, grid.nodes_theta))
+    # E[i, (a,b)] = basis value x sqrt(weight); Gram = E E^H is Hermitian PSD
+    E = (rad[:, :, None] * np.sqrt(w)[None, :, None]) * phase[:, None, :]
+    E = E.reshape(k + 1, -1)
+    M = E @ E.conj().T
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise NonPositiveNorm(-1, float(np.min(np.linalg.eigvalsh(M)))) from exc
+    return FullGram(M, float(2.0 * np.sum(np.log(np.real(np.diag(L))))))
+
+
+# the t-quadrature of artifact.functionals taken one path metric at a time
+
+
+def path_quadrature_by_steps(m1, m0, integrand):
+    """``functionals._path_quadrature`` as a loop over the t-nodes, each a
+    scalar-t path metric, summed in node order."""
+
+    def at(t_rule):
+        total = 0.0
+        for t, wt in zip(t_rule.nodes, t_rule.weights):
+            total = total + wt * integrand(functionals.path_metric(m1, m0, float(t)))
+        return total
+
+    coarse = at(functionals._PATH_RULE)
+    fine = at(functionals._PATH_RULE_FINE)
+    return fine, float(np.max(np.abs(fine - coarse)))

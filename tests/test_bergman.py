@@ -13,7 +13,6 @@ from artifact import (
     build_metric,
     dim_h0,
     gram,
-    gram_full,
     log_partition_ratio,
     radial_rule,
 )
@@ -30,7 +29,7 @@ from artifact.errors import ResolutionTooLow
 from artifact.geometry import fubini_study
 from artifact.quadrature import TWO_PI
 
-from conftest import MonomialBasis, monomial_angular_factor, random_metric
+from conftest import MonomialBasis, gram_full, monomial_angular_factor, random_metric
 
 
 def test_section_space_dimensions():

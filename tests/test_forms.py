@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from artifact import ScalarField
 from artifact.forms import (
@@ -19,6 +20,7 @@ from artifact.forms import (
     trace_against,
     wedge_pair,
 )
+from artifact.functionals import path_metric
 from artifact.quadrature import TWO_PI
 
 from conftest import random_metric
@@ -34,6 +36,23 @@ def test_mixed_powers_are_cohomological(rng, rule200, fs_metric):
             forms = [om] * p + [fs] * (n - p)
             got = mixed_integral(rule200, n, 1.0, forms) / math.factorial(n)
             assert abs(got - TWO_PI**n / math.factorial(n)) < 1e-12
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_integrals_over_a_t_axis_are_the_rowwise_integrals(rng, rule200, n):
+    m1, m0 = random_metric(rng, n, rule200), random_metric(rng, n, rule200)
+    t = np.linspace(0.1, 0.9, 5)
+    f = 1.0 + rule200.nodes**2  # positive, so the integrals below are too and a relative bound fits
+
+    def integrals(metric):
+        forms = [omega_form(metric)] + [omega_form(m0)] * (n - 1)
+        return metric.integrate(f), mixed_integral(rule200, n, f, forms)
+
+    stacked = integrals(path_metric(m1, m0, t))
+    for i, x in enumerate(t):
+        for got, want in zip(stacked, integrals(path_metric(m1, m0, float(x)))):
+            assert type(want) is float and got.shape == t.shape
+            assert abs(got[i] - want) <= 1e-15 * want
 
 
 def test_characteristic_numbers_on_cp2(rng, rule200):

@@ -34,7 +34,7 @@ from artifact.functionals import (
 from artifact.profiles import Profile
 from artifact.quadrature import TWO_PI
 
-from conftest import count_profile_calls, random_metric
+from conftest import count_profile_calls, path_quadrature_by_steps, random_metric
 
 
 def test_degree_energy_of_constant(fs_metric, rule200):
@@ -129,8 +129,48 @@ def test_bc_todd2_evaluates_the_frame_once_per_path_metric(rng, rule200, monkeyp
     monkeypatch.setattr(RadialKahlerMetric, "frame_curvature",
                         lambda self, s=None: frames.append(self) or frame(self, s))
     bc_todd2(m1, m0)
-    assert len(paths) == 3 * PATH_ORDER  # the coarse and the fine t-rule
+    # one path metric with a t-axis per t-rule, the coarse and the fine
+    assert [m.nd["F1"].shape for m in paths] == [(PATH_ORDER, rule200.order),
+                                                (2 * PATH_ORDER, rule200.order)]
     assert [id(m) for m in frames] == [id(m) for m in paths]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_path_metric_over_an_array_of_times_stacks_the_scalar_ones(rng, rule200, n):
+    from artifact import functionals
+
+    m1, m0 = random_metric(rng, n, rule200), random_metric(rng, n, rule200)
+    for nodes in (functionals._PATH_RULE.nodes, functionals._PATH_RULE_FINE.nodes):
+        stacked = path_metric(m1, m0, nodes)
+        assert stacked.potential is None
+        assert {key for key, v in stacked.nd.items() if v.shape == (rule200.order,)} == {
+            "s", "sig", "sigp"}
+        for i, t in enumerate(nodes):
+            single = path_metric(m1, m0, float(t)).nd
+            assert stacked.nd.keys() == single.keys()
+            for key, want in single.items():
+                got = np.broadcast_to(stacked.nd[key], (nodes.size, rule200.order))[i]
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), (key, i)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_path_integrals_match_the_loop_over_t_nodes(rng, rule200, monkeypatch, n):
+    from artifact import functionals
+
+    m1, m0 = random_metric(rng, n, rule200), random_metric(rng, n, rule200)
+    got = [tilde_S_path(m1, m0, j) for j in (1, 2)]
+    form, refinement = bc_todd2(m1, m0)
+    monkeypatch.setattr(functionals, "_path_quadrature", path_quadrature_by_steps)
+    for j, g in zip((1, 2), got):
+        want = tilde_S_path(m1, m0, j)
+        assert abs(g.value - want.value) <= 1e-13 * abs(want.value), j
+        # the refinement of S~_j is roundoff of the value: compare it on that scale
+        scale = max(1.0, abs(want.value))
+        assert abs(g.path_refinement - want.path_refinement) <= 1e-15 * scale, j
+    want_form, want_refinement = bc_todd2(m1, m0)
+    for g, w in ((form.rho, want_form.rho), (form.sig, want_form.sig)):
+        assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+    assert abs(refinement - want_refinement) <= 1e-15
 
 
 def test_additive_constant_invariance(rng, rule200):

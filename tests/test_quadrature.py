@@ -4,21 +4,26 @@ import numpy as np
 import pytest
 
 from artifact.errors import ResolutionTooLow
-from artifact.quadrature import (
-    TWO_PI,
-    check_resolution,
-    radial_rule,
-    required_order,
-    sphere_grid,
-)
+from artifact.quadrature import TWO_PI, check_resolution, radial_rule, required_order
 
-from conftest import monomial_angular_factor
+from conftest import SphereGrid, monomial_angular_factor
 
 
 def test_gauss_rule_is_exact_on_polynomials():
     rule = radial_rule(24)
     for p in range(0, 47):
         assert abs(rule.integrate(rule.nodes**p) - 1.0 / (p + 1)) < 1e-14
+
+
+def test_integrate_contracts_the_last_axis():
+    rule = radial_rule(24)
+    stack = np.array([rule.nodes**p for p in range(8)])
+    rows = rule.integrate(stack)
+    assert rows.shape == (8,)
+    for p, row in enumerate(rows):
+        one = rule.integrate(stack[p])
+        assert type(one) is float
+        assert abs(row - one) <= 1e-15 * one
 
 
 def test_order_floor_enforced():
@@ -46,7 +51,7 @@ def test_angular_factor_oracles():
 
 
 def test_sphere_grid_integrates_fs_area():
-    grid = sphere_grid(12)
+    grid = SphereGrid(12)
     s, th = np.meshgrid(grid.nodes_s, grid.nodes_theta, indexing="ij")
     assert abs(grid.integrate(np.ones_like(s)) - TWO_PI) < 1e-12
     # azimuthal harmonics integrate to zero on the uniform grid
@@ -54,7 +59,7 @@ def test_sphere_grid_integrates_fs_area():
 
 
 def test_sphere_grid_matches_radial_rule():
-    grid = sphere_grid(10)
+    grid = SphereGrid(10)
     rule = radial_rule(64)
     f = lambda s: s**3 - 0.2 * s
     s2d, _ = np.meshgrid(grid.nodes_s, grid.nodes_theta, indexing="ij")
