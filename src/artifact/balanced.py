@@ -23,7 +23,10 @@ FS(H) and p_m the share of its m-th term, phi = (1/k) log P, G =
 E_p[m]/(ks) and F' = Var_p[m]/(k s(1-s)) exactly, and e^(-k phi) = 1/P, so
 each step after the first reads FS(H) at the quadrature nodes and its
 Bergman density on the dense grid from two stratum sums
-(``fs_map_metric``).  ``fs_map_profile`` fits FS(H) as a Chebyshev series
+(``fs_map_metric``).  The s-parts of those sums and of the Gram exponent
+are the same at every step, so ``t_iteration`` builds them once on entry
+(``step_grid``) and lets them go when it returns; each step only adds its
+weights.  ``fs_map_profile`` fits FS(H) as a Chebyshev series
 once, when the iteration stops, and ``project_potential`` converts that
 series back to power-basis coefficients.
 """
@@ -39,12 +42,15 @@ from scipy.special import gammaln
 from .bergman import (
     DENSE_GRID,
     LOG_TWO_PI,
+    StratumGrid,
     bergman_density,
     dim_h0,
     gram,
+    gram_exponent,
     log_density,
     log_partition_ratio,
     log_stratum_sum,
+    stratum_grid,
     stratum_moments,
 )
 from .errors import NotConverged, ProjectionTail
@@ -59,7 +65,7 @@ from .geometry import (
     fubini_study,
 )
 from .profiles import Profile
-from .quadrature import TWO_PI, radial_rule, required_order
+from .quadrature import TWO_PI, RadialQuadrature, radial_rule, required_order
 
 BALANCE_TOL = 1e-10
 MAX_ITERATIONS = 500
@@ -129,25 +135,45 @@ def fs_map_profile(H: BasisMetric) -> ProfilePotential:
     )
 
 
-def fs_map_metric(H: BasisMetric, rule) -> tuple:
+@dataclass(frozen=True)
+class StepGrid:
+    """What every T-step at one (n, k) and rule reads unchanged."""
+
+    rule: RadialQuadrature
+    strata: StratumGrid  # at the nodes, then DENSE_GRID
+    dense: StratumGrid  # its DENSE_GRID columns
+    gram_exponent: np.ndarray  # at the nodes
+
+
+def step_grid(n: int, k: int, rule) -> StepGrid:
+    """The StepGrid of (n, k) on ``rule``; ``t_iteration`` builds one per call."""
+    strata = stratum_grid(n, k, np.concatenate([rule.nodes, DENSE_GRID]))
+    order = rule.order
+    dense = StratumGrid(strata.s[order:], strata.s_part[:, order:], strata.log_D)
+    return StepGrid(rule, strata, dense, gram_exponent(n, k, strata.s[:order]))
+
+
+def fs_map_metric(H: BasisMetric, grid: StepGrid) -> tuple:
     """(metric, balance defect) of FS(H), from the stratum moments and no series.
 
     The metric carries only the nodal data phi, F, F' and G (no potential),
     which is what ``hilb_map`` reads.  F' and G are checked positive at the
     nodes and at the interior points of the dense grid (at s = 0 and 1 both
     are 0/0 limits, ratios of positive weights).  The defect reads the
-    density exp(LSS(-log J) - log P)/(2 pi)^n on the dense grid.
+    density exp(LSS(-log J) - log P)/(2 pi)^n on the dense grid, all on the
+    fixed data ``grid`` of (H.n, H.k) and its rule.
     """
     n, k, log_weights = H.n, H.k, _fs_weights(H)
-    s = np.concatenate([rule.nodes, DENSE_GRID])
-    log_P, mean, var = stratum_moments(n, k, log_weights, s)
+    rule, s = grid.rule, grid.strata.s
+    log_P, mean, var = stratum_moments(n, k, log_weights, grid.strata)
     with np.errstate(divide="ignore", invalid="ignore"):
         d = {"s": s, "phi": log_P / k, "F": mean / k, "F1": var / (k * s * (1.0 - s)),
              "G": mean / (k * s)}
     inner = (s > 0.0) & (s < 1.0)
     check_positive(s[inner], d["F1"][inner], d["G"][inner])
     metric = RadialKahlerMetric(n, None, rule, {key: v[: rule.order] for key, v in d.items()})
-    rho = np.exp(log_density(n, k, gram(metric, k).log_Jm, DENSE_GRID, log_P[rule.order:]))
+    metric._field_cache[("gram exponent", k)] = grid.gram_exponent
+    rho = np.exp(log_density(n, k, gram(metric, k).log_Jm, grid.dense, log_P[rule.order:]))
     return metric, _sup_defect(n, k, rho.min(), rho.max())
 
 
@@ -199,12 +225,13 @@ def t_iteration(initial_potential, k: int, rule=None,
         out_degree = 2 * max(initial_potential.profile.coef.size - 1, 1)
     metric = build_metric(initial_potential, rule)
     defects = [balance_defect(metric, k)]
+    grid = step_grid(metric.n, k, rule)
     H = None
     while not defects[-1] <= tol:
         if len(defects) > max_iter:
             raise NotConverged(IterationTrace(tuple(defects), max_iter, False))
         H = hilb_map(metric, k)
-        metric, defect = fs_map_metric(H, rule)
+        metric, defect = fs_map_metric(H, grid)
         defects.append(defect)
     current = initial_potential if H is None else fs_map_profile(H)
     if not isinstance(current, RadialPotential):

@@ -29,6 +29,10 @@ Fubini-Study potential phi = (1/k) log P has, exactly,
 
 so a T-step reads FS(H) at the nodes from the two moments of p
 (``stratum_moments``) and fits no series.
+
+The weight-free part of the terms at fixed points is a ``StratumGrid``.
+The T-iteration builds its grids once and passes them for the points;
+every other caller builds one inside the call, and no grid outlives it.
 """
 from __future__ import annotations
 
@@ -55,9 +59,13 @@ def dim_h0(n: int, k: int) -> int:
     return math.comb(n + k, n)
 
 
+@lru_cache(maxsize=None)
 def degree_multiplicities(n: int, k: int) -> np.ndarray:
-    """C(m+n-1, n-1), the number of monomials of degree exactly m, for m = 0..k."""
-    return np.array([math.comb(m + n - 1, n - 1) for m in range(k + 1)], dtype=float)
+    """C(m+n-1, n-1), the number of monomials of degree exactly m, for m = 0..k
+    (built once per (n, k), read-only)."""
+    mult = np.array([math.comb(m + n - 1, n - 1) for m in range(k + 1)], dtype=float)
+    mult.flags.writeable = False
+    return mult
 
 
 @lru_cache(maxsize=None)
@@ -76,26 +84,45 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return np.log(np.exp(a - top).sum(axis=axis)) + np.squeeze(top, axis)
 
 
-def _stratum_terms(n: int, k: int, log_weights: np.ndarray, s) -> np.ndarray:
-    """log of the term (n-1+m)!/m! s^m (1-s)^(k-m) e^(w_m), m = 0..k by rows, s by columns."""
+@dataclass(frozen=True)
+class StratumGrid:
+    """log (n-1+m)!/m! s^m (1-s)^(k-m) at points s, as ``log_D[m]`` plus
+    ``s_part[m]`` (whose m = 0 and m = k rows skip the 0 log 0)."""
+
+    s: np.ndarray
+    s_part: np.ndarray
+    log_D: np.ndarray
+
+
+def stratum_grid(n: int, k: int, s) -> StratumGrid:
+    """The StratumGrid of the points s; a StratumGrid passes through."""
+    if isinstance(s, StratumGrid):
+        return s
     s = np.atleast_1d(np.asarray(s, dtype=float))
     m = np.arange(k + 1)
-    log_D = gammaln(n + m) - gammaln(m + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_s = np.outer(m, np.log(s))
         t_1ms = np.outer(k - m, np.log1p(-s))
     t_s[0, :] = 0.0  # m = 0 contributes s^0 = 1 even at s = 0
     t_1ms[-1, :] = 0.0  # m = k contributes (1-s)^0 = 1 even at s = 1
-    return t_s + t_1ms + (log_D + log_weights)[:, None]
+    return StratumGrid(s, t_s + t_1ms, gammaln(n + m) - gammaln(m + 1))
+
+
+def _stratum_terms(n: int, k: int, log_weights: np.ndarray, s) -> np.ndarray:
+    """log of the term (n-1+m)!/m! s^m (1-s)^(k-m) e^(w_m), m = 0..k by rows, s by columns."""
+    grid = stratum_grid(n, k, s)
+    return grid.s_part + (grid.log_D + log_weights)[:, None]
 
 
 def log_stratum_sum(n: int, k: int, log_weights: np.ndarray, s) -> np.ndarray:
-    """log P(s) = log sum_m (n-1+m)!/m! s^m (1-s)^(k-m) e^(w_m) at each s in [0, 1]."""
+    """log P(s) = log sum_m (n-1+m)!/m! s^m (1-s)^(k-m) e^(w_m) at each s in [0, 1]
+    (the points, or their StratumGrid)."""
     return _logsumexp(_stratum_terms(n, k, log_weights, s), 0)
 
 
 def stratum_moments(n: int, k: int, log_weights: np.ndarray, s):
-    """(log P, E_p[m], Var_p[m]) at each s, with p_m the m-th term's share of P."""
+    """(log P, E_p[m], Var_p[m]) at each s (points or StratumGrid), with p_m the
+    m-th term's share of P."""
     terms = _stratum_terms(n, k, log_weights, s)
     log_P = _logsumexp(terms, 0)
     p = np.exp(terms - log_P)
@@ -110,19 +137,26 @@ class GramData:
     log_det: float
 
 
+def gram_exponent(n: int, k: int, s: np.ndarray) -> np.ndarray:
+    """(m+n-1) log s + (k-m) log(1-s), m = 0..k by rows: the s-part of the J_m
+    integrand in log space at interior points s."""
+    m = np.arange(k + 1)
+    return np.outer(m + n - 1, np.log(s)) + np.outer(k - m, np.log1p(-s))
+
+
 def _radial_log_J(metric: RadialKahlerMetric, k: int) -> np.ndarray:
-    """log J_m, m = 0..k, on the metric's own rule (checked against k)."""
+    """log J_m, m = 0..k, on the metric's own rule (checked against k); the
+    exponent's s-part is the metric's stored ("gram exponent", k), if any."""
     check_resolution(metric.rule, k)
     d = metric.nd
     n = metric.n
     pos_weight = metric.rule.weights * d["G"] ** (n - 1) * d["F1"]
     log_base = np.log(pos_weight) - k * d["phi"]
-    log_s = np.log(d["s"])
-    log_1ms = np.log1p(-d["s"])
-    m = np.arange(k + 1)
+    s_part = metric._field_cache.get(("gram exponent", k))
+    if s_part is None:
+        s_part = gram_exponent(n, k, d["s"])
     # (k+1) x nodes exponent matrix; all entries moderate since s is interior
-    expo = np.outer(m + n - 1, log_s) + np.outer(k - m, log_1ms) + log_base[None, :]
-    return _logsumexp(expo, 1)
+    return _logsumexp(s_part + log_base[None, :], 1)
 
 
 def gram(metric: RadialKahlerMetric, k: int) -> GramData:
@@ -156,7 +190,8 @@ class BergmanDensity:
 
 
 def log_density(n: int, k: int, log_Jm: np.ndarray, s, k_phi) -> np.ndarray:
-    """log rho_k at s from the Gram data and k phi(s): the stratum sum of 1/J_m over e^(k phi)."""
+    """log rho_k at s (points or StratumGrid) from the Gram data and k phi(s): the
+    stratum sum of 1/J_m over e^(k phi)."""
     return log_stratum_sum(n, k, -log_Jm, s) - k_phi - n * LOG_TWO_PI
 
 

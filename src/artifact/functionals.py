@@ -61,7 +61,7 @@ _PATH_RULE_FINE = RadialQuadrature(2 * PATH_ORDER)
 def _check_pair(m1: RadialKahlerMetric, m0: RadialKahlerMetric):
     if m1.n != m0.n:
         raise ValueError("metrics live on different manifolds")
-    if m1.rule is not m0.rule and m1.rule.order != m0.rule.order:
+    if m1.rule.order != m0.rule.order:
         raise ValueError("metrics use incompatible quadrature rules")
 
 

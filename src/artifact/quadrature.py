@@ -4,10 +4,13 @@
 integral and for the t-rules of path integrals.  Monomial-section inner
 products on CP^n reduce to 1D radial integrals via an exact closed-form
 angular factor, so this rule carries the whole Gram/partition machinery.
+``radial_rule`` builds each order once and shares it, so its nodes and
+weights are read-only.
 """
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +31,8 @@ class RadialQuadrature:
         self.order = order
         self.nodes = 0.5 * (x + 1.0)
         self.weights = 0.5 * w
+        self.nodes.flags.writeable = False
+        self.weights.flags.writeable = False
 
     def integrate(self, values) -> float:
         """values @ weights over the last axis: a float for nodal values,
@@ -36,7 +41,9 @@ class RadialQuadrature:
         return float(total) if total.ndim == 0 else total
 
 
+@lru_cache(maxsize=None)
 def radial_rule(order: int) -> RadialQuadrature:
+    """The Gauss-Legendre rule of this order, built once and shared."""
     return RadialQuadrature(order)
 
 

@@ -5,8 +5,10 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from artifact import RadialPotential, build_metric, dim_h0, functionals, radial_rule
+from artifact.bergman import StratumGrid, _logsumexp
 from artifact.errors import NonPositiveNorm
 from artifact.profiles import Profile
 from artifact.quadrature import TWO_PI, RadialQuadrature
@@ -159,3 +161,35 @@ def path_quadrature_by_steps(m1, m0, integrand):
     coarse = at(functionals._PATH_RULE)
     fine = at(functionals._PATH_RULE_FINE)
     return fine, float(np.max(np.abs(fine - coarse)))
+
+
+# the stratum terms and log J_m rebuilt from the points on every call, as each
+# T-step did before it read its iteration's fixed grid data
+
+
+def stratum_terms_by_step(n, k, log_weights, s):
+    """``bergman._stratum_terms`` from the points s (or a StratumGrid's points)."""
+    if isinstance(s, StratumGrid):
+        s = s.s
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    m = np.arange(k + 1)
+    log_D = gammaln(n + m) - gammaln(m + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_s = np.outer(m, np.log(s))
+        t_1ms = np.outer(k - m, np.log1p(-s))
+    t_s[0, :] = 0.0
+    t_1ms[-1, :] = 0.0
+    return t_s + t_1ms + (log_D + log_weights)[:, None]
+
+
+def radial_log_J_by_step(metric, k):
+    """``bergman._radial_log_J`` with the exponent built from the nodes."""
+    d = metric.nd
+    n = metric.n
+    pos_weight = metric.rule.weights * d["G"] ** (n - 1) * d["F1"]
+    log_base = np.log(pos_weight) - k * d["phi"]
+    log_s = np.log(d["s"])
+    log_1ms = np.log1p(-d["s"])
+    m = np.arange(k + 1)
+    expo = np.outer(m + n - 1, log_s) + np.outer(k - m, log_1ms) + log_base[None, :]
+    return _logsumexp(expo, 1)

@@ -18,15 +18,16 @@ from artifact import (
     radial_rule,
     t_iteration,
 )
-from artifact.balanced import BasisMetric, fs_map_metric, project_potential
-from artifact.bergman import density_values, gram
+from artifact.balanced import BasisMetric, fs_map_metric, project_potential, step_grid
+from artifact.bergman import density_values, gram, log_stratum_sum, stratum_moments
 from artifact.errors import NotConverged, ProjectionTail
 from artifact.functionals import S_j
 from artifact.geometry import ProfilePotential
 from artifact.profiles import Profile
 from artifact.quadrature import TWO_PI, required_order
 
-from conftest import count_profile_calls, random_metric
+from conftest import (count_profile_calls, radial_log_J_by_step, random_metric,
+                      stratum_terms_by_step)
 
 S_DENSE = np.linspace(0.0, 1.0, 401)
 
@@ -93,7 +94,7 @@ def test_moments_give_the_fs_metric_and_its_defect(rng, rule200):
         m = random_metric(rng, n, rule200)
         for k in (5, 20, 40):
             H = hilb_map(m, k)
-            nodal, defect = fs_map_metric(H, rule200)
+            nodal, defect = fs_map_metric(H, step_grid(n, k, rule200))
             assert nodal.potential is None
             sample = np.arange(0, rule200.order, 9)
             exact = np.array([_fs_moments_reference(n, k, -gammaln(n) - H.log_eta, s)
@@ -221,6 +222,51 @@ def test_iteration_computes_gram_data_once_per_iterate(monkeypatch):
         t_iteration(RadialPotential(1, (0.0, 0.01, -0.005)), 10, max_iter=3)
     assert len(err.value.trace.defects) == 4
     assert len(calls) == 4
+
+
+def test_iteration_builds_its_fixed_grid_data_once(monkeypatch):
+    from artifact import balanced, bergman
+
+    grids, inline = [], []
+    build_grid, build_exponent = balanced.step_grid, bergman.gram_exponent
+    monkeypatch.setattr(balanced, "step_grid",
+                        lambda *args: grids.append(args[:2]) or build_grid(*args))
+    monkeypatch.setattr(bergman, "gram_exponent",
+                        lambda *args: inline.append(args[:2]) or build_exponent(*args))
+    with pytest.raises(NotConverged):
+        t_iteration(RadialPotential(2, (0.0, 0.01, -0.005)), 10, max_iter=5)
+    assert grids == [(2, 10)]
+    assert inline == [(2, 10)]  # the start metric's Gram data only
+
+
+def test_fixed_grid_data_match_the_per_step_construction(monkeypatch):
+    # the T-step adds its weights to s-parts built once; rebuilding them from
+    # the points on every call gives the same bits
+    from artifact import bergman
+
+    def run(n, k):
+        rng = np.random.default_rng(100 * n + k)
+        start = RadialPotential(n, (0.0, 0.01, -0.005))
+        rule = radial_rule(required_order(k))
+        grid = step_grid(n, k, rule)
+        try:
+            defects = t_iteration(start, k, rule, max_iter=12)[1].defects
+        except NotConverged as exc:
+            defects = exc.trace.defects
+        w = rng.normal(size=k + 1)
+        nodal, _ = fs_map_metric(hilb_map(build_metric(start, rule), k), grid)
+        return (defects, *stratum_moments(n, k, w, grid.strata),
+                log_stratum_sum(n, k, w, grid.dense), gram(nodal, k).log_Jm)
+
+    cases = [(n, k) for n in (1, 2, 3) for k in (10, 20)]
+    fixed = {case: run(*case) for case in cases}
+    monkeypatch.setattr(bergman, "_stratum_terms", stratum_terms_by_step)
+    monkeypatch.setattr(bergman, "_radial_log_J", radial_log_J_by_step)
+    for case in cases:
+        got, want = fixed[case], run(*case)
+        assert len(got[0]) == 13 and got[0] == want[0], case
+        for a, b in zip(got[1:], want[1:]):
+            assert a.shape == b.shape and (a == b).all(), case
 
 
 def test_iteration_rejects_start_above_degree_bound():

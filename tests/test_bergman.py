@@ -40,6 +40,14 @@ def test_section_space_dimensions():
     assert degree_multiplicities(2, 3).sum() == 10
 
 
+def test_degree_multiplicities_are_built_once_and_read_only():
+    for n, k in ((1, 7), (2, 20), (3, 120)):
+        mult = degree_multiplicities(n, k)
+        assert degree_multiplicities(n, k) is mult
+        assert not mult.flags.writeable
+        assert mult.tolist() == [float(math.comb(m + n - 1, n - 1)) for m in range(k + 1)]
+
+
 def test_fs_monomial_norms_cp1(fs_metric):
     # beta-integral closed forms at k = 2: {2pi/3, pi/3, 2pi/3}
     gd = gram(fs_metric(1), 2)

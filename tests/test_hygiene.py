@@ -94,3 +94,18 @@ def test_every_function_is_named_outside_its_definition():
     assert defined
     unnamed = sorted(f"{where} {name}" for name, where in defined.items() if name not in named)
     assert unnamed == []
+
+
+def test_process_wide_caches_are_the_listed_ones():
+    # a functools cache lives as long as the process, so each one is chosen on
+    # purpose (cached_property caches live on one instance and are not counted)
+    cached = set()
+    for path in sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"):
+        module = importlib.import_module(f"artifact.{path.stem}")
+        owners = [module] + [v for v in vars(module).values()
+                             if isinstance(v, type) and v.__module__ == module.__name__]
+        for owner in owners:
+            for value in vars(owner).values():
+                if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                    cached.add(value.__qualname__)
+    assert cached == {"radial_rule", "degree_multiplicities", "_log_angular_sum"}

@@ -26,6 +26,18 @@ def test_integrate_contracts_the_last_axis():
         assert abs(row - one) <= 1e-15 * one
 
 
+def test_rules_are_shared_and_read_only():
+    for order in (16, 72, 432):
+        rule = radial_rule(order)
+        assert radial_rule(order) is rule
+        x, w = np.polynomial.legendre.leggauss(order)
+        assert np.array_equal(rule.nodes, 0.5 * (x + 1.0))
+        assert np.array_equal(rule.weights, 0.5 * w)
+        for values in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                values[0] = 0.5
+
+
 def test_order_floor_enforced():
     with pytest.raises(ValueError):
         radial_rule(8)
