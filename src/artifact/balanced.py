@@ -21,14 +21,15 @@ starting potential.
 Inside the T-iteration FS(H) is never fitted.  With P the stratum sum of
 FS(H) and p_m the share of its m-th term, phi = (1/k) log P, G =
 E_p[m]/(ks) and F' = Var_p[m]/(k s(1-s)) exactly, and e^(-k phi) = 1/P, so
-each step after the first reads FS(H) at the quadrature nodes and its
-Bergman density on the dense grid from two stratum sums
-(``fs_map_metric``).  The s-parts of those sums and of the Gram exponent
-are the same at every step, so ``t_iteration`` builds them once on entry
-(``step_grid``) and lets them go when it returns; each step only adds its
-weights.  ``fs_map_profile`` fits FS(H) as a Chebyshev series
-once, when the iteration stops, and ``project_potential`` converts that
-series back to power-basis coefficients.
+FS(H) at the quadrature nodes comes from two stratum moments
+(``fs_map_metric``).  The T-map is ``t_step``, a map on eta: it returns
+Hilb(FS(H)) and the balance defect of FS(H), read from its Bergman density
+on the dense grid.  The s-parts of the sums in a step are the same at
+every step, so ``t_iteration`` builds one ``StratumGrid`` over the nodes
+and the dense grid on entry and lets it go when it returns; each step only
+adds its weights.  ``fs_map_profile`` fits FS(H) as a Chebyshev series once, when
+the iteration stops, and ``project_potential`` converts that series back
+to power-basis coefficients.
 """
 from __future__ import annotations
 
@@ -46,10 +47,10 @@ from .bergman import (
     bergman_density,
     dim_h0,
     gram,
-    gram_exponent,
     log_density,
     log_partition_ratio,
     log_stratum_sum,
+    radial_log_J,
     stratum_grid,
     stratum_moments,
 )
@@ -91,11 +92,6 @@ class BasisMetric:
             raise ValueError("need one finite log-entry per degree 0..k")
         object.__setattr__(self, "log_eta", le)
 
-    def scaled(self, factor: float) -> "BasisMetric":
-        if factor <= 0.0:
-            raise ValueError(f"scaling must be positive, got {factor}")
-        return BasisMetric(self.n, self.k, self.log_eta + math.log(factor))
-
 
 @dataclass(frozen=True)
 class IterationTrace:
@@ -114,12 +110,15 @@ class IterationTrace:
         return float((d[-1] / d[half]) ** (1.0 / (len(d) - 1 - half)))
 
 
+def _hilb(n: int, k: int, log_Jm: np.ndarray) -> BasisMetric:
+    """eta_m = (d_k/V) (2 pi)^n J_m / (n-1)!"""
+    log_scale = math.log(dim_h0(n, k) / class_volume(n)) + n * LOG_TWO_PI - gammaln(n)
+    return BasisMetric(n, k, log_Jm + log_scale)
+
+
 def hilb_map(metric: RadialKahlerMetric, k: int) -> BasisMetric:
     """Rescaled L^2 form of the potential: eta_m from the radial Gram data."""
-    n = metric.n
-    gd = gram(metric, k)
-    log_scale = math.log(dim_h0(n, k) / class_volume(n)) + n * LOG_TWO_PI - gammaln(n)
-    return BasisMetric(n, k, gd.log_Jm + log_scale)
+    return _hilb(metric.n, k, gram(metric, k).log_Jm)
 
 
 def _fs_weights(H: BasisMetric) -> np.ndarray:
@@ -135,46 +134,36 @@ def fs_map_profile(H: BasisMetric) -> ProfilePotential:
     )
 
 
-@dataclass(frozen=True)
-class StepGrid:
-    """What every T-step at one (n, k) and rule reads unchanged."""
-
-    rule: RadialQuadrature
-    strata: StratumGrid  # at the nodes, then DENSE_GRID
-    dense: StratumGrid  # its DENSE_GRID columns
-    gram_exponent: np.ndarray  # at the nodes
-
-
-def step_grid(n: int, k: int, rule) -> StepGrid:
-    """The StepGrid of (n, k) on ``rule``; ``t_iteration`` builds one per call."""
-    strata = stratum_grid(n, k, np.concatenate([rule.nodes, DENSE_GRID]))
-    order = rule.order
-    dense = StratumGrid(strata.s[order:], strata.s_part[:, order:], strata.log_D)
-    return StepGrid(rule, strata, dense, gram_exponent(n, k, strata.s[:order]))
-
-
-def fs_map_metric(H: BasisMetric, grid: StepGrid) -> tuple:
-    """(metric, balance defect) of FS(H), from the stratum moments and no series.
+def fs_map_metric(H: BasisMetric, rule: RadialQuadrature, strata: StratumGrid) -> tuple:
+    """(FS(H) at the nodes, k phi_H at the points after them), from the stratum
+    moments on ``strata``, whose points are the nodes of ``rule`` and then more.
 
     The metric carries only the nodal data phi, F, F' and G (no potential),
-    which is what ``hilb_map`` reads.  F' and G are checked positive at the
-    nodes and at the interior points of the dense grid (at s = 0 and 1 both
-    are 0/0 limits, ratios of positive weights).  The defect reads the
-    density exp(LSS(-log J) - log P)/(2 pi)^n on the dense grid, all on the
-    fixed data ``grid`` of (H.n, H.k) and its rule.
+    which is what the Gram data read.  F' and G are checked positive at every
+    interior point of ``strata`` (at s = 0 and 1 both are 0/0 limits, ratios
+    of positive weights).
     """
-    n, k, log_weights = H.n, H.k, _fs_weights(H)
-    rule, s = grid.rule, grid.strata.s
-    log_P, mean, var = stratum_moments(n, k, log_weights, grid.strata)
+    n, k, order = H.n, H.k, rule.order
+    s = strata.s
+    log_P, mean, var = stratum_moments(n, k, _fs_weights(H), strata)
     with np.errstate(divide="ignore", invalid="ignore"):
         d = {"s": s, "phi": log_P / k, "F": mean / k, "F1": var / (k * s * (1.0 - s)),
              "G": mean / (k * s)}
     inner = (s > 0.0) & (s < 1.0)
     check_positive(s[inner], d["F1"][inner], d["G"][inner])
-    metric = RadialKahlerMetric(n, None, rule, {key: v[: rule.order] for key, v in d.items()})
-    metric._field_cache[("gram exponent", k)] = grid.gram_exponent
-    rho = np.exp(log_density(n, k, gram(metric, k).log_Jm, grid.dense, log_P[rule.order:]))
-    return metric, _sup_defect(n, k, rho.min(), rho.max())
+    nodal = RadialKahlerMetric(n, None, rule, {key: v[:order] for key, v in d.items()})
+    return nodal, log_P[order:]
+
+
+def t_step(H: BasisMetric, rule: RadialQuadrature, strata: StratumGrid) -> tuple:
+    """(Hilb(FS(H)), balance defect of FS(H)) on ``strata``, the nodes of
+    ``rule`` and then DENSE_GRID, where the defect reads FS(H)'s density."""
+    n, k, order = H.n, H.k, rule.order
+    nodal, k_phi = fs_map_metric(H, rule, strata)
+    log_Jm = radial_log_J(nodal, k, strata.s_part[:, :order])
+    dense = StratumGrid(strata.s[order:], strata.s_part[:, order:], strata.log_D)
+    rho = np.exp(log_density(n, k, log_Jm, dense, k_phi))
+    return _hilb(n, k, log_Jm), _sup_defect(n, k, rho.min(), rho.max())
 
 
 def project_potential(potential: ProfilePotential, degree: int,
@@ -208,40 +197,34 @@ def balance_defect(metric: RadialKahlerMetric, k: int) -> float:
     return _sup_defect(metric.n, k, dens.min_value, dens.max_value)
 
 
-def t_iteration(initial_potential, k: int, rule=None,
+def t_iteration(initial_potential: RadialPotential, k: int, rule=None,
                 max_iter: int = MAX_ITERATIONS, tol: float = BALANCE_TOL):
-    """Alternate Hilb and FS from the initial potential until balanced.
+    """Iterate the T-map on eta from Hilb of the initial potential until balanced.
 
-    Step 0 builds the starting metric; every later step maps H = Hilb(metric)
-    to the nodal metric of FS(H) (``fs_map_metric``).  Returns (balanced
-    potential, IterationTrace); the returned potential is projected to the
-    power basis at twice the starting degree.  Raises NotConverged (carrying
-    the trace) when max_iter is exhausted.
+    Step 0 measures the starting metric; every later step is one ``t_step``.
+    Returns (balanced potential, IterationTrace); the returned potential is
+    projected to the power basis at twice the starting degree.  Raises
+    NotConverged (carrying the trace) when max_iter is exhausted.
     """
     rule = rule or radial_rule(required_order(k))
-    if isinstance(initial_potential, RadialPotential):
-        out_degree = 2 * max(initial_potential.degree, 1)
-    else:
-        out_degree = 2 * max(initial_potential.profile.coef.size - 1, 1)
     metric = build_metric(initial_potential, rule)
     defects = [balance_defect(metric, k)]
-    grid = step_grid(metric.n, k, rule)
-    H = None
+    if defects[0] <= tol:
+        return initial_potential, IterationTrace(tuple(defects), 0, True)
+    strata = stratum_grid(metric.n, k, np.concatenate([rule.nodes, DENSE_GRID]))
+    H_next = hilb_map(metric, k)
     while not defects[-1] <= tol:
         if len(defects) > max_iter:
             raise NotConverged(IterationTrace(tuple(defects), max_iter, False))
-        H = hilb_map(metric, k)
-        metric, defect = fs_map_metric(H, grid)
+        H = H_next
+        H_next, defect = t_step(H, rule, strata)
         defects.append(defect)
-    current = initial_potential if H is None else fs_map_profile(H)
-    if not isinstance(current, RadialPotential):
-        current = project_potential(current, out_degree)
-    return current, IterationTrace(tuple(defects), len(defects) - 1, True)
+    balanced = project_potential(fs_map_profile(H), 2 * max(initial_potential.degree, 1))
+    return balanced, IterationTrace(tuple(defects), len(defects) - 1, True)
 
 
-def normalize_potential(potential: RadialPotential, rule=None) -> RadialPotential:
-    """Shift by the constant making the degree-(n+1) energy S_0 vanish."""
-    rule = rule or radial_rule(200)
+def normalize_potential(potential: RadialPotential, rule: RadialQuadrature) -> RadialPotential:
+    """Shift by the constant making the degree-(n+1) energy S_0 vanish on ``rule``."""
     metric = build_metric(potential, rule)
     s0 = S_j(metric, fubini_study(potential.n, rule), 0).value
     return potential.shifted(s0)

@@ -30,9 +30,11 @@ Fubini-Study potential phi = (1/k) log P has, exactly,
 so a T-step reads FS(H) at the nodes from the two moments of p
 (``stratum_moments``) and fits no series.
 
-The weight-free part of the terms at fixed points is a ``StratumGrid``.
-The T-iteration builds its grids once and passes them for the points;
-every other caller builds one inside the call, and no grid outlives it.
+J_m contracts the same kernel over the nodes: it shares the s-part
+m log s + (k-m) log(1-s) (``stratum_s_part``), and s^(n-1) joins its
+per-node factor (``radial_log_J``).  The weight-free part of the terms at
+fixed points is a ``StratumGrid``; the T-iteration builds one, over the
+nodes and the dense grid, and no grid outlives its call.
 """
 from __future__ import annotations
 
@@ -81,7 +83,8 @@ def _log_angular_sum(n: int, k: int) -> float:
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     """log sum exp(a) along an axis, shifted by the largest term."""
     top = a.max(axis=axis, keepdims=True)
-    return np.log(np.exp(a - top).sum(axis=axis)) + np.squeeze(top, axis)
+    shifted = a - top
+    return np.log(np.exp(shifted, out=shifted).sum(axis=axis)) + np.squeeze(top, axis)
 
 
 @dataclass(frozen=True)
@@ -94,18 +97,26 @@ class StratumGrid:
     log_D: np.ndarray
 
 
-def stratum_grid(n: int, k: int, s) -> StratumGrid:
-    """The StratumGrid of the points s; a StratumGrid passes through."""
-    if isinstance(s, StratumGrid):
-        return s
-    s = np.atleast_1d(np.asarray(s, dtype=float))
+def stratum_s_part(k: int, s: np.ndarray) -> np.ndarray:
+    """m log s + (k-m) log(1-s), m = 0..k by rows, s by columns (the m = 0 and
+    m = k rows skip the 0 log 0)."""
     m = np.arange(k + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_s = np.outer(m, np.log(s))
         t_1ms = np.outer(k - m, np.log1p(-s))
     t_s[0, :] = 0.0  # m = 0 contributes s^0 = 1 even at s = 0
     t_1ms[-1, :] = 0.0  # m = k contributes (1-s)^0 = 1 even at s = 1
-    return StratumGrid(s, t_s + t_1ms, gammaln(n + m) - gammaln(m + 1))
+    t_s += t_1ms
+    return t_s
+
+
+def stratum_grid(n: int, k: int, s) -> StratumGrid:
+    """The StratumGrid of the points s; a StratumGrid passes through."""
+    if isinstance(s, StratumGrid):
+        return s
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    m = np.arange(k + 1)
+    return StratumGrid(s, stratum_s_part(k, s), gammaln(n + m) - gammaln(m + 1))
 
 
 def _stratum_terms(n: int, k: int, log_weights: np.ndarray, s) -> np.ndarray:
@@ -137,26 +148,19 @@ class GramData:
     log_det: float
 
 
-def gram_exponent(n: int, k: int, s: np.ndarray) -> np.ndarray:
-    """(m+n-1) log s + (k-m) log(1-s), m = 0..k by rows: the s-part of the J_m
-    integrand in log space at interior points s."""
-    m = np.arange(k + 1)
-    return np.outer(m + n - 1, np.log(s)) + np.outer(k - m, np.log1p(-s))
-
-
-def _radial_log_J(metric: RadialKahlerMetric, k: int) -> np.ndarray:
-    """log J_m, m = 0..k, on the metric's own rule (checked against k); the
-    exponent's s-part is the metric's stored ("gram exponent", k), if any."""
+def radial_log_J(metric: RadialKahlerMetric, k: int, s_part: np.ndarray) -> np.ndarray:
+    """log J_m, m = 0..k, on the metric's own rule (checked against k), from the
+    stratum s-part at its nodes; raises NonPositiveNorm unless every J_m > 0."""
     check_resolution(metric.rule, k)
     d = metric.nd
     n = metric.n
     pos_weight = metric.rule.weights * d["G"] ** (n - 1) * d["F1"]
-    log_base = np.log(pos_weight) - k * d["phi"]
-    s_part = metric._field_cache.get(("gram exponent", k))
-    if s_part is None:
-        s_part = gram_exponent(n, k, d["s"])
+    log_node = np.log(pos_weight) + (n - 1) * np.log(d["s"]) - k * d["phi"]
     # (k+1) x nodes exponent matrix; all entries moderate since s is interior
-    return _logsumexp(s_part + log_base[None, :], 1)
+    log_Jm = _logsumexp(s_part + log_node[None, :], 1)
+    if not np.all(np.isfinite(log_Jm)):
+        raise NonPositiveNorm(int(np.argmin(np.isfinite(log_Jm))), 0.0)
+    return log_Jm
 
 
 def gram(metric: RadialKahlerMetric, k: int) -> GramData:
@@ -164,10 +168,7 @@ def gram(metric: RadialKahlerMetric, k: int) -> GramData:
     (metric, k)."""
 
     def build():
-        log_Jm = _radial_log_J(metric, k)
-        if not np.all(np.isfinite(log_Jm)):
-            bad = int(np.argmin(np.isfinite(log_Jm)))
-            raise NonPositiveNorm(bad, 0.0)
+        log_Jm = radial_log_J(metric, k, stratum_s_part(k, metric.nd["s"]))
         n = metric.n
         log_det = _log_angular_sum(n, k) + float(degree_multiplicities(n, k) @ log_Jm)
         return GramData(log_Jm, log_det)

@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands mirror the experiment kinds plus ``fit`` and ``verify``.
+Subcommands are the experiment kinds (``verify`` among them) plus ``fit``.
 Exit codes: 0 success, 1 verification failure, 2 configuration or
 numerical error.
 """
@@ -41,8 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         "functionals on radial CP^n.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("bergman", "partition", "functionals", "futaki", "balanced",
-                 "fit", "verify"):
+    for name in (*KINDS, "fit"):
         sub = subs.add_parser(name)
         _add_common(sub)
     return parser
@@ -71,11 +70,9 @@ def config_from_args(args) -> ExperimentConfig:
         data.pop("potential", None)
     if args.n is not None:
         data["n"] = args.n
-    for flag, key in (("k_min", "k_min"), ("k_max", "k_max"),
-                      ("k_stride", "k_stride")):
-        val = getattr(args, flag)
-        if val is not None:
-            data[key] = val
+    for key in ("k_min", "k_max", "k_stride"):
+        if getattr(args, key) is not None:
+            data[key] = getattr(args, key)
     if args.out:
         data["out_dir"] = args.out
     if args.tol_profile:

@@ -40,6 +40,7 @@ from .geometry import (
     coefficient_average,
     coefficient_split,
     fubini_study,
+    parse_s_poly,
 )
 from .quadrature import TWO_PI, radial_rule, required_order
 
@@ -83,7 +84,6 @@ class ExperimentConfig:
     k_min: int = 0
     k_max: int = 0
     k_stride: int = 1
-    quadrature_order: int | None = None
     tol_profile: str = "default"
     out_dir: str = "runs"
 
@@ -102,14 +102,6 @@ class ExperimentConfig:
         if self.kind in ("bergman", "partition", "balanced"):
             if self.k_min < 1 or self.k_max < self.k_min:
                 raise ConfigError("k_min/k_max", "need 1 <= k_min <= k_max")
-        if self.quadrature_order is not None:
-            needed = required_order(self.k_max)
-            if self.quadrature_order < needed:
-                raise ConfigError(
-                    "quadrature_order",
-                    f"{self.quadrature_order} below the resolution policy "
-                    f"requirement {needed} for k_max={self.k_max}",
-                )
         object.__setattr__(
             self, "potential_coeffs", tuple(float(c) for c in self.potential_coeffs)
         )
@@ -120,8 +112,6 @@ class ExperimentConfig:
 
     @property
     def order(self) -> int:
-        if self.quadrature_order is not None:
-            return self.quadrature_order
         return max(required_order(self.k_max), 200)
 
     def potential(self) -> RadialPotential:
@@ -138,12 +128,11 @@ class ExperimentConfig:
         pot = data.pop("potential", None)
         if pot is not None:
             try:
-                if pot.get("basis", "s-poly") != "s-poly":
-                    raise ConfigError("potential.basis", f"unsupported {pot.get('basis')!r}")
-                data["potential_coeffs"] = [float(c) for c in pot["coeffs"]]
-                data.setdefault("n", int(pot["n"]))
+                n, coeffs = parse_s_poly(pot)
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ConfigError("potential", f"malformed: {exc!r}") from exc
+            data["potential_coeffs"] = list(coeffs)
+            data.setdefault("n", n)
         known = {f.name for f in dataclasses.fields(cls)}
         extra = set(data) - known
         if extra:

@@ -183,13 +183,12 @@ def stratum_terms_by_step(n, k, log_weights, s):
 
 
 def radial_log_J_by_step(metric, k):
-    """``bergman._radial_log_J`` with the exponent built from the nodes."""
+    """``bergman.radial_log_J`` with the stratum s-part built from the nodes."""
     d = metric.nd
     n = metric.n
     pos_weight = metric.rule.weights * d["G"] ** (n - 1) * d["F1"]
-    log_base = np.log(pos_weight) - k * d["phi"]
     log_s = np.log(d["s"])
-    log_1ms = np.log1p(-d["s"])
+    log_node = np.log(pos_weight) + (n - 1) * log_s - k * d["phi"]
     m = np.arange(k + 1)
-    expo = np.outer(m + n - 1, log_s) + np.outer(k - m, log_1ms) + log_base[None, :]
+    expo = np.outer(m, log_s) + np.outer(k - m, np.log1p(-d["s"])) + log_node[None, :]
     return _logsumexp(expo, 1)

@@ -18,8 +18,9 @@ from artifact import (
     radial_rule,
     t_iteration,
 )
-from artifact.balanced import BasisMetric, fs_map_metric, project_potential, step_grid
-from artifact.bergman import density_values, gram, log_stratum_sum, stratum_moments
+from artifact.balanced import BasisMetric, fs_map_metric, project_potential, t_step
+from artifact.bergman import (DENSE_GRID, StratumGrid, density_values, gram, log_stratum_sum,
+                              stratum_grid, stratum_moments)
 from artifact.errors import NotConverged, ProjectionTail
 from artifact.functionals import S_j
 from artifact.geometry import ProfilePotential
@@ -30,6 +31,11 @@ from conftest import (count_profile_calls, radial_log_J_by_step, random_metric,
                       stratum_terms_by_step)
 
 S_DENSE = np.linspace(0.0, 1.0, 401)
+
+
+def iteration_strata(n, k, rule):
+    """The StratumGrid ``t_iteration`` builds: the nodes, then DENSE_GRID."""
+    return stratum_grid(n, k, np.concatenate([rule.nodes, DENSE_GRID]))
 
 
 def test_hilbert_map_fs_level_one(fs_metric):
@@ -48,9 +54,8 @@ def test_hilbert_map_shift_scaling(fs_metric, rule200):
 def test_basis_metric_validation():
     with pytest.raises(ValueError):
         BasisMetric(1, 2, np.zeros(2))  # wrong length
-    H = BasisMetric(1, 2, np.zeros(3))
     with pytest.raises(ValueError):
-        H.scaled(-1.0)
+        BasisMetric(1, 2, np.array([0.0, np.inf, 0.0]))  # not finite
 
 
 def test_fs_map_fixes_fubini_study(fs_metric):
@@ -94,7 +99,9 @@ def test_moments_give_the_fs_metric_and_its_defect(rng, rule200):
         m = random_metric(rng, n, rule200)
         for k in (5, 20, 40):
             H = hilb_map(m, k)
-            nodal, defect = fs_map_metric(H, step_grid(n, k, rule200))
+            strata = iteration_strata(n, k, rule200)
+            nodal, _ = fs_map_metric(H, rule200, strata)
+            _, defect = t_step(H, rule200, strata)
             assert nodal.potential is None
             sample = np.arange(0, rule200.order, 9)
             exact = np.array([_fs_moments_reference(n, k, -gammaln(n) - H.log_eta, s)
@@ -151,7 +158,8 @@ def test_balance_defect_makes_one_stratum_sum(rng, rule200, monkeypatch):
 def test_fs_map_gauge_scaling(fs_metric):
     k, lam = 12, 3.0
     H = hilb_map(fs_metric(1), k)
-    shift = fs_map_profile(H.scaled(lam)).profile(S_DENSE) - fs_map_profile(H).profile(S_DENSE)
+    scaled = BasisMetric(1, k, H.log_eta + math.log(lam))
+    shift = fs_map_profile(scaled).profile(S_DENSE) - fs_map_profile(H).profile(S_DENSE)
     assert np.abs(shift - shift[0]).max() < 1e-12  # constant shift: same metric
     assert abs(abs(shift[0]) - math.log(lam) / k) < 1e-12
 
@@ -212,12 +220,17 @@ def test_iteration_cap_raises_with_trace():
 
 
 def test_iteration_computes_gram_data_once_per_iterate(monkeypatch):
-    from artifact import bergman
+    from artifact import balanced, bergman
 
     calls = []
-    radial_log_J = bergman._radial_log_J
-    monkeypatch.setattr(bergman, "_radial_log_J",
-                        lambda metric, k: calls.append(k) or radial_log_J(metric, k))
+    radial_log_J = bergman.radial_log_J
+
+    def counted(metric, k, s_part):
+        calls.append(k)
+        return radial_log_J(metric, k, s_part)
+
+    monkeypatch.setattr(bergman, "radial_log_J", counted)
+    monkeypatch.setattr(balanced, "radial_log_J", counted)
     with pytest.raises(NotConverged) as err:
         t_iteration(RadialPotential(1, (0.0, 0.01, -0.005)), 10, max_iter=3)
     assert len(err.value.trace.defects) == 4
@@ -227,46 +240,83 @@ def test_iteration_computes_gram_data_once_per_iterate(monkeypatch):
 def test_iteration_builds_its_fixed_grid_data_once(monkeypatch):
     from artifact import balanced, bergman
 
-    grids, inline = [], []
-    build_grid, build_exponent = balanced.step_grid, bergman.gram_exponent
-    monkeypatch.setattr(balanced, "step_grid",
+    grids, s_parts = [], []
+    build_grid, build_s_part = balanced.stratum_grid, bergman.stratum_s_part
+    monkeypatch.setattr(balanced, "stratum_grid",
                         lambda *args: grids.append(args[:2]) or build_grid(*args))
-    monkeypatch.setattr(bergman, "gram_exponent",
-                        lambda *args: inline.append(args[:2]) or build_exponent(*args))
+    monkeypatch.setattr(bergman, "stratum_s_part",
+                        lambda *args: s_parts.append(args[0]) or build_s_part(*args))
     with pytest.raises(NotConverged):
         t_iteration(RadialPotential(2, (0.0, 0.01, -0.005)), 10, max_iter=5)
     assert grids == [(2, 10)]
-    assert inline == [(2, 10)]  # the start metric's Gram data only
+    # the start metric's Gram data and dense density, then the iteration's
+    # grid; no step builds one
+    assert s_parts == [10, 10, 10]
 
 
 def test_fixed_grid_data_match_the_per_step_construction(monkeypatch):
     # the T-step adds its weights to s-parts built once; rebuilding them from
     # the points on every call gives the same bits
-    from artifact import bergman
+    from artifact import balanced, bergman
 
     def run(n, k):
         rng = np.random.default_rng(100 * n + k)
         start = RadialPotential(n, (0.0, 0.01, -0.005))
         rule = radial_rule(required_order(k))
-        grid = step_grid(n, k, rule)
+        strata = iteration_strata(n, k, rule)
         try:
             defects = t_iteration(start, k, rule, max_iter=12)[1].defects
         except NotConverged as exc:
             defects = exc.trace.defects
         w = rng.normal(size=k + 1)
-        nodal, _ = fs_map_metric(hilb_map(build_metric(start, rule), k), grid)
-        return (defects, *stratum_moments(n, k, w, grid.strata),
-                log_stratum_sum(n, k, w, grid.dense), gram(nodal, k).log_Jm)
+        H = hilb_map(build_metric(start, rule), k)
+        nodal, _ = fs_map_metric(H, rule, strata)
+        order = rule.order
+        dense = StratumGrid(strata.s[order:], strata.s_part[:, order:], strata.log_D)
+        return (defects, *stratum_moments(n, k, w, strata), log_stratum_sum(n, k, w, dense),
+                bergman.radial_log_J(nodal, k, strata.s_part[:, :order]),
+                t_step(H, rule, strata)[0].log_eta)
 
     cases = [(n, k) for n in (1, 2, 3) for k in (10, 20)]
     fixed = {case: run(*case) for case in cases}
     monkeypatch.setattr(bergman, "_stratum_terms", stratum_terms_by_step)
-    monkeypatch.setattr(bergman, "_radial_log_J", radial_log_J_by_step)
+    for module in (bergman, balanced):
+        monkeypatch.setattr(module, "radial_log_J",
+                            lambda metric, k, s_part: radial_log_J_by_step(metric, k))
     for case in cases:
         got, want = fixed[case], run(*case)
         assert len(got[0]) == 13 and got[0] == want[0], case
         for a, b in zip(got[1:], want[1:]):
             assert a.shape == b.shape and (a == b).all(), case
+
+
+def test_t_step_iterates_to_the_iteration_defects():
+    # t_iteration is t_step iterated from Hilb of the start: the same defects, bit for bit
+    for n in (1, 2, 3):
+        for k in (10, 20):
+            start = RadialPotential(n, (0.0, 0.01, -0.005))
+            rule = radial_rule(required_order(k))
+            strata = iteration_strata(n, k, rule)
+            metric = build_metric(start, rule)
+            defects, H = [balance_defect(metric, k)], hilb_map(metric, k)
+            for _ in range(12):
+                H, defect = t_step(H, rule, strata)
+                defects.append(defect)
+            with pytest.raises(NotConverged) as err:
+                t_iteration(start, k, rule, max_iter=12)
+            assert err.value.trace.defects == tuple(defects), (n, k)
+
+
+def test_t_step_is_hilb_of_the_nodal_fs_metric(rng):
+    for n in (1, 2, 3):
+        for k in (10, 20):
+            rule = radial_rule(required_order(k))
+            strata = iteration_strata(n, k, rule)
+            H = hilb_map(random_metric(rng, n, rule), k)
+            nodal, _ = fs_map_metric(H, rule, strata)
+            got, want = t_step(H, rule, strata)[0], hilb_map(nodal, k)
+            assert (got.n, got.k) == (want.n, want.k)
+            assert (got.log_eta == want.log_eta).all(), (n, k)
 
 
 def test_iteration_rejects_start_above_degree_bound():
@@ -304,7 +354,7 @@ def test_balance_defect_gauge_invariance(fs_metric):
     m = build_metric(RadialPotential(1, (0.0, 0.03)), rule)
     H = hilb_map(m, k)
     a = build_metric(fs_map_profile(H), rule)
-    b = build_metric(fs_map_profile(H.scaled(5.0)), rule)
+    b = build_metric(fs_map_profile(BasisMetric(1, k, H.log_eta + math.log(5.0))), rule)
     assert abs(balance_defect(a, k) - balance_defect(b, k)) < 1e-10
 
 

@@ -88,9 +88,9 @@ def test_partition_ratio_reads_the_cached_gram_data(rng, rule200, monkeypatch):
     m, base = random_metric(rng, 2, rule200), fubini_study(2, rule200)
     j_phi, j_ref = gram(m, k).log_Jm, gram(base, k).log_Jm
     calls = []
-    radial_log_J = bergman._radial_log_J
-    monkeypatch.setattr(bergman, "_radial_log_J",
-                        lambda metric, k: calls.append(k) or radial_log_J(metric, k))
+    radial_log_J = bergman.radial_log_J
+    monkeypatch.setattr(bergman, "radial_log_J",
+                        lambda metric, k, s_part: calls.append(k) or radial_log_J(metric, k, s_part))
     got = log_partition_ratio(m, base, k)
     assert calls == []
     assert got == float(degree_multiplicities(2, k) @ (j_phi - j_ref))

@@ -21,8 +21,10 @@ def test_config_validation_messages():
         ExperimentConfig(kind="bergman", n=5, k_min=1, k_max=10)
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="bergman", k_min=10, k_max=2)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(kind="partition", k_min=1, k_max=50, quadrature_order=40)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict({"kind": "partition", "k_min": 1, "k_max": 50,
+                                    "quadrature_order": 40})
+    assert "quadrature_order" in str(err.value)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"kind": "bergman", "k_min": 1, "k_max": 5,
                                     "mystery_knob": 3})

@@ -109,3 +109,11 @@ def test_process_wide_caches_are_the_listed_ones():
                 if hasattr(value, "cache_info") and value.__module__ == module.__name__:
                     cached.add(value.__qualname__)
     assert cached == {"radial_rule", "degree_multiplicities", "_log_angular_sum"}
+
+
+def test_field_cache_is_written_only_by_geometry():
+    # a metric's field cache is filled through RadialKahlerMetric._cached_field
+    # alone, so no other module names it
+    named = sorted(p.name for p in SRC.glob("*.py")
+                   if p.name != "geometry.py" and "_field_cache" in p.read_text())
+    assert named == []
