@@ -7,7 +7,8 @@ diagnostics.  S_j, with S_2 the generalized Liouville action, is built
 on the Bott-Chern route; the path route is its cross-check.  It pairs
 gamma^(j) in weak form and fits nothing: S is interpolated only where a
 pointwise derivative of it is read.  A t-integral along the path evaluates
-its integrand once per t-rule, on one path metric with a t-axis.
+its integrand on one path metric with a t-axis per nested Clenshaw-Curtis
+level, at that level's new nodes only.
 """
 from __future__ import annotations
 
@@ -47,15 +48,11 @@ from .geometry import (
     richardson,
     scalar_curvature,
 )
-from .quadrature import RadialQuadrature
+from .quadrature import NESTED_LEVELS
 
-PATH_ORDER = 32
+PATH_TOL = 1e-10
 SECOND_VARIATION_STEP = 1e-3
 GAMMA2_STEP = 2.5e-3
-
-# the coarse and fine t-rules of every path integral, mapped to [0, 1]
-_PATH_RULE = RadialQuadrature(PATH_ORDER)
-_PATH_RULE_FINE = RadialQuadrature(2 * PATH_ORDER)
 
 
 def _check_pair(m1: RadialKahlerMetric, m0: RadialKahlerMetric):
@@ -84,20 +81,28 @@ def path_metric(m1: RadialKahlerMetric, m0: RadialKahlerMetric, t) -> RadialKahl
 
 
 def _path_quadrature(m1: RadialKahlerMetric, m0: RadialKahlerMetric, integrand):
-    """Gauss-Legendre integral over t in [0, 1] of integrand(metric_t) along
-    the linear potential path: one integrand call per t-rule, on the (T, N)
-    path metric at its T nodes, returning an array with the t-axis first.
+    """Clenshaw-Curtis integral over t in [0, 1] of integrand(metric_t) along
+    the linear potential path.  The integrand takes a (T, N) path metric and
+    returns an array with the t-axis first; it is called at the 17 nodes of
+    ``NESTED_LEVELS[0]``, then at each doubling at the new odd-index nodes.
 
-    Returns (value, path_refinement): the value at 2 PATH_ORDER nodes and
-    its largest change from the value at PATH_ORDER nodes.
+    Stops at the first level from 33 nodes on whose change from the previous
+    level is at most PATH_TOL (1 + max|value|), and at 129 nodes in any case.
+    Returns (value, change): the value at that level and that change, whose
+    largest magnitude is the path refinement.
     """
-
-    def at(t_rule):
-        return np.tensordot(t_rule.weights, integrand(path_metric(m1, m0, t_rule.nodes)), axes=1)
-
-    coarse = at(_PATH_RULE)  # its t-stack is freed before the fine one is built
-    fine = at(_PATH_RULE_FINE)
-    return fine, float(np.max(np.abs(fine - coarse)))
+    nodes, weights = NESTED_LEVELS[0]
+    values = integrand(path_metric(m1, m0, nodes))
+    value = np.tensordot(weights, values, axes=1)
+    for nodes, weights in NESTED_LEVELS[1:]:
+        both = np.empty((nodes.size,) + values.shape[1:])
+        both[::2], both[1::2] = values, integrand(path_metric(m1, m0, nodes[1::2]))
+        values, previous = both, value
+        value = np.tensordot(weights, values, axes=1)
+        change = value - previous
+        if np.max(np.abs(change)) <= PATH_TOL * (1.0 + np.max(np.abs(value))):
+            break
+    return value, change
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +112,10 @@ def _path_quadrature(m1: RadialKahlerMetric, m0: RadialKahlerMetric, integrand):
 def bc_todd2(m1: RadialKahlerMetric, m0: RadialKahlerMetric):
     """Secondary form of Td_2 along the linear potential path.
 
-    Returns (form, path_refinement): -i BC(Td_2) as a real radial
-    (1,1)-form, the t-integral of Td_2(W_t, R_t) with W_t the eigenvalues
-    of d(omega_t)/dt = omega_1 - omega_0 against omega_t.
+    Returns (form, change): -i BC(Td_2) as a real radial (1,1)-form, the
+    t-integral of Td_2(W_t, R_t) with W_t the eigenvalues of d(omega_t)/dt =
+    omega_1 - omega_0 against omega_t, and its change from the previous
+    t-level as a form of the same kind.
     """
     _check_pair(m1, m0)
     d_omega = omega_form(m1) - omega_form(m0)
@@ -118,8 +124,8 @@ def bc_todd2(m1: RadialKahlerMetric, m0: RadialKahlerMetric):
         form = todd_variation(mt, 2, *omega_eigenvalues(mt, d_omega))
         return np.stack([form.rho, form.sig], axis=-2)
 
-    value, refinement = _path_quadrature(m1, m0, integrand)
-    return RadialForm(*value), refinement
+    value, change = _path_quadrature(m1, m0, integrand)
+    return RadialForm(*value), RadialForm(*change)
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +147,10 @@ def tilde_S_path(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int,
         raise ValueError(f"j must be 0, 1, or 2, got {j}")
     s = m1.rule.nodes  # phi-dot = phi_1 - phi_0 and two derivatives, the same at every t
     dot = [a(s) - b(s) for a, b in zip(m1.phi_stack[:3], m0.phi_stack[:3])]
-    value, refinement = _path_quadrature(
+    value, change = _path_quadrature(
         m1, m0, lambda mt: gamma_pairing(mt, j, *dot, coefficient_fn)
     )
-    return FunctionalLedger(float(value), refinement)
+    return FunctionalLedger(float(value), abs(float(change)))
 
 
 def tilde_S_bc(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int) -> FunctionalLedger:
@@ -154,6 +160,8 @@ def tilde_S_bc(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int) -> Functi
                 - (1/(n+1-j)!) sum_{s<=n-j} int Td_j(R_1) phi~ omega_1^s omega_0^{n-j-s},
 
     where -i BC(Td_j) is 0, (1/2) log(omega_1^n/omega_0^n) and ``bc_todd2``.
+    For j = 2 the path refinement is the change of the Bott-Chern term
+    int BC(Td_2) omega_0^{n-1} between the last two t-levels.
     """
     _check_pair(m1, m0)
     if j not in ORDERS:
@@ -168,8 +176,10 @@ def tilde_S_bc(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int) -> Functi
         )
         bc_term = mixed_integral(rule, n, half_log, [om0] * n)
     elif j == 2:
-        bc_form, refinement = bc_todd2(m1, m0)
+        bc_form, change = bc_todd2(m1, m0)
         bc_term = mixed_integral(rule, n, 1.0, [bc_form] + [om0] * (n - 1))
+        # the term is linear in the form, so its change is the change form's term
+        refinement = abs(mixed_integral(rule, n, 1.0, [change] + [om0] * (n - 1)))
     td_j, rel = todd_form(m1, j), m1.nd["phi"] - m0.nd["phi"]
     energy = sum(mixed_integral(rule, n, rel, [td_j] + [om1] * s + [om0] * (n - j - s))
                  for s in range(n - j + 1))

@@ -9,9 +9,9 @@ from scipy.special import gammaln
 
 from artifact import RadialPotential, build_metric, dim_h0, functionals, radial_rule
 from artifact.bergman import StratumGrid, _logsumexp
-from artifact.errors import NonPositiveNorm
+from artifact.errors import NonPositiveMetric, NonPositiveNorm
 from artifact.profiles import Profile
-from artifact.quadrature import TWO_PI, RadialQuadrature
+from artifact.quadrature import NESTED_LEVELS, TWO_PI, RadialQuadrature
 
 
 @pytest.fixture(scope="session")
@@ -148,19 +148,53 @@ def gram_full(metric, k: int) -> FullGram:
 # the t-quadrature of artifact.functionals taken one path metric at a time
 
 
+def _t_sum(m1, m0, integrand, nodes, weights):
+    """Sum of weight x integrand over scalar-t path metrics, in node order."""
+    total = 0.0
+    for t, wt in zip(nodes, weights):
+        total = total + wt * integrand(functionals.path_metric(m1, m0, float(t)))
+    return total
+
+
 def path_quadrature_by_steps(m1, m0, integrand):
-    """``functionals._path_quadrature`` as a loop over the t-nodes, each a
-    scalar-t path metric, summed in node order."""
+    """``functionals._path_quadrature`` as a loop over the t-nodes: each nested
+    level is summed afresh over scalar-t path metrics, with the same stop."""
+    value = None
+    for nodes, weights in NESTED_LEVELS:
+        previous, value = value, _t_sum(m1, m0, integrand, nodes, weights)
+        if previous is None:
+            continue
+        change = value - previous
+        if np.max(np.abs(change)) <= functionals.PATH_TOL * (1.0 + np.max(np.abs(value))):
+            break
+    return value, change
 
-    def at(t_rule):
-        total = 0.0
-        for t, wt in zip(t_rule.nodes, t_rule.weights):
-            total = total + wt * integrand(functionals.path_metric(m1, m0, float(t)))
-        return total
 
-    coarse = at(functionals._PATH_RULE)
-    fine = at(functionals._PATH_RULE_FINE)
-    return fine, float(np.max(np.abs(fine - coarse)))
+def path_quadrature_gauss512(m1, m0, integrand):
+    """The same t-integral on 512 Gauss-Legendre nodes, one scalar-t path
+    metric at a time: a reference for the nested rule.  Its change is 0."""
+    rule = radial_rule(512)
+    value = _t_sum(m1, m0, integrand, rule.nodes, rule.weights)
+    return value, 0.0 * value
+
+
+def identities_pair(seed, n, rule):
+    """(m1, m0) of the metric triple that the ``identities`` benchmark workload
+    draws for this n at this seed: four normal coefficients of scale 0.1 with
+    the constant 0, redrawn while the metric is not positive."""
+    rng = np.random.default_rng(seed)
+    for dim in (1, 2, 3):
+        triple = []
+        while len(triple) < 3:
+            coeffs = rng.normal(0.0, 0.1, size=4)
+            coeffs[0] = 0.0
+            try:
+                triple.append(build_metric(RadialPotential(dim, tuple(coeffs)), rule))
+            except NonPositiveMetric:
+                continue
+        if dim == n:
+            return triple[1], triple[0]
+    raise ValueError(f"n must be 1, 2 or 3, got {n}")
 
 
 # the stratum terms and log J_m rebuilt from the points on every call, as each

@@ -14,7 +14,7 @@ from artifact import (
     tilde_S_bc,
     tilde_S_path,
 )
-from artifact.forms import hessian_form, mixed_integral, omega_form, ricci_form
+from artifact.forms import RadialForm, hessian_form, mixed_integral, omega_form, ricci_form
 from artifact.geometry import (
     ProfilePotential,
     RadialKahlerMetric,
@@ -23,7 +23,6 @@ from artifact.geometry import (
     half_laplacian,
 )
 from artifact.functionals import (
-    PATH_ORDER,
     bc_todd2,
     gamma2_defect,
     gamma_pairing,
@@ -32,9 +31,15 @@ from artifact.functionals import (
     trace_identity_defects,
 )
 from artifact.profiles import Profile
-from artifact.quadrature import TWO_PI
+from artifact.quadrature import NESTED_LEVELS, TWO_PI
 
-from conftest import count_profile_calls, path_quadrature_by_steps, random_metric
+from conftest import (
+    count_profile_calls,
+    identities_pair,
+    path_quadrature_by_steps,
+    path_quadrature_gauss512,
+    random_metric,
+)
 
 
 def test_degree_energy_of_constant(fs_metric, rule200):
@@ -77,6 +82,20 @@ def test_ledger_carries_the_bott_chern_refinement(rng, rule200):
     assert S_j(m1, m0, 2).path_refinement == tilde_S_bc(m1, m0, 2).path_refinement
     for j in (0, 1):
         assert S_j(m1, m0, j).path_refinement == 0.0
+
+
+def test_bott_chern_refinement_is_the_change_of_its_term(rule200, monkeypatch):
+    from artifact import functionals
+
+    # a pair whose form still moves at 33 t-nodes (min F' of m1 is 0.022)
+    m1 = build_metric(RadialPotential(2, (0.0, 0.073, 0.187, 0.177)), rule200)
+    m0 = build_metric(RadialPotential(2, (0.0, 0.086, 0.010, 0.019)), rule200)
+    got = S_j(m1, m0, 2).path_refinement
+    monkeypatch.setattr(functionals, "_path_quadrature", path_quadrature_by_steps)
+    form, change = bc_todd2(m1, m0)
+    previous = RadialForm(form.rho - change.rho, form.sig - change.sig)
+    last, before = (mixed_integral(rule200, 2, 1.0, [f, omega_form(m0)]) for f in (form, previous))
+    assert abs(got - abs(last - before)) <= 1e-15 * max(1.0, abs(last))
 
 
 def test_path_metric_combines_potential_series(rng, rule200, monkeypatch):
@@ -129,18 +148,16 @@ def test_bc_todd2_evaluates_the_frame_once_per_path_metric(rng, rule200, monkeyp
     monkeypatch.setattr(RadialKahlerMetric, "frame_curvature",
                         lambda self, s=None: frames.append(self) or frame(self, s))
     bc_todd2(m1, m0)
-    # one path metric with a t-axis per t-rule, the coarse and the fine
-    assert [m.nd["F1"].shape for m in paths] == [(PATH_ORDER, rule200.order),
-                                                (2 * PATH_ORDER, rule200.order)]
+    # one path metric with a t-axis per t-level: the 17 nodes, then the 16 new ones of 33
+    assert [m.nd["F1"].shape for m in paths] == [(17, rule200.order), (16, rule200.order)]
     assert [id(m) for m in frames] == [id(m) for m in paths]
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_path_metric_over_an_array_of_times_stacks_the_scalar_ones(rng, rule200, n):
-    from artifact import functionals
-
     m1, m0 = random_metric(rng, n, rule200), random_metric(rng, n, rule200)
-    for nodes in (functionals._PATH_RULE.nodes, functionals._PATH_RULE_FINE.nodes):
+    # the first level's nodes and each later level's new ones
+    for nodes in [NESTED_LEVELS[0][0]] + [nodes[1::2] for nodes, _ in NESTED_LEVELS[1:]]:
         stacked = path_metric(m1, m0, nodes)
         assert stacked.potential is None
         assert {key for key, v in stacked.nd.items() if v.shape == (rule200.order,)} == {
@@ -159,18 +176,64 @@ def test_path_integrals_match_the_loop_over_t_nodes(rng, rule200, monkeypatch, n
 
     m1, m0 = random_metric(rng, n, rule200), random_metric(rng, n, rule200)
     got = [tilde_S_path(m1, m0, j) for j in (1, 2)]
-    form, refinement = bc_todd2(m1, m0)
+    form, change = bc_todd2(m1, m0)
     monkeypatch.setattr(functionals, "_path_quadrature", path_quadrature_by_steps)
     for j, g in zip((1, 2), got):
         want = tilde_S_path(m1, m0, j)
         assert abs(g.value - want.value) <= 1e-13 * abs(want.value), j
-        # the refinement of S~_j is roundoff of the value: compare it on that scale
+        # the refinement of S~_j is a difference of values: compare it on their scale
         scale = max(1.0, abs(want.value))
         assert abs(g.path_refinement - want.path_refinement) <= 1e-15 * scale, j
-    want_form, want_refinement = bc_todd2(m1, m0)
+    want_form, want_change = bc_todd2(m1, m0)
     for g, w in ((form.rho, want_form.rho), (form.sig, want_form.sig)):
         assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
-    assert abs(refinement - want_refinement) <= 1e-15
+
+    def largest(f):
+        return max(np.abs(f.rho).max(), np.abs(f.sig).max())
+
+    assert abs(largest(change) - largest(want_change)) <= 1e-15
+
+
+def test_path_integrals_match_a_512_node_gauss_rule(rule200, monkeypatch):
+    from artifact import functionals
+
+    # the identities workload's hardest draw: min F' of m1 is 0.022
+    m1, m0 = identities_pair(306, 3, rule200)
+    nested = functionals._path_quadrature
+
+    def previous_level(a, b, integrand):
+        value, change = nested(a, b, integrand)
+        return value - change, change
+
+    for route in (tilde_S_path, tilde_S_bc):
+        for j in (1, 2):
+            got = route(m1, m0, j)
+            with monkeypatch.context() as patch:
+                patch.setattr(functionals, "_path_quadrature", path_quadrature_gauss512)
+                want = route(m1, m0, j).value
+                patch.setattr(functionals, "_path_quadrature", previous_level)
+                coarse = route(m1, m0, j).value
+            assert abs(got.value - want) <= 1e-12 * abs(want), (route, j)
+            # the refinement bounds the error of the value, and it reads the error
+            # of the previous level, less the value's own error, within a factor 2
+            assert got.path_refinement >= abs(got.value - want), (route, j)
+            assert 2.0 * got.path_refinement >= abs(coarse - want), (route, j)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_each_path_integral_stops_at_33_t_nodes(rule200, fs_metric, monkeypatch, n):
+    from artifact import functionals
+
+    # verify's metric against Fubini-Study
+    m1 = build_metric(RadialPotential(n, (0.0, 0.1, -0.05)), rule200)
+    sizes = []
+    path = functionals.path_metric
+    monkeypatch.setattr(functionals, "path_metric",
+                        lambda a, b, t: sizes.append(np.size(t)) or path(a, b, t))
+    for route, j in ((tilde_S_path, 1), (tilde_S_path, 2), (tilde_S_bc, 2)):
+        sizes.clear()
+        route(m1, fs_metric(n), j)
+        assert sizes == [17, 16], (route, j)
 
 
 def test_additive_constant_invariance(rng, rule200):

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from artifact.errors import ResolutionTooLow
-from artifact.quadrature import TWO_PI, check_resolution, radial_rule, required_order
+from artifact.quadrature import (
+    NESTED_LEVELS,
+    TWO_PI,
+    check_resolution,
+    radial_rule,
+    required_order,
+)
 
 from conftest import SphereGrid, monomial_angular_factor
 
@@ -34,6 +40,25 @@ def test_rules_are_shared_and_read_only():
         assert np.array_equal(rule.nodes, 0.5 * (x + 1.0))
         assert np.array_equal(rule.weights, 0.5 * w)
         for values in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                values[0] = 0.5
+
+
+def test_clenshaw_curtis_levels_are_positive_and_exact_on_polynomials():
+    assert [nodes.size for nodes, _ in NESTED_LEVELS] == [17, 33, 65, 129]
+    for nodes, weights in NESTED_LEVELS:
+        assert (weights > 0.0).all()
+        assert abs(weights.sum() - 1.0) <= 1e-15
+        for d in range(nodes.size):  # degree <= N = size - 1
+            assert abs(weights @ nodes**d - 1.0 / (d + 1)) <= 1e-15, (nodes.size, d)
+
+
+def test_clenshaw_curtis_levels_are_nested_and_read_only():
+    for (coarse, _), (fine, _) in zip(NESTED_LEVELS, NESTED_LEVELS[1:]):
+        assert np.array_equal(fine[::2], coarse)
+    for nodes, weights in NESTED_LEVELS:
+        assert nodes[0] == 0.0 and nodes[-1] == 1.0
+        for values in (nodes, weights):
             with pytest.raises(ValueError):
                 values[0] = 0.5
 
