@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Chebyshev, Polynomial
-from scipy.special import gammaln
 
 from .bergman import (
     DENSE_GRID,
@@ -112,7 +111,8 @@ class IterationTrace:
 
 def _hilb(n: int, k: int, log_Jm: np.ndarray) -> BasisMetric:
     """eta_m = (d_k/V) (2 pi)^n J_m / (n-1)!"""
-    log_scale = math.log(dim_h0(n, k) / class_volume(n)) + n * LOG_TWO_PI - gammaln(n)
+    log_scale = (math.log(dim_h0(n, k) / class_volume(n)) + n * LOG_TWO_PI
+                 - math.log(math.factorial(n - 1)))
     return BasisMetric(n, k, log_Jm + log_scale)
 
 
@@ -123,7 +123,7 @@ def hilb_map(metric: RadialKahlerMetric, k: int) -> BasisMetric:
 
 def _fs_weights(H: BasisMetric) -> np.ndarray:
     """Stratum weights w_m = -log (n-1)! - log eta_m, so that k phi_H = log_stratum_sum."""
-    return -gammaln(H.n) - H.log_eta
+    return -math.log(math.factorial(H.n - 1)) - H.log_eta
 
 
 def fs_map_profile(H: BasisMetric) -> ProfilePotential:

@@ -19,9 +19,11 @@ alpha_i = a occurs in C(k-a+n-1, n-1) of them, so
 The Bergman density and the Fubini-Study map of a diagonal form are the
 same log-space stratum sum
 
-    log P(s) = log sum_m (n-1+m)!/m! s^m (1-s)^(k-m) e^(w_m)
+    log P(s) = log sum_m D_m s^m (1-s)^(k-m) e^(w_m)
 
-with different weights w (``log_stratum_sum``).  The shares p_m of the m-th
+with different weights w (``log_stratum_sum``).  The degree weight
+D_m = (n-1+m)!/m! = (n-1)! C(m+n-1, n-1) is an integer, computed exactly, as
+are the factorials of the angular sum.  The shares p_m of the m-th
 term in P form a probability distribution on the degrees, and the
 Fubini-Study potential phi = (1/k) log P has, exactly,
 
@@ -41,9 +43,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NonPositiveNorm
 from .geometry import (VARIATION_STEP, RadialKahlerMetric, ScalarField, central_difference,
@@ -74,9 +77,9 @@ def degree_multiplicities(n: int, k: int) -> np.ndarray:
 def _log_angular_sum(n: int, k: int) -> float:
     """Sum over all |alpha| <= k of log[(2 pi)^n alpha!/(m+n-1)!], by strata."""
     mult = degree_multiplicities(n, k)
-    i = np.arange(k + 1)
+    log_fact = np.array([math.log(f) for f in accumulate(range(1, k + n), mul, initial=1)])
     # term i: the stratum m = i plus every part alpha_j = i
-    terms = mult * (n * LOG_TWO_PI) + n * mult[::-1] * gammaln(i + 1) - mult * gammaln(i + n)
+    terms = mult * (n * LOG_TWO_PI) + n * mult[::-1] * log_fact[:k + 1] - mult * log_fact[n - 1:]
     return sum(terms.tolist())
 
 
@@ -115,8 +118,8 @@ def stratum_grid(n: int, k: int, s) -> StratumGrid:
     if isinstance(s, StratumGrid):
         return s
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    m = np.arange(k + 1)
-    return StratumGrid(s, stratum_s_part(k, s), gammaln(n + m) - gammaln(m + 1))
+    log_D = np.log(math.factorial(n - 1) * degree_multiplicities(n, k))
+    return StratumGrid(s, stratum_s_part(k, s), log_D)
 
 
 def _stratum_terms(n: int, k: int, log_weights: np.ndarray, s) -> np.ndarray:

@@ -77,7 +77,7 @@ def config_from_args(args) -> ExperimentConfig:
         data["out_dir"] = args.out
     if args.tol_profile:
         data["tol_profile"] = args.tol_profile
-    if "k_max" not in data and kind in ("bergman", "partition", "balanced", "verify"):
+    if "k_max" not in data and kind in ("bergman", "partition", "balanced"):
         n = int(data.get("n", 1))
         lo, hi, stride = DEFAULT_WINDOWS.get(n, DEFAULT_WINDOWS[1])
         data.setdefault("k_min", lo)

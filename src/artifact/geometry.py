@@ -34,7 +34,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.polynomial import Chebyshev, Polynomial
+from numpy.polynomial.chebyshev import chebadd, chebmul
 
 from .errors import NonPositiveMetric, UnsupportedCoefficient
 from .profiles import Profile, chebyshev_points
@@ -73,9 +73,11 @@ class RadialPotential:
 
     @cached_property
     def profile(self) -> Profile:
-        """The exact Chebyshev series of phi on [0, 1]."""
-        series = Chebyshev.cast(Polynomial(self.coeffs or (0.0,)), domain=[0.0, 1.0])
-        return Profile(series.coef)
+        """The exact Chebyshev series of phi on [0, 1], by Horner's rule in s = (1 + x)/2."""
+        coef = np.zeros(1)
+        for c in reversed(self.coeffs or (0.0,)):
+            coef = chebadd(chebmul(coef, [0.5, 0.5]), [c])
+        return Profile(coef)
 
     def shifted(self, constant: float) -> "RadialPotential":
         c = list(self.coeffs) or [0.0]

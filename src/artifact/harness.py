@@ -301,9 +301,7 @@ def run_fit(config: ExperimentConfig):
     rule = radial_rule(config.order)
     metric = build_metric(config.potential(), rule)
     base = fubini_study(config.n, rule)
-    samples = [
-        (k, TWO_PI**n * log_partition_ratio(metric, base, k)) for k in config.k_values
-    ]
+    samples = [(k, scaled) for k, _, scaled in _partition_rows(config, metric, base)[1]]
     s_vals = {j: S_j(metric, base, j).value for j in ORDERS}
 
     def known(k):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from artifact.bergman import (
     degree_multiplicities,
     donaldson_variation_check,
     log_stratum_sum,
+    stratum_grid,
     stratum_moments,
 )
 from artifact.errors import ResolutionTooLow
@@ -64,6 +66,28 @@ def test_angular_sum_matches_enumeration():
             )
             got = _log_angular_sum(n, k)
             assert abs(got - want) <= 1e-13 * abs(want), (n, k, got, want)
+
+
+def test_angular_sum_matches_a_50_digit_reference():
+    # by strata, as in the bergman docstring, with every log a! at 50 digits
+    with mpmath.workdps(50):
+        for n in (1, 2, 3):
+            for k in (40, 120, 240):
+                want = mpmath.fsum(
+                    math.comb(m + n - 1, n - 1) * (n * mpmath.log(2 * mpmath.pi)
+                                                   - mpmath.loggamma(m + n))
+                    + n * math.comb(k - m + n - 1, n - 1) * mpmath.loggamma(m + 1)
+                    for m in range(k + 1))
+                got = _log_angular_sum(n, k)
+                assert abs(got - want) <= 1e-14 * abs(want), (n, k, got, want)
+
+
+def test_degree_weights_are_exact():
+    # log_D[m] is np.log of the exact integer (n-1+m)!/m!
+    for n in (1, 2, 3):
+        want = np.log([math.factorial(n - 1 + m) // math.factorial(m) for m in range(241)])
+        got = stratum_grid(n, 240, [0.5]).log_D
+        assert got.shape == want.shape and (got == want).all(), n
 
 
 def test_gram_requires_resolution():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Chebyshev, Polynomial
 
 from artifact import (
     RadialPotential,
@@ -30,6 +31,18 @@ def test_potential_serialization_round_trip():
     pot = RadialPotential(2, (0.0, 1.0 / 3.0, -0.123456789012345678, 2e-15))
     back = RadialPotential.from_json(pot.to_json())
     assert back == pot  # repr-based encoding is lossless for doubles
+
+
+def test_potential_profile_is_numpys_chebyshev_cast_bit_for_bit(rng):
+    cases = [(), (0.0,), (-0.0,), (1.0,), (0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.1, -0.05)]
+    for _ in range(300):
+        c = rng.normal(scale=rng.choice([0.1, 1.0, 1e3]), size=rng.integers(1, 13))
+        c[rng.integers(1, len(c) + 1):] = 0.0  # trailing zeros, some of the time
+        cases.append(tuple(c.tolist()))
+    for coeffs in cases:
+        got = RadialPotential(1, coeffs).profile.coef
+        want = Chebyshev.cast(Polynomial(coeffs or (0.0,)), domain=[0.0, 1.0]).coef
+        assert got.shape == want.shape and (got.view(np.uint64) == want.view(np.uint64)).all()
 
 
 def test_potential_rejects_bad_dimension():

@@ -123,6 +123,14 @@ def test_cli_round_trip(tmp_path):
     assert (out / "bergman.csv").exists() and (out / "manifest.json").exists()
 
 
+def test_cli_verify_manifest_has_no_k_window(tmp_path):
+    # verify reads no k window, so the CLI fills none
+    out = tmp_path / "verify"
+    assert cli_main(["verify", "--out", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["kind"], config["k_max"]) == ("verify", 0)
+
+
 def test_cli_reads_potential_files(tmp_path):
     pot = tmp_path / "pot.json"
     pot.write_text('{"n": 1, "basis": "s-poly", "coeffs": ["0.0", "0.1"]}')

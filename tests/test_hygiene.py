@@ -2,6 +2,7 @@ import ast
 import importlib
 import json
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,6 +30,21 @@ def test_no_unused_imports():
     assert modules
     unused = [entry for path in modules for entry in unused_imports(path)]
     assert unused == []
+
+
+def test_runtime_imports_are_stdlib_or_numpy():
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+    assert foreign == []
 
 
 def test_benchmark_layers_resolve():
