@@ -18,6 +18,7 @@ from .errors import (
     PathLeavesCone,
     ProjectionTail,
     ResolutionTooLow,
+    SpreadTooLarge,
     TailTooLarge,
     UnsupportedCoefficient,
 )

@@ -24,12 +24,13 @@ E_p[m]/(ks) and F' = Var_p[m]/(k s(1-s)) exactly, and e^(-k phi) = 1/P, so
 FS(H) at the quadrature nodes comes from two stratum moments
 (``fs_map_metric``).  The T-map is ``t_step``, a map on eta: it returns
 Hilb(FS(H)) and the balance defect of FS(H), read from its Bergman density
-on the dense grid.  The s-parts of the sums in a step are the same at
-every step, so ``t_iteration`` builds one ``StratumGrid`` over the nodes
-and the dense grid on entry and lets it go when it returns; each step only
-adds its weights.  ``fs_map_profile`` fits FS(H) as a Chebyshev series once, when
-the iteration stops, and ``project_potential`` converts that series back
-to power-basis coefficients.
+on the dense grid.  Only the weights of the sums change from step to step,
+so ``t_iteration`` exponentiates their terms once on entry, over the nodes
+and the dense grid (``StepKernels``), and lets them go when it returns;
+each step is a few matrix-vector products with them.  ``fs_map_profile``
+fits FS(H) as a Chebyshev series once, when the iteration stops, and
+``project_potential`` converts that series back to power-basis
+coefficients.
 """
 from __future__ import annotations
 
@@ -42,16 +43,18 @@ from numpy.polynomial import Chebyshev, Polynomial
 from .bergman import (
     DENSE_GRID,
     LOG_TWO_PI,
-    StratumGrid,
+    StepKernels,
     bergman_density,
     dim_h0,
     gram,
-    log_density,
+    kernel_log_J,
+    kernel_moments,
     log_partition_ratio,
     log_stratum_sum,
-    radial_log_J,
+    radial_log_node,
+    shifted_exp,
+    step_kernels,
     stratum_grid,
-    stratum_moments,
 )
 from .errors import NotConverged, ProjectionTail
 from .functionals import S_j
@@ -134,18 +137,17 @@ def fs_map_profile(H: BasisMetric) -> ProfilePotential:
     )
 
 
-def fs_map_metric(H: BasisMetric, rule: RadialQuadrature, strata: StratumGrid) -> tuple:
+def fs_map_metric(H: BasisMetric, rule: RadialQuadrature, kernels: StepKernels) -> tuple:
     """(FS(H) at the nodes, k phi_H at the points after them), from the stratum
-    moments on ``strata``, whose points are the nodes of ``rule`` and then more.
+    moments on ``kernels``, whose points are the nodes of ``rule`` and then more.
 
     The metric carries only the nodal data phi, F, F' and G (no potential),
     which is what the Gram data read.  F' and G are checked positive at every
-    interior point of ``strata`` (at s = 0 and 1 both are 0/0 limits, ratios
-    of positive weights).
+    interior point (at s = 0 and 1 both are 0/0 limits of positive ratios).
     """
     n, k, order = H.n, H.k, rule.order
-    s = strata.s
-    log_P, mean, var = stratum_moments(n, k, _fs_weights(H), strata)
+    s = kernels.s
+    log_P, mean, var = kernel_moments(kernels, _fs_weights(H))
     with np.errstate(divide="ignore", invalid="ignore"):
         d = {"s": s, "phi": log_P / k, "F": mean / k, "F1": var / (k * s * (1.0 - s)),
              "G": mean / (k * s)}
@@ -155,14 +157,17 @@ def fs_map_metric(H: BasisMetric, rule: RadialQuadrature, strata: StratumGrid) -
     return nodal, log_P[order:]
 
 
-def t_step(H: BasisMetric, rule: RadialQuadrature, strata: StratumGrid) -> tuple:
-    """(Hilb(FS(H)), balance defect of FS(H)) on ``strata``, the nodes of
-    ``rule`` and then DENSE_GRID, where the defect reads FS(H)'s density."""
+def t_step(H: BasisMetric, rule: RadialQuadrature, kernels: StepKernels) -> tuple:
+    """(Hilb(FS(H)), balance defect of FS(H)) on ``kernels``, over the nodes of
+    ``rule`` and then DENSE_GRID, where the defect reads FS(H)'s density: the
+    stratum sum of 1/J_m over that of FS(H), a product with the same kernel."""
     n, k, order = H.n, H.k, rule.order
-    nodal, k_phi = fs_map_metric(H, rule, strata)
-    log_Jm = radial_log_J(nodal, k, strata.s_part[:, :order])
-    dense = StratumGrid(strata.s[order:], strata.s_part[:, order:], strata.log_D)
-    rho = np.exp(log_density(n, k, log_Jm, dense, k_phi))
+    nodal, k_phi = fs_map_metric(H, rule, kernels)
+    log_Jm = kernel_log_J(kernels, radial_log_node(nodal, k))
+    b, top = shifted_exp(-log_Jm)
+    dense = slice(order, kernels.s.size)
+    log_sum = np.log(b @ kernels.stack[:, dense]) + kernels.shift[dense] + top
+    rho = np.exp(log_sum - k_phi - n * LOG_TWO_PI)
     return _hilb(n, k, log_Jm), _sup_defect(n, k, rho.min(), rho.max())
 
 
@@ -211,13 +216,14 @@ def t_iteration(initial_potential: RadialPotential, k: int, rule=None,
     defects = [balance_defect(metric, k)]
     if defects[0] <= tol:
         return initial_potential, IterationTrace(tuple(defects), 0, True)
-    strata = stratum_grid(metric.n, k, np.concatenate([rule.nodes, DENSE_GRID]))
+    grid = stratum_grid(metric.n, k, np.concatenate([rule.nodes, DENSE_GRID]))
+    kernels = step_kernels(grid, rule.order)
     H_next = hilb_map(metric, k)
     while not defects[-1] <= tol:
         if len(defects) > max_iter:
             raise NotConverged(IterationTrace(tuple(defects), max_iter, False))
         H = H_next
-        H_next, defect = t_step(H, rule, strata)
+        H_next, defect = t_step(H, rule, kernels)
         defects.append(defect)
     balanced = project_potential(fs_map_profile(H), 2 * max(initial_potential.degree, 1))
     return balanced, IterationTrace(tuple(defects), len(defects) - 1, True)

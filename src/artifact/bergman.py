@@ -29,14 +29,16 @@ Fubini-Study potential phi = (1/k) log P has, exactly,
 
     F = E_p[m]/k,   G = E_p[m]/(ks),   F' = Var_p[m]/(k s(1-s)),
 
-so a T-step reads FS(H) at the nodes from the two moments of p
-(``stratum_moments``) and fits no series.
+so a T-step reads FS(H) at the nodes from the two moments of p and fits
+no series.
 
 J_m contracts the same kernel over the nodes: it shares the s-part
 m log s + (k-m) log(1-s) (``stratum_s_part``), and s^(n-1) joins its
-per-node factor (``radial_log_J``).  The weight-free part of the terms at
-fixed points is a ``StratumGrid``; the T-iteration builds one, over the
-nodes and the dense grid, and no grid outlives its call.
+per-node factor (``radial_log_node``).  A T-iteration changes only the
+weights, so it exponentiates the weight-free terms (its ``StratumGrid``
+over the nodes and the dense grid) once, as ``StepKernels``, and each sum
+of a step is a product with exp(w - max w); a spread of w past
+``SPREAD_BOUND`` would leave the range of doubles and raises SpreadTooLarge.
 """
 from __future__ import annotations
 
@@ -48,13 +50,14 @@ from operator import mul
 
 import numpy as np
 
-from .errors import NonPositiveNorm
+from .errors import NonPositiveNorm, SpreadTooLarge
 from .geometry import (VARIATION_STEP, RadialKahlerMetric, ScalarField, central_difference,
                        half_laplacian)
 from .quadrature import TWO_PI, check_resolution
 
 LOG_TWO_PI = math.log(TWO_PI)
 DENSE_GRID = np.linspace(0.0, 1.0, 513)  # where densities are bounded, endpoints included
+SPREAD_BOUND = 600.0  # e^-600 and the sums it enters stay normal doubles (to e^-708)
 
 
 def dim_h0(n: int, k: int) -> int:
@@ -73,11 +76,22 @@ def degree_multiplicities(n: int, k: int) -> np.ndarray:
     return mult
 
 
+_LOG_FACTORIALS = [0.0]  # math.log of the exact integer i!, i = 0, 1, ...; only ever extended
+
+
+def _log_factorials(top: int) -> np.ndarray:
+    """log i!, i = 0..top, extending the module table past its end only."""
+    if (start := len(_LOG_FACTORIALS)) <= top:
+        exact = accumulate(range(start + 1, top + 1), mul, initial=math.factorial(start))
+        _LOG_FACTORIALS.extend(map(math.log, exact))
+    return np.array(_LOG_FACTORIALS[:top + 1])
+
+
 @lru_cache(maxsize=None)
 def _log_angular_sum(n: int, k: int) -> float:
     """Sum over all |alpha| <= k of log[(2 pi)^n alpha!/(m+n-1)!], by strata."""
     mult = degree_multiplicities(n, k)
-    log_fact = np.array([math.log(f) for f in accumulate(range(1, k + n), mul, initial=1)])
+    log_fact = _log_factorials(k + n - 1)
     # term i: the stratum m = i plus every part alpha_j = i
     terms = mult * (n * LOG_TWO_PI) + n * mult[::-1] * log_fact[:k + 1] - mult * log_fact[n - 1:]
     return sum(terms.tolist())
@@ -114,35 +128,63 @@ def stratum_s_part(k: int, s: np.ndarray) -> np.ndarray:
 
 
 def stratum_grid(n: int, k: int, s) -> StratumGrid:
-    """The StratumGrid of the points s; a StratumGrid passes through."""
-    if isinstance(s, StratumGrid):
-        return s
+    """The StratumGrid of the points s."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     log_D = np.log(math.factorial(n - 1) * degree_multiplicities(n, k))
     return StratumGrid(s, stratum_s_part(k, s), log_D)
 
 
-def _stratum_terms(n: int, k: int, log_weights: np.ndarray, s) -> np.ndarray:
-    """log of the term (n-1+m)!/m! s^m (1-s)^(k-m) e^(w_m), m = 0..k by rows, s by columns."""
-    grid = stratum_grid(n, k, s)
-    return grid.s_part + (grid.log_D + log_weights)[:, None]
-
-
 def log_stratum_sum(n: int, k: int, log_weights: np.ndarray, s) -> np.ndarray:
-    """log P(s) = log sum_m (n-1+m)!/m! s^m (1-s)^(k-m) e^(w_m) at each s in [0, 1]
-    (the points, or their StratumGrid)."""
-    return _logsumexp(_stratum_terms(n, k, log_weights, s), 0)
+    """log P(s) = log sum_m (n-1+m)!/m! s^m (1-s)^(k-m) e^(w_m) at each s in [0, 1]."""
+    grid = stratum_grid(n, k, s)
+    return _logsumexp(grid.s_part + (grid.log_D + log_weights)[:, None], 0)
 
 
-def stratum_moments(n: int, k: int, log_weights: np.ndarray, s):
-    """(log P, E_p[m], Var_p[m]) at each s (points or StratumGrid), with p_m the
-    m-th term's share of P."""
-    terms = _stratum_terms(n, k, log_weights, s)
-    log_P = _logsumexp(terms, 0)
-    p = np.exp(terms - log_P)
-    m = np.arange(k + 1.0)[:, None]
-    mean = (m * p).sum(axis=0)
-    return log_P, mean, ((m - mean) ** 2 * p).sum(axis=0)
+def shifted_exp(x: np.ndarray) -> tuple:
+    """(exp(x - max x), max x): a product with a fixed kernel keeps terms down
+    to e^-spread, so a spread of x past SPREAD_BOUND raises SpreadTooLarge."""
+    top = x.max()
+    if top - x.min() > SPREAD_BOUND:
+        raise SpreadTooLarge(float(top - x.min()), SPREAD_BOUND)
+    return np.exp(x - top), top
+
+
+@dataclass(frozen=True)
+class StepKernels:
+    """A StratumGrid's terms, exponentiated once: ``stack`` is [K | (m-ks) K |
+    (m-ks)^2 K], K = exp(log_D + s_part - shift) with ``shift`` the column max;
+    ``gram`` is exp(s_part - gram_shift) at the first ``order`` points (the
+    nodes), with ``gram_shift`` the row max."""
+
+    s: np.ndarray
+    shift: np.ndarray
+    stack: np.ndarray
+    gram: np.ndarray
+    gram_shift: np.ndarray
+
+
+def step_kernels(grid: StratumGrid, order: int) -> StepKernels:
+    """The StepKernels of a StratumGrid whose first ``order`` points are nodes."""
+    k = grid.log_D.size - 1
+    terms = grid.s_part + grid.log_D[:, None]
+    shift = terms.max(axis=0)
+    K = np.exp(terms - shift)
+    # centred at the FS mean ks, against the cancellation in E[m^2] - E[m]^2
+    centred = np.arange(k + 1.0)[:, None] - k * grid.s
+    nodal = grid.s_part[:, :order]
+    gram_shift = nodal.max(axis=1)
+    return StepKernels(grid.s, shift, np.hstack([K, centred * K, centred * centred * K]),
+                       np.exp(nodal - gram_shift[:, None]), gram_shift)
+
+
+def kernel_moments(kernels: StepKernels, log_weights: np.ndarray):
+    """(log P, E_p[m], Var_p[m]) at the kernels' points, with p_m the m-th
+    term's share of P: one product of exp(w - max w) with the stack."""
+    a, top = shifted_exp(log_weights)
+    S0, S1, S2 = (a @ kernels.stack).reshape(3, -1)
+    centre = S1 / S0  # E_p[m] - ks
+    k = log_weights.size - 1
+    return np.log(S0) + kernels.shift + top, k * kernels.s + centre, S2 / S0 - centre * centre
 
 
 @dataclass(frozen=True)
@@ -151,19 +193,34 @@ class GramData:
     log_det: float
 
 
-def radial_log_J(metric: RadialKahlerMetric, k: int, s_part: np.ndarray) -> np.ndarray:
-    """log J_m, m = 0..k, on the metric's own rule (checked against k), from the
-    stratum s-part at its nodes; raises NonPositiveNorm unless every J_m > 0."""
+def radial_log_node(metric: RadialKahlerMetric, k: int) -> np.ndarray:
+    """log(w G^(n-1) F') + (n-1) log s - k phi at the metric's nodes (its rule
+    checked against k): the per-node factor of every J_m."""
     check_resolution(metric.rule, k)
     d = metric.nd
     n = metric.n
     pos_weight = metric.rule.weights * d["G"] ** (n - 1) * d["F1"]
-    log_node = np.log(pos_weight) + (n - 1) * np.log(d["s"]) - k * d["phi"]
-    # (k+1) x nodes exponent matrix; all entries moderate since s is interior
-    log_Jm = _logsumexp(s_part + log_node[None, :], 1)
+    return np.log(pos_weight) + (n - 1) * np.log(d["s"]) - k * d["phi"]
+
+
+def _positive_norms(log_Jm: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(log_Jm)):
         raise NonPositiveNorm(int(np.argmin(np.isfinite(log_Jm))), 0.0)
     return log_Jm
+
+
+def radial_log_J(metric: RadialKahlerMetric, k: int, s_part: np.ndarray) -> np.ndarray:
+    """log J_m, m = 0..k, from the stratum s-part at the metric's nodes; raises
+    NonPositiveNorm unless every J_m > 0."""
+    # (k+1) x nodes exponent matrix; all entries moderate since s is interior
+    return _positive_norms(_logsumexp(s_part + radial_log_node(metric, k)[None, :], 1))
+
+
+def kernel_log_J(kernels: StepKernels, log_node: np.ndarray) -> np.ndarray:
+    """log J_m from the per-node vector of ``radial_log_node``: one product
+    with the Gram kernel; raises NonPositiveNorm unless every J_m > 0."""
+    e, top = shifted_exp(log_node)
+    return _positive_norms(np.log(kernels.gram @ e) + kernels.gram_shift + top)
 
 
 def gram(metric: RadialKahlerMetric, k: int) -> GramData:
@@ -193,16 +250,12 @@ class BergmanDensity:
         return float(metric.integrate(self.field.values) - dim_h0(metric.n, self.k))
 
 
-def log_density(n: int, k: int, log_Jm: np.ndarray, s, k_phi) -> np.ndarray:
-    """log rho_k at s (points or StratumGrid) from the Gram data and k phi(s): the
-    stratum sum of 1/J_m over e^(k phi)."""
-    return log_stratum_sum(n, k, -log_Jm, s) - k_phi - n * LOG_TWO_PI
-
-
 def density_values(metric: RadialKahlerMetric, k: int, log_Jm: np.ndarray, s) -> np.ndarray:
-    """Bergman density rho_k at arbitrary s in [0, 1] (stable log-space sum)."""
+    """Bergman density rho_k at arbitrary s in [0, 1]: the stratum sum of 1/J_m
+    over e^(k phi), in log space."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    return np.exp(log_density(metric.n, k, log_Jm, s, k * metric.potential.profile(s)))
+    n, k_phi = metric.n, k * metric.potential.profile(s)
+    return np.exp(log_stratum_sum(n, k, -log_Jm, s) - k_phi - n * LOG_TWO_PI)
 
 
 def bergman_density(metric: RadialKahlerMetric, k: int) -> BergmanDensity:

@@ -51,6 +51,15 @@ class TailTooLarge(ArtifactError):
         super().__init__(f"spectral tail {tail:.3e} exceeds tolerance {tol:.1e}")
 
 
+class SpreadTooLarge(ArtifactError):
+    """Log-weights spread beyond what a sum against a fixed kernel keeps."""
+
+    def __init__(self, spread, bound):
+        self.spread = float(spread)
+        self.bound = float(bound)
+        super().__init__(f"log-weights spread {spread:.1f} beyond the kernel bound {bound:.0f}")
+
+
 class PathLeavesCone(ArtifactError):
     """An interpolated potential loses positivity along a path."""
 

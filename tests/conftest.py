@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from artifact import RadialPotential, build_metric, dim_h0, functionals, radial_rule
-from artifact.bergman import StratumGrid, _logsumexp
+from artifact.balanced import _hilb, _sup_defect
+from artifact.bergman import DENSE_GRID, _logsumexp
 from artifact.errors import NonPositiveMetric, NonPositiveNorm
+from artifact.geometry import RadialKahlerMetric
 from artifact.profiles import Profile
 from artifact.quadrature import NESTED_LEVELS, TWO_PI, RadialQuadrature
 
@@ -196,14 +198,12 @@ def identities_pair(seed, n, rule):
     raise ValueError(f"n must be 1, 2 or 3, got {n}")
 
 
-# the stratum terms and log J_m rebuilt from the points on every call, as each
-# T-step did before it read its iteration's fixed grid data
+# the T-step as it was composed before its kernels: stratum sums by logsumexp
+# over terms rebuilt from the points on every call
 
 
 def stratum_terms_by_step(n, k, log_weights, s):
-    """``bergman._stratum_terms`` from the points s (or a StratumGrid's points)."""
-    if isinstance(s, StratumGrid):
-        s = s.s
+    """log (n-1+m)!/m! s^m (1-s)^(k-m) e^(w_m), m = 0..k by rows, s by columns."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     m = np.arange(k + 1)
     log_D = np.log([math.factorial(n - 1 + i) // math.factorial(i) for i in range(k + 1)])
@@ -216,7 +216,7 @@ def stratum_terms_by_step(n, k, log_weights, s):
 
 
 def radial_log_J_by_step(metric, k):
-    """``bergman.radial_log_J`` with the stratum s-part built from the nodes."""
+    """log J_m by logsumexp over the nodes, the stratum s-part built from them."""
     d = metric.nd
     n = metric.n
     pos_weight = metric.rule.weights * d["G"] ** (n - 1) * d["F1"]
@@ -225,3 +225,24 @@ def radial_log_J_by_step(metric, k):
     m = np.arange(k + 1)
     expo = np.outer(m, log_s) + np.outer(k - m, np.log1p(-d["s"])) + log_node[None, :]
     return _logsumexp(expo, 1)
+
+
+def logsumexp_t_step(H, rule):
+    """(Hilb(FS(H)), balance defect of FS(H)) by logsumexp: FS(H) at the nodes
+    from the moments of the term shares p_m, then log J_m, then the density on
+    DENSE_GRID as the stratum sum of 1/J_m over that of FS(H)."""
+    n, k, order = H.n, H.k, rule.order
+    s = np.concatenate([rule.nodes, DENSE_GRID])
+    terms = stratum_terms_by_step(n, k, -math.log(math.factorial(n - 1)) - H.log_eta, s)
+    log_P = _logsumexp(terms, 0)
+    p = np.exp(terms - log_P)
+    m = np.arange(k + 1.0)[:, None]
+    mean = (m * p).sum(axis=0)
+    var = ((m - mean) ** 2 * p).sum(axis=0)
+    x = s[:order]
+    nd = {"s": x, "phi": log_P[:order] / k, "F": mean[:order] / k,
+          "F1": var[:order] / (k * x * (1.0 - x)), "G": mean[:order] / (k * x)}
+    log_Jm = radial_log_J_by_step(RadialKahlerMetric(n, None, rule, nd), k)
+    log_sum = _logsumexp(stratum_terms_by_step(n, k, -log_Jm, DENSE_GRID), 0)
+    rho = np.exp(log_sum - log_P[order:] - n * math.log(TWO_PI))
+    return _hilb(n, k, log_Jm), _sup_defect(n, k, rho.min(), rho.max())

@@ -19,23 +19,22 @@ from artifact import (
     t_iteration,
 )
 from artifact.balanced import BasisMetric, fs_map_metric, project_potential, t_step
-from artifact.bergman import (DENSE_GRID, StratumGrid, density_values, gram, log_stratum_sum,
-                              stratum_grid, stratum_moments)
-from artifact.errors import NotConverged, ProjectionTail
+from artifact.bergman import (DENSE_GRID, density_values, gram, kernel_moments, log_stratum_sum,
+                              step_kernels, stratum_grid)
+from artifact.errors import NotConverged, ProjectionTail, SpreadTooLarge
 from artifact.functionals import S_j
 from artifact.geometry import ProfilePotential
 from artifact.profiles import Profile
 from artifact.quadrature import TWO_PI, required_order
 
-from conftest import (count_profile_calls, radial_log_J_by_step, random_metric,
-                      stratum_terms_by_step)
+from conftest import count_profile_calls, logsumexp_t_step, random_metric
 
 S_DENSE = np.linspace(0.0, 1.0, 401)
 
 
-def iteration_strata(n, k, rule):
-    """The StratumGrid ``t_iteration`` builds: the nodes, then DENSE_GRID."""
-    return stratum_grid(n, k, np.concatenate([rule.nodes, DENSE_GRID]))
+def iteration_kernels(n, k, rule):
+    """The StepKernels ``t_iteration`` builds: the nodes, then DENSE_GRID."""
+    return step_kernels(stratum_grid(n, k, np.concatenate([rule.nodes, DENSE_GRID])), rule.order)
 
 
 def test_hilbert_map_fs_level_one(fs_metric):
@@ -99,9 +98,9 @@ def test_moments_give_the_fs_metric_and_its_defect(rng, rule200):
         m = random_metric(rng, n, rule200)
         for k in (5, 20, 40):
             H = hilb_map(m, k)
-            strata = iteration_strata(n, k, rule200)
-            nodal, _ = fs_map_metric(H, rule200, strata)
-            _, defect = t_step(H, rule200, strata)
+            kernels = iteration_kernels(n, k, rule200)
+            nodal, _ = fs_map_metric(H, rule200, kernels)
+            _, defect = t_step(H, rule200, kernels)
             assert nodal.potential is None
             sample = np.arange(0, rule200.order, 9)
             exact = np.array([_fs_moments_reference(n, k, -gammaln(n) - H.log_eta, s)
@@ -219,22 +218,44 @@ def test_iteration_cap_raises_with_trace():
     assert len(trace.defects) == 21
 
 
-def test_iteration_computes_gram_data_once_per_iterate(monkeypatch):
+def test_steps_multiply_kernels_built_once_per_iteration(monkeypatch):
+    # the kernels are built on entry; a step is products with them: it calls no
+    # logsumexp, builds no s-part and takes no Gram data by the per-metric route
     from artifact import balanced, bergman
 
-    calls = []
-    radial_log_J = bergman.radial_log_J
+    calls, in_step = [], [False]
 
-    def counted(metric, k, s_part):
-        calls.append(k)
-        return radial_log_J(metric, k, s_part)
+    def count(module, name):
+        fn = getattr(module, name)
 
-    monkeypatch.setattr(bergman, "radial_log_J", counted)
-    monkeypatch.setattr(balanced, "radial_log_J", counted)
+        def counted(*args):
+            calls.append((name, in_step[0]))
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    step = balanced.t_step
+
+    def t_step(*args):
+        in_step[0] = True
+        try:
+            return step(*args)
+        finally:
+            in_step[0] = False
+
+    monkeypatch.setattr(balanced, "t_step", t_step)
+    for module, name in ((balanced, "step_kernels"), (balanced, "kernel_log_J"),
+                         (bergman, "_logsumexp"), (bergman, "stratum_s_part"),
+                         (bergman, "radial_log_J")):
+        count(module, name)
     with pytest.raises(NotConverged) as err:
-        t_iteration(RadialPotential(1, (0.0, 0.01, -0.005)), 10, max_iter=3)
+        t_iteration(RadialPotential(2, (0.0, 0.01, -0.005)), 10, max_iter=3)
     assert len(err.value.trace.defects) == 4
-    assert len(calls) == 4
+    assert [name for name, stepping in calls if stepping] == ["kernel_log_J"] * 3
+    # the start's Gram data and dense density only, then the iteration's grid
+    assert [name for name, _ in calls if name != "_logsumexp"] == [
+        "stratum_s_part", "radial_log_J", "stratum_s_part", "stratum_s_part", "step_kernels",
+        "kernel_log_J", "kernel_log_J", "kernel_log_J"]
 
 
 def test_iteration_builds_its_fixed_grid_data_once(monkeypatch):
@@ -254,40 +275,41 @@ def test_iteration_builds_its_fixed_grid_data_once(monkeypatch):
     assert s_parts == [10, 10, 10]
 
 
-def test_fixed_grid_data_match_the_per_step_construction(monkeypatch):
-    # the T-step adds its weights to s-parts built once; rebuilding them from
-    # the points on every call gives the same bits
-    from artifact import balanced, bergman
-
-    def run(n, k):
-        rng = np.random.default_rng(100 * n + k)
-        start = RadialPotential(n, (0.0, 0.01, -0.005))
+def test_kernel_step_matches_the_logsumexp_step():
+    # over 40 steps, each from the kernel step's own eta: the defect and the
+    # centred log eta of the logsumexp step, and log eta = Hilb of the nodal FS(H)
+    cases = [(n, k, 1e-13) for n in (1, 2, 3) for k in (10, 20, 60)] + [(1, 200, 5e-13)]
+    for n, k, tol in cases:
         rule = radial_rule(required_order(k))
-        strata = iteration_strata(n, k, rule)
-        try:
-            defects = t_iteration(start, k, rule, max_iter=12)[1].defects
-        except NotConverged as exc:
-            defects = exc.trace.defects
-        w = rng.normal(size=k + 1)
-        H = hilb_map(build_metric(start, rule), k)
-        nodal, _ = fs_map_metric(H, rule, strata)
-        order = rule.order
-        dense = StratumGrid(strata.s[order:], strata.s_part[:, order:], strata.log_D)
-        return (defects, *stratum_moments(n, k, w, strata), log_stratum_sum(n, k, w, dense),
-                bergman.radial_log_J(nodal, k, strata.s_part[:, :order]),
-                t_step(H, rule, strata)[0].log_eta)
+        kernels = iteration_kernels(n, k, rule)
+        H = hilb_map(build_metric(RadialPotential(n, (0.0, 0.05, -0.03)), rule), k)
+        for step in range(40):
+            got, defect = t_step(H, rule, kernels)
+            want, want_defect = logsumexp_t_step(H, rule)
+            assert abs(defect - want_defect) < tol, (n, k, step)
+            centred = got.log_eta - got.log_eta.mean()
+            assert np.abs(centred - (want.log_eta - want.log_eta.mean())).max() < tol, (n, k, step)
+            if step % 10 == 0:
+                hilb = hilb_map(fs_map_metric(H, rule, kernels)[0], k).log_eta
+                assert np.abs(got.log_eta - hilb).max() < tol, (n, k, step)
+            H = got
 
-    cases = [(n, k) for n in (1, 2, 3) for k in (10, 20)]
-    fixed = {case: run(*case) for case in cases}
-    monkeypatch.setattr(bergman, "_stratum_terms", stratum_terms_by_step)
-    for module in (bergman, balanced):
-        monkeypatch.setattr(module, "radial_log_J",
-                            lambda metric, k, s_part: radial_log_J_by_step(metric, k))
-    for case in cases:
-        got, want = fixed[case], run(*case)
-        assert len(got[0]) == 13 and got[0] == want[0], case
-        for a, b in zip(got[1:], want[1:]):
-            assert a.shape == b.shape and (a == b).all(), case
+
+def test_step_refuses_weights_beyond_the_kernel_range(rule200):
+    # a synthetic eta whose weights spread past the bound: the smallest
+    # product against the kernels would leave the doubles' range
+    n, k = 1, 10
+    kernels = iteration_kernels(n, k, rule200)
+    for spread, refused in ((590.0, False), (610.0, True)):
+        H = BasisMetric(n, k, np.linspace(0.0, spread, k + 1))
+        if refused:
+            with pytest.raises(SpreadTooLarge) as err:
+                t_step(H, rule200, kernels)
+            assert err.value.spread == pytest.approx(spread) and err.value.bound == 600.0
+        else:  # inside the bound the sum keeps its digits
+            log_P = kernel_moments(kernels, -H.log_eta)[0]
+            want = log_stratum_sum(n, k, -H.log_eta, kernels.s)
+            assert np.abs(log_P - want).max() < 1e-13 * np.abs(want).max()
 
 
 def test_t_step_iterates_to_the_iteration_defects():
@@ -296,27 +318,15 @@ def test_t_step_iterates_to_the_iteration_defects():
         for k in (10, 20):
             start = RadialPotential(n, (0.0, 0.01, -0.005))
             rule = radial_rule(required_order(k))
-            strata = iteration_strata(n, k, rule)
+            kernels = iteration_kernels(n, k, rule)
             metric = build_metric(start, rule)
             defects, H = [balance_defect(metric, k)], hilb_map(metric, k)
             for _ in range(12):
-                H, defect = t_step(H, rule, strata)
+                H, defect = t_step(H, rule, kernels)
                 defects.append(defect)
             with pytest.raises(NotConverged) as err:
                 t_iteration(start, k, rule, max_iter=12)
             assert err.value.trace.defects == tuple(defects), (n, k)
-
-
-def test_t_step_is_hilb_of_the_nodal_fs_metric(rng):
-    for n in (1, 2, 3):
-        for k in (10, 20):
-            rule = radial_rule(required_order(k))
-            strata = iteration_strata(n, k, rule)
-            H = hilb_map(random_metric(rng, n, rule), k)
-            nodal, _ = fs_map_metric(H, rule, strata)
-            got, want = t_step(H, rule, strata)[0], hilb_map(nodal, k)
-            assert (got.n, got.k) == (want.n, want.k)
-            assert (got.log_eta == want.log_eta).all(), (n, k)
 
 
 def test_iteration_rejects_start_above_degree_bound():

@@ -1,4 +1,6 @@
 import math
+from itertools import accumulate
+from operator import mul
 
 import mpmath
 import numpy as np
@@ -20,12 +22,12 @@ from artifact import (
 from artifact.bergman import (
     _log_angular_sum,
     _logsumexp,
-    _stratum_terms,
     degree_multiplicities,
     donaldson_variation_check,
+    kernel_moments,
     log_stratum_sum,
+    step_kernels,
     stratum_grid,
-    stratum_moments,
 )
 from artifact.errors import ResolutionTooLow
 from artifact.geometry import fubini_study
@@ -80,6 +82,24 @@ def test_angular_sum_matches_a_50_digit_reference():
                     for m in range(k + 1))
                 got = _log_angular_sum(n, k)
                 assert abs(got - want) <= 1e-14 * abs(want), (n, k, got, want)
+
+
+def test_factorial_table_grows_bit_identically(monkeypatch):
+    # one table of log i!, extended only past its end, gives the bits of a
+    # table built afresh for each (n, k), in whatever order they arrive
+    from artifact import bergman
+
+    monkeypatch.setattr(bergman, "_LOG_FACTORIALS", [0.0])
+    pairs = [(n, k) for n in (1, 2, 3) for k in (0, 1, 5, 12, 40, 120, 240, 400)]
+    for i in np.random.default_rng(46).permutation(len(pairs)):
+        n, k = pairs[i]
+        fresh = np.array([math.log(f) for f in accumulate(range(1, k + n), mul, initial=1)])
+        assert np.array_equal(bergman._log_factorials(k + n - 1), fresh), (n, k)
+        mult = degree_multiplicities(n, k)
+        terms = (mult * (n * math.log(TWO_PI)) + n * mult[::-1] * fresh[:k + 1]
+                 - mult * fresh[n - 1:])
+        assert _log_angular_sum.__wrapped__(n, k) == sum(terms.tolist()), (n, k)
+    assert len(bergman._LOG_FACTORIALS) == 403
 
 
 def test_degree_weights_are_exact():
@@ -181,7 +201,8 @@ def test_logsumexp_matches_scipy(rng, shape):
     # the stratum terms: at s = 0 and s = 1 every term but one is -inf
     k, n = shape[0] - 1, 2
     s = np.linspace(0.0, 1.0, shape[1])
-    terms = _stratum_terms(n, k, rng.normal(size=k + 1), s)
+    grid = stratum_grid(n, k, s)
+    terms = grid.s_part + (grid.log_D + rng.normal(size=k + 1))[:, None]
     assert np.isneginf(terms[1:, 0]).all() and np.isneginf(terms[:-1, -1]).all()
     ours = _logsumexp(terms, 0)
     assert np.isfinite(ours).all()
@@ -192,8 +213,8 @@ def test_stratum_moments_are_those_of_the_term_shares(rng):
     n, k = 2, 12
     w = rng.normal(size=k + 1)
     s = np.linspace(0.0, 1.0, 33)
-    log_P, mean, var = stratum_moments(n, k, w, s)
-    assert np.array_equal(log_P, log_stratum_sum(n, k, w, s))
+    log_P, mean, var = kernel_moments(step_kernels(stratum_grid(n, k, s), s.size), w)
+    assert np.abs(log_P - log_stratum_sum(n, k, w, s)).max() < 1e-12
     m = np.arange(k + 1)
     D = np.array([math.factorial(n - 1 + i) / math.factorial(i) for i in m])
     terms = D[:, None] * s[None, :] ** m[:, None] * (1.0 - s[None, :]) ** (k - m)[:, None]
