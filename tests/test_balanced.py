@@ -18,9 +18,9 @@ from artifact import (
     radial_rule,
     t_iteration,
 )
-from artifact.balanced import BasisMetric, fs_map_metric, project_potential, t_step
-from artifact.bergman import (DENSE_GRID, density_values, gram, kernel_moments, log_stratum_sum,
-                              step_kernels, stratum_grid)
+from artifact.balanced import BasisMetric, _hilb, fs_map_metric, project_potential, t_step
+from artifact.bergman import (DENSE_GRID, density_values, gram, kernel_log_J, kernel_moments,
+                              log_stratum_sum, radial_log_node, step_kernels, stratum_grid)
 from artifact.errors import NotConverged, ProjectionTail, SpreadTooLarge
 from artifact.functionals import S_j
 from artifact.geometry import ProfilePotential
@@ -275,9 +275,11 @@ def test_iteration_builds_its_fixed_grid_data_once(monkeypatch):
     assert s_parts == [10, 10, 10]
 
 
-def test_kernel_step_matches_the_logsumexp_step():
-    # over 40 steps, each from the kernel step's own eta: the defect and the
-    # centred log eta of the logsumexp step, and log eta = Hilb of the nodal FS(H)
+def test_fixed_grid_data_match_the_per_step_construction():
+    # the T-step multiplies kernels built once per iteration; over 40 steps,
+    # each from its own eta, it gives the defect and the centred log eta of the
+    # logsumexp step that rebuilds the stratum terms from the points on every
+    # call, and log eta = Hilb of the nodal FS(H) by the per-metric Gram route
     cases = [(n, k, 1e-13) for n in (1, 2, 3) for k in (10, 20, 60)] + [(1, 200, 5e-13)]
     for n, k, tol in cases:
         rule = radial_rule(required_order(k))
@@ -327,6 +329,23 @@ def test_t_step_iterates_to_the_iteration_defects():
             with pytest.raises(NotConverged) as err:
                 t_iteration(start, k, rule, max_iter=12)
             assert err.value.trace.defects == tuple(defects), (n, k)
+
+
+def test_t_step_is_hilb_of_the_nodal_fs_metric(rng):
+    # bit for bit Hilb of the nodal FS(H) with log J_m from the iteration's
+    # Gram kernel, and Hilb by the per-metric logsumexp route within 1e-13
+    for n in (1, 2, 3):
+        for k in (10, 20):
+            rule = radial_rule(required_order(k))
+            kernels = iteration_kernels(n, k, rule)
+            H = hilb_map(random_metric(rng, n, rule), k)
+            nodal, _ = fs_map_metric(H, rule, kernels)
+            got = t_step(H, rule, kernels)[0]
+            on_kernels = _hilb(n, k, kernel_log_J(kernels, radial_log_node(nodal, k)))
+            want = hilb_map(nodal, k)
+            assert (got.n, got.k) == (want.n, want.k) == (on_kernels.n, on_kernels.k)
+            assert (got.log_eta == on_kernels.log_eta).all(), (n, k)
+            assert np.abs(got.log_eta - want.log_eta).max() < 1e-13, (n, k)
 
 
 def test_iteration_rejects_start_above_degree_bound():
