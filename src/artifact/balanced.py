@@ -112,11 +112,15 @@ class IterationTrace:
         return float((d[-1] / d[half]) ** (1.0 / (len(d) - 1 - half)))
 
 
-def _hilb(n: int, k: int, log_Jm: np.ndarray) -> BasisMetric:
+def _step_constants(n: int, k: int) -> tuple:
+    """(log (d_k/V) (2 pi)^n/(n-1)!, V/d_k): the scales of Hilb and of the defect, per (n, k)."""
+    return (math.log(dim_h0(n, k) / class_volume(n)) + n * LOG_TWO_PI
+            - math.log(math.factorial(n - 1)), class_volume(n) / dim_h0(n, k))
+
+
+def _hilb(n: int, k: int, log_Jm: np.ndarray, constants=None) -> BasisMetric:
     """eta_m = (d_k/V) (2 pi)^n J_m / (n-1)!"""
-    log_scale = (math.log(dim_h0(n, k) / class_volume(n)) + n * LOG_TWO_PI
-                 - math.log(math.factorial(n - 1)))
-    return BasisMetric(n, k, log_Jm + log_scale)
+    return BasisMetric(n, k, log_Jm + (constants or _step_constants(n, k))[0])
 
 
 def hilb_map(metric: RadialKahlerMetric, k: int) -> BasisMetric:
@@ -157,7 +161,7 @@ def fs_map_metric(H: BasisMetric, rule: RadialQuadrature, kernels: StepKernels) 
     return nodal, log_P[order:]
 
 
-def t_step(H: BasisMetric, rule: RadialQuadrature, kernels: StepKernels) -> tuple:
+def t_step(H: BasisMetric, rule: RadialQuadrature, kernels: StepKernels, constants=None):
     """(Hilb(FS(H)), balance defect of FS(H)) on ``kernels``, over the nodes of
     ``rule`` and then DENSE_GRID, where the defect reads FS(H)'s density: the
     stratum sum of 1/J_m over that of FS(H), a product with the same kernel."""
@@ -168,7 +172,7 @@ def t_step(H: BasisMetric, rule: RadialQuadrature, kernels: StepKernels) -> tupl
     dense = slice(order, kernels.s.size)
     log_sum = np.log(b @ kernels.stack[:, dense]) + kernels.shift[dense] + top
     rho = np.exp(log_sum - k_phi - n * LOG_TWO_PI)
-    return _hilb(n, k, log_Jm), _sup_defect(n, k, rho.min(), rho.max())
+    return _hilb(n, k, log_Jm, constants), _sup_defect(n, k, rho.min(), rho.max(), constants)
 
 
 def project_potential(potential: ProfilePotential, degree: int,
@@ -190,9 +194,9 @@ def project_potential(potential: ProfilePotential, degree: int,
     return RadialPotential(potential.n, tuple(power))
 
 
-def _sup_defect(n: int, k: int, low: float, high: float) -> float:
+def _sup_defect(n: int, k: int, low: float, high: float, constants=None) -> float:
     """sup |(V/d_k) rho - 1| for a density rho with range [low, high]."""
-    scale = class_volume(n) / dim_h0(n, k)
+    scale = (constants or _step_constants(n, k))[1]
     return float(max(abs(scale * high - 1.0), abs(scale * low - 1.0)))
 
 
@@ -218,12 +222,13 @@ def t_iteration(initial_potential: RadialPotential, k: int, rule=None,
         return initial_potential, IterationTrace(tuple(defects), 0, True)
     grid = stratum_grid(metric.n, k, np.concatenate([rule.nodes, DENSE_GRID]))
     kernels = step_kernels(grid, rule.order)
+    constants = _step_constants(metric.n, k)
     H_next = hilb_map(metric, k)
     while not defects[-1] <= tol:
         if len(defects) > max_iter:
             raise NotConverged(IterationTrace(tuple(defects), max_iter, False))
         H = H_next
-        H_next, defect = t_step(H, rule, kernels)
+        H_next, defect = t_step(H, rule, kernels, constants)
         defects.append(defect)
     balanced = project_potential(fs_map_profile(H), 2 * max(initial_potential.degree, 1))
     return balanced, IterationTrace(tuple(defects), len(defects) - 1, True)

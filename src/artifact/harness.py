@@ -13,10 +13,12 @@ import hashlib
 import json
 import os
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .balanced import t_iteration
 from .bergman import bergman_density, dim_h0, gram, log_partition_ratio
 from .errors import ConfigError, NotConverged, ResolutionTooLow
@@ -251,8 +253,6 @@ def _balanced_rows(config, rule):
 
 def run_experiment(config: ExperimentConfig) -> RunManifest:
     """Execute the configured experiment; returns the written manifest."""
-    from . import __version__
-
     started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
     os.makedirs(config.out_dir, exist_ok=True)
     manifest = RunManifest(config.to_dict(), __version__, started)
@@ -290,8 +290,24 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     return manifest
 
 
+def _partition_samples(config: ExperimentConfig):
+    """(k, scaled log ratio) of the run of ``config`` in its out_dir if its manifest
+    records this config and version, status ok and partition.csv's sha256; else None."""
+    with suppress(OSError, KeyError, TypeError, ValueError):  # no run, or a malformed one
+        with open(os.path.join(config.out_dir, "manifest.json")) as fh:
+            m = json.load(fh)
+        with open(os.path.join(config.out_dir, "partition.csv"), "rb") as fh:
+            data = fh.read()
+        if (m["config"], m["version"], m["status"], m["files"]["partition.csv"]) == (
+                config.to_dict(), __version__, "ok", hashlib.sha256(data).hexdigest()):
+            rows = [line.split(",") for line in data.decode().splitlines()[1:]]
+            return [(int(k), float(scaled)) for k, _, scaled in rows]  # 17 digits round-trip
+    return None
+
+
 def run_fit(config: ExperimentConfig):
-    """Partition sweep plus expansion fit; returns (FitResult, reference dict)."""
+    """Partition sweep, read from a matching run in out_dir when there is one,
+    plus expansion fit; returns (FitResult, reference dict)."""
     n = config.n
     order = min(n + 2, 4)
     if len(config.k_values) < order + 3:
@@ -301,7 +317,8 @@ def run_fit(config: ExperimentConfig):
     rule = radial_rule(config.order)
     metric = build_metric(config.potential(), rule)
     base = fubini_study(config.n, rule)
-    samples = [(k, scaled) for k, _, scaled in _partition_rows(config, metric, base)[1]]
+    samples = _partition_samples(config) or [
+        (k, scaled) for k, _, scaled in _partition_rows(config, metric, base)[1]]
     s_vals = {j: S_j(metric, base, j).value for j in ORDERS}
 
     def known(k):

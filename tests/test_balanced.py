@@ -218,6 +218,20 @@ def test_iteration_cap_raises_with_trace():
     assert len(trace.defects) == 21
 
 
+def test_iteration_takes_the_step_constants_once(monkeypatch):
+    # the scales of Hilb and of the defect depend on (n, k) alone
+    from artifact import balanced
+
+    calls = []
+    step_constants = balanced._step_constants
+    monkeypatch.setattr(balanced, "_step_constants",
+                        lambda n, k: calls.append((n, k)) or step_constants(n, k))
+    with pytest.raises(NotConverged):
+        t_iteration(RadialPotential(1, (0.0, 0.01, -0.005)), 10, max_iter=5)
+    # the start's defect, then once for the steps, then the start's Hilb
+    assert calls == [(1, 10)] * 3
+
+
 def test_steps_multiply_kernels_built_once_per_iteration(monkeypatch):
     # the kernels are built on entry; a step is products with them: it calls no
     # logsumexp, builds no s-part and takes no Gram data by the per-metric route

@@ -140,6 +140,37 @@ def test_partition_ratio_reads_the_cached_gram_data(rng, rule200, monkeypatch):
     assert got == float(degree_multiplicities(2, k) @ (j_phi - j_ref))
 
 
+def test_partition_ratio_builds_one_s_part_per_k(rng, rule200, monkeypatch):
+    # metrics on one rule share the stratum s-part of each k; the Gram data are
+    # those of two grams built on their own, bit for bit
+    from artifact import bergman
+
+    ks = (6, 17, 40)
+    m, base = random_metric(rng, 2, rule200), fubini_study(2, rule200)
+    calls = []
+    stratum_s_part = bergman.stratum_s_part
+    monkeypatch.setattr(bergman, "stratum_s_part",
+                        lambda k, s: calls.append(k) or stratum_s_part(k, s))
+    ratios = [log_partition_ratio(m, base, k) for k in ks]
+    assert calls == list(ks)
+    m_alone, base_alone = build_metric(m.potential, rule200), fubini_study(2, rule200)
+    for k, ratio in zip(ks, ratios):
+        j_phi, j_ref = gram(m_alone, k).log_Jm, gram(base_alone, k).log_Jm
+        assert gram(m, k).log_Jm.tobytes() == j_phi.tobytes()
+        assert gram(base, k).log_Jm.tobytes() == j_ref.tobytes()
+        assert ratio == float(degree_multiplicities(2, k) @ (j_phi - j_ref))
+    # both grams cached: no s-part; one cached: one s-part
+    calls.clear()
+    assert [log_partition_ratio(m, base, k) for k in ks] == ratios
+    assert calls == []
+    assert log_partition_ratio(build_metric(m.potential, rule200), base, ks[0]) == ratios[0]
+    assert calls == [ks[0]]
+    # on two rules each gram builds its own
+    calls.clear()
+    log_partition_ratio(build_metric(m.potential, radial_rule(240)), fubini_study(2, rule200), 6)
+    assert calls == [6, 6]
+
+
 def test_full_hermitian_mode_agrees_with_radial_reduction(rng, rule200):
     m = random_metric(rng, 1, rule200)
     k = 14

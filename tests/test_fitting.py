@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -46,3 +51,13 @@ def test_narrow_window_reports_conditioning():
 def test_condition_is_reported():
     fit = fit_expansion([(k, float(k)) for k in range(10, 40, 3)], 1, 1)
     assert fit.condition >= 1.0
+
+
+def test_fit_does_not_import_numpy_ma():
+    # the first np.unique of a process imports numpy.ma, 10 to 34 ms
+    code = ("import sys, artifact\n"
+            "artifact.fit_expansion([(k, 3.0 * k + 1.0 / k) for k in range(10, 20)], 1, 2)\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -115,6 +115,92 @@ def test_fit_run_matches_functionals(tmp_path):
     assert abs(result.coefficients[1] - s_vals[2]) < 1e-3 * abs(s_vals[2])
 
 
+FIT_RUN = dict(kind="partition", n=1, potential_coeffs=(0.0, 0.1, -0.05),
+               k_min=20, k_max=60, k_stride=8)
+
+
+def count_calls(monkeypatch, name):
+    """Log the arguments of every call of the bergman function ``name``,
+    wherever an artifact module binds it."""
+    from artifact import bergman
+
+    calls, original = [], getattr(bergman, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("artifact") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def fit_bits(fit):
+    result, s_vals = fit
+    return (result.coefficients, result.k_values.tobytes(), result.residuals.tobytes(),
+            result.condition, s_vals)
+
+
+def test_fit_reads_the_partition_run(tmp_path, monkeypatch):
+    (tmp_path / "empty").mkdir()
+    swept = fit_bits(run_fit(ExperimentConfig(out_dir=str(tmp_path / "empty"), **FIT_RUN)))
+    config = ExperimentConfig(out_dir=str(tmp_path / "run"), **FIT_RUN)
+    run_experiment(config)
+    grams, ratios = count_calls(monkeypatch, "gram"), count_calls(monkeypatch, "log_partition_ratio")
+    assert fit_bits(run_fit(config)) == swept
+    assert grams == [] and ratios == []
+
+
+def _edit_manifest(edit):
+    def spoil(run):
+        manifest = json.loads((run / "manifest.json").read_text())
+        edit(manifest)
+        (run / "manifest.json").write_text(json.dumps(manifest))
+
+    return spoil
+
+
+def _edit_partition_csv(run):
+    path = run / "partition.csv"
+    header, first, *rest = path.read_text().splitlines()
+    k, ratio, scaled = first.split(",")
+    edited = f"{k},{ratio},{float(scaled) * (1.0 + 1e-9)!r}"
+    path.write_text("\n".join([header, edited, *rest]) + "\n")
+
+
+@pytest.mark.parametrize("spoil", [
+    _edit_manifest(lambda manifest: manifest["config"].update(k_stride=4)),
+    _edit_manifest(lambda manifest: manifest.update(version="0.0.0")),
+    _edit_manifest(lambda manifest: manifest.update(status="verification-failed")),
+    _edit_partition_csv,
+    lambda run: (run / "manifest.json").unlink(),
+], ids=["config", "version", "status", "edited-csv", "no-manifest"])
+def test_fit_sweeps_again_unless_the_run_matches(tmp_path, monkeypatch, spoil):
+    (tmp_path / "empty").mkdir()
+    swept = fit_bits(run_fit(ExperimentConfig(out_dir=str(tmp_path / "empty"), **FIT_RUN)))
+    config = ExperimentConfig(out_dir=str(tmp_path / "run"), **FIT_RUN)
+    run_experiment(config)
+    spoil(tmp_path / "run")
+    ratios = count_calls(monkeypatch, "log_partition_ratio")
+    assert fit_bits(run_fit(config)) == swept
+    assert [k for _, _, k in ratios] == config.k_values
+
+
+def test_cli_fit_reuses_the_partition_run(tmp_path, capsys, monkeypatch):
+    window = ["--n", "1", "--k-min", "20", "--k-max", "60", "--k-stride", "8"]
+    (tmp_path / "empty").mkdir()
+    assert cli_main(["fit", *window, "--out", str(tmp_path / "empty")]) == 0
+    swept = capsys.readouterr().out
+    out = str(tmp_path / "run")
+    assert cli_main(["partition", *window, "--out", out]) == 0
+    capsys.readouterr()
+    ratios = count_calls(monkeypatch, "log_partition_ratio")
+    assert cli_main(["fit", *window, "--out", out]) == 0
+    assert capsys.readouterr().out == swept
+    assert ratios == []
+
+
 def test_cli_round_trip(tmp_path):
     out = tmp_path / "cli"
     code = cli_main(["bergman", "--n", "1", "--k-min", "2", "--k-max", "30",
