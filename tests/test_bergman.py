@@ -26,8 +26,11 @@ from artifact.bergman import (
     donaldson_variation_check,
     kernel_moments,
     log_stratum_sum,
+    radial_log_J,
+    radial_log_node,
     step_kernels,
     stratum_grid,
+    stratum_s_part,
 )
 from artifact.errors import ResolutionTooLow
 from artifact.geometry import fubini_study
@@ -238,6 +241,22 @@ def test_logsumexp_matches_scipy(rng, shape):
     ours = _logsumexp(terms, 0)
     assert np.isfinite(ours).all()
     assert np.abs(ours - logsumexp(terms, axis=0)).max() < 1e-13
+
+
+def test_log_sums_leave_their_inputs_unchanged(rng, rule200):
+    # each shifts in place only the array it has just built
+    n, k = 2, 30
+    m = random_metric(rng, n, rule200)
+    a, w = rng.normal(0.0, 30.0, size=(k + 1, 57)), rng.normal(size=k + 1)
+    s, s_part = np.linspace(0.0, 1.0, 57), stratum_s_part(k, m.nd["s"])
+    inputs = [a, w, s, s_part, rule200.nodes, rule200.weights, *m.nd.values()]
+    before = [x.tobytes() for x in inputs]
+    for axis in (0, 1):
+        _logsumexp(a, axis)
+    log_J = radial_log_J(m, k, s_part)
+    log_stratum_sum(n, k, w, s)
+    assert [x.tobytes() for x in inputs] == before
+    assert log_J.tobytes() == _logsumexp(s_part + radial_log_node(m, k), 1).tobytes()
 
 
 def test_stratum_moments_are_those_of_the_term_shares(rng):

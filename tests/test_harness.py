@@ -11,6 +11,7 @@ from artifact import ExperimentConfig, geometry, run_experiment, run_fit, verify
 from artifact.cli import main as cli_main
 from artifact.errors import ConfigError
 from artifact.harness import TOLERANCE_PROFILES, corrupted_coefficient
+from artifact.quadrature import TWO_PI
 
 
 def test_config_validation_messages():
@@ -184,7 +185,39 @@ def test_fit_sweeps_again_unless_the_run_matches(tmp_path, monkeypatch, spoil):
     spoil(tmp_path / "run")
     ratios = count_calls(monkeypatch, "log_partition_ratio")
     assert fit_bits(run_fit(config)) == swept
-    assert [k for _, _, k in ratios] == config.k_values
+    assert [k for _, _, k in ratios] == config.k_values[::-1]
+
+
+def test_windows_run_largest_k_first_and_write_ascending_rows(tmp_path, monkeypatch):
+    # rows are ascending in k and bit-equal to per-k calls made in ascending
+    # order on fresh metrics
+    from artifact import bergman_density, build_metric, log_partition_ratio, radial_rule
+    from artifact.geometry import fubini_study
+    from artifact.harness import write_csv
+
+    for kind, n, k_min, k_max, k_stride in (("partition", 1, 20, 60, 8), ("bergman", 2, 4, 24, 5)):
+        config = ExperimentConfig(kind=kind, n=n, potential_coeffs=(0.0, 0.1, -0.05),
+                                  k_min=k_min, k_max=k_max, k_stride=k_stride,
+                                  out_dir=str(tmp_path / kind))
+        calls = count_calls(monkeypatch, "log_partition_ratio" if kind == "partition"
+                            else "bergman_density")
+        run_experiment(config)
+        monkeypatch.undo()
+        assert [args[-1] for args in calls] == config.k_values[::-1]
+        rule = radial_rule(config.order)
+        metric, base = build_metric(config.potential(), rule), fubini_study(n, rule)
+        rows = []
+        for k in config.k_values:
+            if kind == "partition":
+                ratio = log_partition_ratio(metric, base, k)
+                rows.append((k, ratio, TWO_PI**n * ratio))
+            else:
+                dens = bergman_density(metric, k)
+                rows.append((k, TWO_PI**n * dens.min_value, TWO_PI**n * dens.max_value,
+                             dens.integral_defect))
+        text = (tmp_path / kind / f"{kind}.csv").read_text()
+        write_csv(str(tmp_path / f"{kind}-ascending.csv"), text.splitlines()[0].split(","), rows)
+        assert (tmp_path / f"{kind}-ascending.csv").read_text() == text
 
 
 def test_cli_fit_reuses_the_partition_run(tmp_path, capsys, monkeypatch):

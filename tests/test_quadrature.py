@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from artifact.errors import ResolutionTooLow
 from artifact.quadrature import (
@@ -32,16 +33,51 @@ def test_integrate_contracts_the_last_axis():
         assert abs(row - one) <= 1e-15 * one
 
 
+def _reference_rule(order):
+    """The Gauss-Legendre rule of this order on (0, 1) at the working precision:
+    one mpmath Newton step on P_N from numpy's roots x <= 0, the derivative carried
+    to the new root by the Legendre equation; the nodes up to 1/2 and their weights."""
+    nodes, weights = [], []
+    for start in np.polynomial.legendre.leggauss(order)[0][:(order + 1) // 2]:
+        x = mp.mpf(float(start))
+        p, q = mp.legendre(order, x), mp.legendre(order - 1, x)
+        dp = order * (q - x * p) / (1 - x * x)
+        d2p = (2 * x * dp - order * (order + 1) * p) / (1 - x * x)
+        step = -p / dp
+        x, dp = x + step, dp + d2p * step
+        nodes.append((1 + x) / 2)
+        weights.append(1 / ((1 - x * x) * dp * dp))
+    return nodes, weights
+
+
 def test_rules_are_shared_and_read_only():
-    for order in (16, 72, 432):
+    for order in (16, 72, 272, 432, 512):
         rule = radial_rule(order)
         assert radial_rule(order) is rule
-        x, w = np.polynomial.legendre.leggauss(order)
-        assert np.array_equal(rule.nodes, 0.5 * (x + 1.0))
-        assert np.array_equal(rule.weights, 0.5 * w)
+        with mp.workdps(40):
+            nodes, weights = _reference_rule(order)
+            half = len(nodes)
+            for got in (rule.nodes[:half], 1.0 - rule.nodes[::-1][:half]):
+                assert max(abs(mp.mpf(float(g)) - v) for g, v in zip(got, nodes)) <= 1.2e-16
+            for got in (rule.weights[:half], rule.weights[::-1][:half]):
+                assert max(abs(mp.mpf(float(g)) / v - 1) for g, v in zip(got, weights)) <= 1e-11
+        assert abs(rule.weights.sum() - 1.0) <= 4.4e-16, order
         for values in (rule.nodes, rule.weights):
             with pytest.raises(ValueError):
                 values[0] = 0.5
+
+
+def test_odd_rules_are_symmetric_about_one_half():
+    for order in (17, 101):
+        rule = radial_rule(order)
+        s, w = rule.nodes, rule.weights
+        assert s[order // 2] == 0.5
+        assert (np.diff(s) > 0.0).all()
+        assert w.tobytes() == w[::-1].tobytes()
+        assert np.abs(s + s[::-1] - 1.0).max() <= np.spacing(1.0)
+    rule = radial_rule(17)
+    for p in range(2 * 17):
+        assert abs(rule.integrate(rule.nodes**p) - 1.0 / (p + 1)) < 1e-14, p
 
 
 def test_clenshaw_curtis_levels_are_positive_and_exact_on_polynomials():
