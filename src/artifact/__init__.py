@@ -16,7 +16,6 @@ from .errors import (
     NonPositiveNorm,
     NotConverged,
     PathLeavesCone,
-    ProjectionTail,
     ResolutionTooLow,
     SpreadTooLarge,
     TailTooLarge,

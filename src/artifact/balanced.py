@@ -28,9 +28,9 @@ on the dense grid.  Only the weights of the sums change from step to step,
 so ``t_iteration`` exponentiates their terms once on entry, over the nodes
 and the dense grid (``StepKernels``), and lets them go when it returns;
 each step is a few matrix-vector products with them.  ``fs_map_profile``
-fits FS(H) as a Chebyshev series once, when the iteration stops, and
-``project_potential`` converts that series back to power-basis
-coefficients.
+fits FS(H) as a Chebyshev series once, when the iteration stops, and that
+series is the balanced potential it returns: not a polynomial in s, as the
+fixed points log(1 + (e^t - 1) s) + c are not unless t = 0.
 """
 from __future__ import annotations
 
@@ -38,10 +38,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Chebyshev, Polynomial
 
 from .bergman import (
-    DENSE_GRID,
     LOG_TWO_PI,
     StepKernels,
     bergman_density,
@@ -54,9 +52,8 @@ from .bergman import (
     radial_log_node,
     shifted_exp,
     step_kernels,
-    stratum_grid,
 )
-from .errors import NotConverged, ProjectionTail
+from .errors import NotConverged
 from .functionals import S_j
 from .geometry import (
     ProfilePotential,
@@ -72,7 +69,6 @@ from .quadrature import TWO_PI, RadialQuadrature, radial_rule, required_order
 
 BALANCE_TOL = 1e-10
 MAX_ITERATIONS = 500
-PROJECTION_TAIL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -118,14 +114,15 @@ def _step_constants(n: int, k: int) -> tuple:
             - math.log(math.factorial(n - 1)), class_volume(n) / dim_h0(n, k))
 
 
-def _hilb(n: int, k: int, log_Jm: np.ndarray, constants=None) -> BasisMetric:
-    """eta_m = (d_k/V) (2 pi)^n J_m / (n-1)!"""
-    return BasisMetric(n, k, log_Jm + (constants or _step_constants(n, k))[0])
+def _hilb(n: int, k: int, log_Jm: np.ndarray, constants: tuple) -> BasisMetric:
+    """eta_m = (d_k/V) (2 pi)^n J_m / (n-1)!, with the ``_step_constants`` of (n, k)."""
+    return BasisMetric(n, k, log_Jm + constants[0])
 
 
 def hilb_map(metric: RadialKahlerMetric, k: int) -> BasisMetric:
     """Rescaled L^2 form of the potential: eta_m from the radial Gram data."""
-    return _hilb(metric.n, k, gram(metric, k).log_Jm)
+    n = metric.n
+    return _hilb(n, k, gram(metric, k).log_Jm, _step_constants(n, k))
 
 
 def _fs_weights(H: BasisMetric) -> np.ndarray:
@@ -141,69 +138,52 @@ def fs_map_profile(H: BasisMetric) -> ProfilePotential:
     )
 
 
-def fs_map_metric(H: BasisMetric, rule: RadialQuadrature, kernels: StepKernels) -> tuple:
-    """(FS(H) at the nodes, k phi_H at the points after them), from the stratum
-    moments on ``kernels``, whose points are the nodes of ``rule`` and then more.
+def fs_map_metric(H: BasisMetric, kernels: StepKernels) -> tuple:
+    """(FS(H) at the nodes, k phi_H on DENSE_GRID), from the stratum moments
+    on ``kernels``.
 
     The metric carries only the nodal data phi, F, F' and G (no potential),
     which is what the Gram data read.  F' and G are checked positive at every
     interior point (at s = 0 and 1 both are 0/0 limits of positive ratios).
     """
-    n, k, order = H.n, H.k, rule.order
-    s = kernels.s
+    n, k, rule = H.n, H.k, kernels.rule
+    s, order = kernels.s, rule.order
     log_P, mean, var = kernel_moments(kernels, _fs_weights(H))
     with np.errstate(divide="ignore", invalid="ignore"):
         d = {"s": s, "phi": log_P / k, "F": mean / k, "F1": var / (k * s * (1.0 - s)),
              "G": mean / (k * s)}
-    inner = (s > 0.0) & (s < 1.0)
+    inner = kernels.inner
     check_positive(s[inner], d["F1"][inner], d["G"][inner])
     nodal = RadialKahlerMetric(n, None, rule, {key: v[:order] for key, v in d.items()})
     return nodal, log_P[order:]
 
 
-def t_step(H: BasisMetric, rule: RadialQuadrature, kernels: StepKernels, constants=None):
-    """(Hilb(FS(H)), balance defect of FS(H)) on ``kernels``, over the nodes of
-    ``rule`` and then DENSE_GRID, where the defect reads FS(H)'s density: the
-    stratum sum of 1/J_m over that of FS(H), a product with the same kernel."""
-    n, k, order = H.n, H.k, rule.order
-    nodal, k_phi = fs_map_metric(H, rule, kernels)
+def t_step(H: BasisMetric, kernels: StepKernels, constants: tuple):
+    """(Hilb(FS(H)), balance defect of FS(H)) on ``kernels`` with the
+    ``_step_constants`` of (n, k); the defect reads FS(H)'s density on
+    DENSE_GRID: the stratum sum of 1/J_m over that of FS(H), a product with
+    the same kernel."""
+    n, k, order = H.n, H.k, kernels.rule.order
+    nodal, k_phi = fs_map_metric(H, kernels)
     log_Jm = kernel_log_J(kernels, radial_log_node(nodal, k))
     b, top = shifted_exp(-log_Jm)
     dense = slice(order, kernels.s.size)
     log_sum = np.log(b @ kernels.stack[:, dense]) + kernels.shift[dense] + top
     rho = np.exp(log_sum - k_phi - n * LOG_TWO_PI)
-    return _hilb(n, k, log_Jm, constants), _sup_defect(n, k, rho.min(), rho.max(), constants)
+    return _hilb(n, k, log_Jm, constants), _sup_defect(rho.min(), rho.max(), constants)
 
 
-def project_potential(potential: ProfilePotential, degree: int,
-                      tail_tol: float = PROJECTION_TAIL_TOL) -> RadialPotential:
-    """Project a profile potential onto the power basis s^0..s^degree.
-
-    Fails with ProjectionTail when the discarded Chebyshev coefficients
-    are not negligible against the retained ones.
-    """
-    coef = potential.profile.coef
-    scale = max(np.abs(coef).max(), 1.0)
-    if coef.size > degree + 1:
-        tail = float(np.abs(coef[degree + 1 :]).max() / scale)
-        if tail > tail_tol:
-            raise ProjectionTail(tail, tail_tol, degree)
-        coef = coef[: degree + 1]
-    # the inverse of the cast in RadialPotential.profile
-    power = Chebyshev(coef, domain=[0.0, 1.0]).convert(kind=Polynomial).coef
-    return RadialPotential(potential.n, tuple(power))
-
-
-def _sup_defect(n: int, k: int, low: float, high: float, constants=None) -> float:
-    """sup |(V/d_k) rho - 1| for a density rho with range [low, high]."""
-    scale = (constants or _step_constants(n, k))[1]
+def _sup_defect(low: float, high: float, constants: tuple) -> float:
+    """sup |(V/d_k) rho - 1| for a density rho with range [low, high], with the
+    ``_step_constants`` of (n, k)."""
+    scale = constants[1]
     return float(max(abs(scale * high - 1.0), abs(scale * low - 1.0)))
 
 
 def balance_defect(metric: RadialKahlerMetric, k: int) -> float:
     """sup |(V/d_k) rho_k - 1| over [0, 1]."""
     dens = bergman_density(metric, k)
-    return _sup_defect(metric.n, k, dens.min_value, dens.max_value)
+    return _sup_defect(dens.min_value, dens.max_value, _step_constants(metric.n, k))
 
 
 def t_iteration(initial_potential: RadialPotential, k: int, rule=None,
@@ -211,27 +191,26 @@ def t_iteration(initial_potential: RadialPotential, k: int, rule=None,
     """Iterate the T-map on eta from Hilb of the initial potential until balanced.
 
     Step 0 measures the starting metric; every later step is one ``t_step``.
-    Returns (balanced potential, IterationTrace); the returned potential is
-    projected to the power basis at twice the starting degree.  Raises
-    NotConverged (carrying the trace) when max_iter is exhausted.
+    Returns (balanced potential, IterationTrace): the start itself when it is
+    already balanced, else FS(H) for the H whose defect ended the loop, fitted
+    once by ``fs_map_profile``.  Raises NotConverged (carrying the trace) when
+    max_iter is exhausted.
     """
     rule = rule or radial_rule(required_order(k))
     metric = build_metric(initial_potential, rule)
     defects = [balance_defect(metric, k)]
     if defects[0] <= tol:
         return initial_potential, IterationTrace(tuple(defects), 0, True)
-    grid = stratum_grid(metric.n, k, np.concatenate([rule.nodes, DENSE_GRID]))
-    kernels = step_kernels(grid, rule.order)
+    kernels = step_kernels(metric.n, k, rule)
     constants = _step_constants(metric.n, k)
     H_next = hilb_map(metric, k)
     while not defects[-1] <= tol:
         if len(defects) > max_iter:
             raise NotConverged(IterationTrace(tuple(defects), max_iter, False))
         H = H_next
-        H_next, defect = t_step(H, rule, kernels, constants)
+        H_next, defect = t_step(H, kernels, constants)
         defects.append(defect)
-    balanced = project_potential(fs_map_profile(H), 2 * max(initial_potential.degree, 1))
-    return balanced, IterationTrace(tuple(defects), len(defects) - 1, True)
+    return fs_map_profile(H), IterationTrace(tuple(defects), len(defects) - 1, True)
 
 
 def normalize_potential(potential: RadialPotential, rule: RadialQuadrature) -> RadialPotential:

@@ -35,10 +35,11 @@ no series.
 J_m contracts the same kernel over the nodes: it shares the s-part
 m log s + (k-m) log(1-s) (``stratum_s_part``), and s^(n-1) joins its
 per-node factor (``radial_log_node``).  A T-iteration changes only the
-weights, so it exponentiates the weight-free terms (its ``StratumGrid``
-over the nodes and the dense grid) once, as ``StepKernels``, and each sum
-of a step is a product with exp(w - max w); a spread of w past
-``SPREAD_BOUND`` would leave the range of doubles and raises SpreadTooLarge.
+weights, so it exponentiates the weight-free terms over the nodes and the
+dense grid once, as ``StepKernels``, and each sum of a step is a product
+with exp(w - max w).  Two spreads raise SpreadTooLarge: of w past
+``SPREAD_BOUND``, which would leave the range of doubles, and of the shares
+p_m so far from ks that Var_p[m] cancels past ``CANCELLATION_BOUND``.
 """
 from __future__ import annotations
 
@@ -53,11 +54,12 @@ import numpy as np
 from .errors import NonPositiveNorm, SpreadTooLarge
 from .geometry import (VARIATION_STEP, RadialKahlerMetric, ScalarField, central_difference,
                        half_laplacian)
-from .quadrature import TWO_PI, check_resolution
+from .quadrature import TWO_PI, RadialQuadrature, check_resolution
 
 LOG_TWO_PI = math.log(TWO_PI)
 DENSE_GRID = np.linspace(0.0, 1.0, 513)  # where densities are bounded, endpoints included
 SPREAD_BOUND = 600.0  # e^-600 and the sums it enters stay normal doubles (to e^-708)
+CANCELLATION_BOUND = 1e4  # (E_p[m] - ks)^2/Var_p[m]: Var_p[m] keeps about 1e-12 relative
 
 
 def dim_h0(n: int, k: int) -> int:
@@ -105,16 +107,6 @@ def _logsumexp(a: np.ndarray, axis: int, out=None) -> np.ndarray:
     return np.log(np.exp(shifted, out=shifted).sum(axis=axis)) + np.squeeze(top, axis)
 
 
-@dataclass(frozen=True)
-class StratumGrid:
-    """log (n-1+m)!/m! s^m (1-s)^(k-m) at points s, as ``log_D[m]`` plus
-    ``s_part[m]`` (whose m = 0 and m = k rows skip the 0 log 0)."""
-
-    s: np.ndarray
-    s_part: np.ndarray
-    log_D: np.ndarray
-
-
 def stratum_s_part(k: int, s: np.ndarray) -> np.ndarray:
     """m log s + (k-m) log(1-s), m = 0..k by rows, s by columns (the m = 0 and
     m = k rows skip the 0 log 0)."""
@@ -128,17 +120,15 @@ def stratum_s_part(k: int, s: np.ndarray) -> np.ndarray:
     return t_s
 
 
-def stratum_grid(n: int, k: int, s) -> StratumGrid:
-    """The StratumGrid of the points s."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    log_D = np.log(math.factorial(n - 1) * degree_multiplicities(n, k))
-    return StratumGrid(s, stratum_s_part(k, s), log_D)
+def log_degree_weights(n: int, k: int) -> np.ndarray:
+    """log D_m = log (n-1+m)!/m!, m = 0..k, of the exact integers."""
+    return np.log(math.factorial(n - 1) * degree_multiplicities(n, k))
 
 
 def log_stratum_sum(n: int, k: int, log_weights: np.ndarray, s) -> np.ndarray:
     """log P(s) = log sum_m (n-1+m)!/m! s^m (1-s)^(k-m) e^(w_m) at each s in [0, 1]."""
-    grid = stratum_grid(n, k, s)
-    terms = grid.s_part + (grid.log_D + log_weights)[:, None]
+    terms = stratum_s_part(k, np.atleast_1d(np.asarray(s, dtype=float)))
+    terms += (log_degree_weights(n, k) + log_weights)[:, None]
     return _logsumexp(terms, 0, terms)
 
 
@@ -153,40 +143,53 @@ def shifted_exp(x: np.ndarray) -> tuple:
 
 @dataclass(frozen=True)
 class StepKernels:
-    """A StratumGrid's terms, exponentiated once: ``stack`` is [K | (m-ks) K |
-    (m-ks)^2 K], K = exp(log_D + s_part - shift) with ``shift`` the column max;
-    ``gram`` is exp(s_part - gram_shift) at the first ``order`` points (the
-    nodes), with ``gram_shift`` the row max."""
+    """The weight-free stratum terms at ``s``, the nodes of ``rule`` and then
+    DENSE_GRID, exponentiated once: ``stack`` is [K | (m-ks) K | (m-ks)^2 K],
+    K = exp(log D_m + s-part - shift) with ``shift`` the column max; ``gram``
+    is exp(s-part - gram_shift) at the nodes, with ``gram_shift`` the row max;
+    ``inner`` marks the points inside (0, 1)."""
 
+    rule: RadialQuadrature
     s: np.ndarray
+    inner: np.ndarray
     shift: np.ndarray
     stack: np.ndarray
     gram: np.ndarray
     gram_shift: np.ndarray
 
 
-def step_kernels(grid: StratumGrid, order: int) -> StepKernels:
-    """The StepKernels of a StratumGrid whose first ``order`` points are nodes."""
-    k = grid.log_D.size - 1
-    terms = grid.s_part + grid.log_D[:, None]
+def step_kernels(n: int, k: int, rule: RadialQuadrature) -> StepKernels:
+    """The StepKernels of degree k on CP^n over the nodes of ``rule``, then DENSE_GRID."""
+    s = np.concatenate([rule.nodes, DENSE_GRID])
+    s_part = stratum_s_part(k, s)
+    terms = s_part + log_degree_weights(n, k)[:, None]
     shift = terms.max(axis=0)
     K = np.exp(terms - shift)
     # centred at the FS mean ks, against the cancellation in E[m^2] - E[m]^2
-    centred = np.arange(k + 1.0)[:, None] - k * grid.s
-    nodal = grid.s_part[:, :order]
+    centred = np.arange(k + 1.0)[:, None] - k * s
+    nodal = s_part[:, :rule.order]
     gram_shift = nodal.max(axis=1)
-    return StepKernels(grid.s, shift, np.hstack([K, centred * K, centred * centred * K]),
+    return StepKernels(rule, s, (s > 0.0) & (s < 1.0), shift,
+                       np.hstack([K, centred * K, centred * centred * K]),
                        np.exp(nodal - gram_shift[:, None]), gram_shift)
 
 
 def kernel_moments(kernels: StepKernels, log_weights: np.ndarray):
     """(log P, E_p[m], Var_p[m]) at the kernels' points, with p_m the m-th
-    term's share of P: one product of exp(w - max w) with the stack."""
+    term's share of P: one product of exp(w - max w) with the stack.  Raises
+    SpreadTooLarge where (E_p[m] - ks)^2 passes CANCELLATION_BOUND Var_p[m]
+    (at s = 0 and 1 both are exactly 0)."""
     a, top = shifted_exp(log_weights)
     S0, S1, S2 = (a @ kernels.stack).reshape(3, -1)
     centre = S1 / S0  # E_p[m] - ks
+    square = centre * centre
+    var = S2 / S0 - square
+    if (lost := square > CANCELLATION_BOUND * var).any():
+        with np.errstate(divide="ignore"):
+            ratio = np.max(square[lost] / np.abs(var[lost]))
+        raise SpreadTooLarge(float(ratio), CANCELLATION_BOUND)
     k = log_weights.size - 1
-    return np.log(S0) + kernels.shift + top, k * kernels.s + centre, S2 / S0 - centre * centre
+    return np.log(S0) + kernels.shift + top, k * kernels.s + centre, var
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,6 @@ def config_from_args(args) -> ExperimentConfig:
         pot = _read_input(args.potential, RadialPotential.from_json)
         data["n"] = pot.n
         data["potential_coeffs"] = list(pot.coeffs)
-        data.pop("potential", None)
     if args.n is not None:
         data["n"] = args.n
     for key in ("k_min", "k_max", "k_stride"):

@@ -52,12 +52,13 @@ class TailTooLarge(ArtifactError):
 
 
 class SpreadTooLarge(ArtifactError):
-    """Log-weights spread beyond what a sum against a fixed kernel keeps."""
+    """Weights spread beyond what a sum against a fixed kernel keeps: log-weights
+    past the range of doubles, or degree shares whose variance cancels."""
 
     def __init__(self, spread, bound):
         self.spread = float(spread)
         self.bound = float(bound)
-        super().__init__(f"log-weights spread {spread:.1f} beyond the kernel bound {bound:.0f}")
+        super().__init__(f"weights spread {spread:.4g} beyond the kernel bound {bound:.4g}")
 
 
 class PathLeavesCone(ArtifactError):
@@ -86,18 +87,6 @@ class UnsupportedCoefficient(ArtifactError):
     def __init__(self, j):
         self.j = j
         super().__init__(f"expansion coefficient a_{j} is not available (j must be <= 2)")
-
-
-class ProjectionTail(ArtifactError):
-    """Polynomial projection of a sampled profile loses too much."""
-
-    def __init__(self, tail, tol, degree):
-        self.tail = float(tail)
-        self.tol = float(tol)
-        self.degree = degree
-        super().__init__(
-            f"projection residual {tail:.3e} exceeds {tol:.1e} at degree {degree}"
-        )
 
 
 class IllConditioned(ArtifactError):

@@ -63,21 +63,17 @@ def _check_pair(m1: RadialKahlerMetric, m0: RadialKahlerMetric):
 
 
 def path_metric(m1: RadialKahlerMetric, m0: RadialKahlerMetric, t) -> RadialKahlerMetric:
-    """Metric of the linear potential interpolation at time t.
+    """Metric of the linear potential interpolation at the times t, shape (T,).
 
-    For an array of times t of shape (T,) it is one metric with a t-axis:
-    every affine ``nd`` entry has shape (T, N), "s", "sig" and "sigp" stay
-    (N,), and it carries no potential, like FS(H).
+    It is one metric with a t-axis: every affine ``nd`` entry has shape
+    (T, N), "s", "sig" and "sigp" stay (N,), and it carries no potential,
+    like FS(H).
     """
-    if np.ndim(t) == 0 and t in (0.0, 1.0):
-        return m1 if t else m0
     # nd is affine in t, so F' and G stay positive between checked ends
-    tt = np.asarray(t, dtype=float)[..., None]
+    tt = np.asarray(t, dtype=float)[:, None]
     nd = {key: v if key in ("s", "sig", "sigp") else (1.0 - tt) * v + tt * m1.nd[key]
           for key, v in m0.nd.items()}
-    potential = None if np.ndim(t) else ProfilePotential(
-        m0.n, (1.0 - t) * m0.potential.profile + t * m1.potential.profile)
-    return RadialKahlerMetric(m0.n, potential, m0.rule, nd)
+    return RadialKahlerMetric(m0.n, None, m0.rule, nd)
 
 
 def _path_quadrature(m1: RadialKahlerMetric, m0: RadialKahlerMetric, integrand):

@@ -91,14 +91,11 @@ class RadialPotential:
 
     @classmethod
     def from_json(cls, text: str) -> "RadialPotential":
-        return cls(*parse_s_poly(json.loads(text)))
-
-
-def parse_s_poly(data: dict) -> tuple:
-    """(n, coeffs) of the potential format {"n", "basis": "s-poly", "coeffs"}."""
-    if data.get("basis", "s-poly") != "s-poly":
-        raise ValueError(f"unsupported potential basis {data.get('basis')!r}")
-    return int(data["n"]), tuple(float(c) for c in data["coeffs"])
+        """The potential of the format {"n", "basis": "s-poly", "coeffs"}."""
+        data = json.loads(text)
+        if data.get("basis", "s-poly") != "s-poly":
+            raise ValueError(f"unsupported potential basis {data.get('basis')!r}")
+        return cls(int(data["n"]), tuple(float(c) for c in data["coeffs"]))
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ from .geometry import (
     coefficient_average,
     coefficient_split,
     fubini_study,
-    parse_s_poly,
 )
 from .quadrature import TWO_PI, radial_rule, required_order
 
@@ -126,15 +125,6 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        pot = data.pop("potential", None)
-        if pot is not None:
-            try:
-                n, coeffs = parse_s_poly(pot)
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise ConfigError("potential", f"malformed: {exc!r}") from exc
-            data["potential_coeffs"] = list(coeffs)
-            data.setdefault("n", n)
         known = {f.name for f in dataclasses.fields(cls)}
         extra = set(data) - known
         if extra:

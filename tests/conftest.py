@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from artifact import RadialPotential, build_metric, dim_h0, functionals, radial_rule
-from artifact.balanced import _hilb, _sup_defect
+from artifact.balanced import BasisMetric
 from artifact.bergman import DENSE_GRID, _logsumexp
 from artifact.errors import NonPositiveMetric, NonPositiveNorm
 from artifact.geometry import RadialKahlerMetric
@@ -150,16 +150,16 @@ def gram_full(metric, k: int) -> FullGram:
 
 
 def _t_sum(m1, m0, integrand, nodes, weights):
-    """Sum of weight x integrand over scalar-t path metrics, in node order."""
+    """Sum of weight x integrand over one-time path metrics, in node order."""
     total = 0.0
-    for t, wt in zip(nodes, weights):
-        total = total + wt * integrand(functionals.path_metric(m1, m0, float(t)))
+    for i, wt in enumerate(weights):
+        total = total + wt * integrand(functionals.path_metric(m1, m0, nodes[i:i + 1]))[0]
     return total
 
 
 def path_quadrature_by_steps(m1, m0, integrand):
     """``functionals._path_quadrature`` as a loop over the t-nodes: each nested
-    level is summed afresh over scalar-t path metrics, with the same stop."""
+    level is summed afresh over one-time path metrics, with the same stop."""
     value = None
     for nodes, weights in NESTED_LEVELS:
         previous, value = value, _t_sum(m1, m0, integrand, nodes, weights)
@@ -172,8 +172,8 @@ def path_quadrature_by_steps(m1, m0, integrand):
 
 
 def path_quadrature_gauss512(m1, m0, integrand):
-    """The same t-integral on 512 Gauss-Legendre nodes, one scalar-t path
-    metric at a time: a reference for the nested rule.  Its change is 0."""
+    """The same t-integral on 512 Gauss-Legendre nodes, one path metric per
+    time: a reference for the nested rule.  Its change is 0."""
     rule = radial_rule(512)
     value = _t_sum(m1, m0, integrand, rule.nodes, rule.weights)
     return value, 0.0 * value
@@ -245,4 +245,8 @@ def logsumexp_t_step(H, rule):
     log_Jm = radial_log_J_by_step(RadialKahlerMetric(n, None, rule, nd), k)
     log_sum = _logsumexp(stratum_terms_by_step(n, k, -log_Jm, DENSE_GRID), 0)
     rho = np.exp(log_sum - log_P[order:] - n * math.log(TWO_PI))
-    return _hilb(n, k, log_Jm), _sup_defect(n, k, rho.min(), rho.max())
+    # eta_m = (d_k/V) (2 pi)^n J_m/(n-1)!, V = (2 pi)^n/n!; the defect is sup |(V/d_k) rho - 1|
+    d_k = dim_h0(n, k)
+    log_eta = log_Jm + math.log(d_k * math.factorial(n) / math.factorial(n - 1))
+    defect = np.abs(TWO_PI**n / (math.factorial(n) * d_k) * rho - 1.0).max()
+    return BasisMetric(n, k, log_eta), float(defect)

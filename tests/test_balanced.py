@@ -18,23 +18,16 @@ from artifact import (
     radial_rule,
     t_iteration,
 )
-from artifact.balanced import BasisMetric, _hilb, fs_map_metric, project_potential, t_step
-from artifact.bergman import (DENSE_GRID, density_values, gram, kernel_log_J, kernel_moments,
-                              log_stratum_sum, radial_log_node, step_kernels, stratum_grid)
-from artifact.errors import NotConverged, ProjectionTail, SpreadTooLarge
+from artifact.balanced import BasisMetric, _hilb, _step_constants, fs_map_metric, t_step
+from artifact.bergman import (density_values, gram, kernel_log_J, kernel_moments, log_stratum_sum,
+                              radial_log_node, step_kernels)
+from artifact.errors import NotConverged, SpreadTooLarge
 from artifact.functionals import S_j
-from artifact.geometry import ProfilePotential
-from artifact.profiles import Profile
 from artifact.quadrature import TWO_PI, required_order
 
 from conftest import count_profile_calls, logsumexp_t_step, random_metric
 
 S_DENSE = np.linspace(0.0, 1.0, 401)
-
-
-def iteration_kernels(n, k, rule):
-    """The StepKernels ``t_iteration`` builds: the nodes, then DENSE_GRID."""
-    return step_kernels(stratum_grid(n, k, np.concatenate([rule.nodes, DENSE_GRID])), rule.order)
 
 
 def test_hilbert_map_fs_level_one(fs_metric):
@@ -98,9 +91,9 @@ def test_moments_give_the_fs_metric_and_its_defect(rng, rule200):
         m = random_metric(rng, n, rule200)
         for k in (5, 20, 40):
             H = hilb_map(m, k)
-            kernels = iteration_kernels(n, k, rule200)
-            nodal, _ = fs_map_metric(H, rule200, kernels)
-            _, defect = t_step(H, rule200, kernels)
+            kernels = step_kernels(n, k, rule200)
+            nodal, _ = fs_map_metric(H, kernels)
+            _, defect = t_step(H, kernels, _step_constants(n, k))
             assert nodal.potential is None
             sample = np.arange(0, rule200.order, 9)
             exact = np.array([_fs_moments_reference(n, k, -gammaln(n) - H.log_eta, s)
@@ -163,21 +156,6 @@ def test_fs_map_gauge_scaling(fs_metric):
     assert abs(abs(shift[0]) - math.log(lam) / k) < 1e-12
 
 
-def test_projection_rejects_non_polynomial_profiles(rng):
-    prof = Profile.from_callable(lambda s: np.exp(2.0 * s))
-    with pytest.raises(ProjectionTail):
-        project_potential(ProfilePotential(1, prof), 3)
-    ok = project_potential(ProfilePotential(1, prof), 30)
-    assert abs(np.polynomial.polynomial.polyval(0.5, ok.coeffs) - math.e) < 1e-10
-    # a polynomial comes back from its exact Chebyshev series
-    for degree in range(1, 13):
-        for _ in range(5):
-            c = rng.normal(size=degree + 1)
-            series = RadialPotential(1, tuple(c)).profile
-            back = project_potential(ProfilePotential(1, series), degree)
-            assert np.abs(np.array(back.coeffs) - c).max() < 1e-13, degree
-
-
 def test_round_trip_decays_quadratically(rng, rule200):
     m = random_metric(rng, 1, rule200, scale=0.08)
     phi_true = m.phi_derivs(S_DENSE)[0]
@@ -207,6 +185,19 @@ def test_iteration_converges_from_small_perturbation():
     assert trace.defects[-1] <= 1e-10
     m = build_metric(pot, rule)
     assert balance_defect(m, k) <= 1e-9
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, 0.3), (0.0, 0.2, -0.1)])
+def test_iteration_returns_the_fs_metric_it_balanced(coeffs):
+    # the balanced potential is FS(H) of the final step, not a polynomial in s;
+    # its defect is the trace's last one, up to the fit of FS(H)
+    k = 10
+    rule = radial_rule(required_order(k))
+    pot, trace = t_iteration(RadialPotential(1, coeffs), k, rule)
+    assert trace.converged and trace.defects[-1] <= 1e-10
+    defect = balance_defect(build_metric(pot, rule), k)
+    assert defect <= 1e-9
+    assert abs(defect - trace.defects[-1]) <= 1e-3 * trace.defects[-1]
 
 
 def test_iteration_cap_raises_with_trace():
@@ -266,26 +257,27 @@ def test_steps_multiply_kernels_built_once_per_iteration(monkeypatch):
         t_iteration(RadialPotential(2, (0.0, 0.01, -0.005)), 10, max_iter=3)
     assert len(err.value.trace.defects) == 4
     assert [name for name, stepping in calls if stepping] == ["kernel_log_J"] * 3
-    # the start's Gram data and dense density only, then the iteration's grid
+    # the start's Gram data and dense density only, then the iteration's kernels
     assert [name for name, _ in calls if name != "_logsumexp"] == [
-        "stratum_s_part", "radial_log_J", "stratum_s_part", "stratum_s_part", "step_kernels",
+        "stratum_s_part", "radial_log_J", "stratum_s_part", "step_kernels", "stratum_s_part",
         "kernel_log_J", "kernel_log_J", "kernel_log_J"]
 
 
 def test_iteration_builds_its_fixed_grid_data_once(monkeypatch):
     from artifact import balanced, bergman
 
-    grids, s_parts = [], []
-    build_grid, build_s_part = balanced.stratum_grid, bergman.stratum_s_part
-    monkeypatch.setattr(balanced, "stratum_grid",
-                        lambda *args: grids.append(args[:2]) or build_grid(*args))
+    kernels, s_parts = [], []
+    build_kernels, build_s_part = balanced.step_kernels, bergman.stratum_s_part
+    monkeypatch.setattr(balanced, "step_kernels",
+                        lambda *args: kernels.append(args) or build_kernels(*args))
     monkeypatch.setattr(bergman, "stratum_s_part",
                         lambda *args: s_parts.append(args[0]) or build_s_part(*args))
     with pytest.raises(NotConverged):
         t_iteration(RadialPotential(2, (0.0, 0.01, -0.005)), 10, max_iter=5)
-    assert grids == [(2, 10)]
+    assert [args[:2] for args in kernels] == [(2, 10)]
+    assert kernels[0][2] is radial_rule(required_order(10))
     # the start metric's Gram data and dense density, then the iteration's
-    # grid; no step builds one
+    # kernels; no step builds one
     assert s_parts == [10, 10, 10]
 
 
@@ -297,16 +289,16 @@ def test_fixed_grid_data_match_the_per_step_construction():
     cases = [(n, k, 1e-13) for n in (1, 2, 3) for k in (10, 20, 60)] + [(1, 200, 5e-13)]
     for n, k, tol in cases:
         rule = radial_rule(required_order(k))
-        kernels = iteration_kernels(n, k, rule)
+        kernels = step_kernels(n, k, rule)
         H = hilb_map(build_metric(RadialPotential(n, (0.0, 0.05, -0.03)), rule), k)
         for step in range(40):
-            got, defect = t_step(H, rule, kernels)
+            got, defect = t_step(H, kernels, _step_constants(n, k))
             want, want_defect = logsumexp_t_step(H, rule)
             assert abs(defect - want_defect) < tol, (n, k, step)
             centred = got.log_eta - got.log_eta.mean()
             assert np.abs(centred - (want.log_eta - want.log_eta.mean())).max() < tol, (n, k, step)
             if step % 10 == 0:
-                hilb = hilb_map(fs_map_metric(H, rule, kernels)[0], k).log_eta
+                hilb = hilb_map(fs_map_metric(H, kernels)[0], k).log_eta
                 assert np.abs(got.log_eta - hilb).max() < tol, (n, k, step)
             H = got
 
@@ -315,17 +307,33 @@ def test_step_refuses_weights_beyond_the_kernel_range(rule200):
     # a synthetic eta whose weights spread past the bound: the smallest
     # product against the kernels would leave the doubles' range
     n, k = 1, 10
-    kernels = iteration_kernels(n, k, rule200)
+    kernels = step_kernels(n, k, rule200)
     for spread, refused in ((590.0, False), (610.0, True)):
-        H = BasisMetric(n, k, np.linspace(0.0, spread, k + 1))
+        # one middle degree at -spread: the shares stay near ks, so no variance cancels
+        H = BasisMetric(n, k, np.where(np.arange(k + 1) == k // 2, spread, 0.0))
         if refused:
             with pytest.raises(SpreadTooLarge) as err:
-                t_step(H, rule200, kernels)
+                t_step(H, kernels, _step_constants(n, k))
             assert err.value.spread == pytest.approx(spread) and err.value.bound == 600.0
         else:  # inside the bound the sum keeps its digits
             log_P = kernel_moments(kernels, -H.log_eta)[0]
             want = log_stratum_sum(n, k, -H.log_eta, kernels.s)
             assert np.abs(log_P - want).max() < 1e-13 * np.abs(want).max()
+
+
+def test_step_refuses_shares_whose_variance_cancels(rule200):
+    # FS pulled back by z -> lambda z has log eta linear in m; far from FS the
+    # shares sit so far from ks that E[(m-ks)^2] - E[m-ks]^2 loses its digits
+    # (5e-10 relative at a spread of 100), and at 590 F' reads 0 on a positive metric
+    n, k = 1, 10
+    kernels = step_kernels(n, k, rule200)
+    for spread in (100.0, 590.0):
+        H = BasisMetric(n, k, np.linspace(0.0, spread, k + 1))
+        with pytest.raises(SpreadTooLarge) as err:
+            fs_map_metric(H, kernels)
+        assert err.value.spread > 1e4 and err.value.bound == 1e4, spread
+    # a spread of 20 keeps Var_p[m] to 1.2e-13 and passes
+    assert fs_map_metric(BasisMetric(n, k, np.linspace(0.0, 20.0, k + 1)), kernels)[0].n == n
 
 
 def test_t_step_iterates_to_the_iteration_defects():
@@ -334,11 +342,11 @@ def test_t_step_iterates_to_the_iteration_defects():
         for k in (10, 20):
             start = RadialPotential(n, (0.0, 0.01, -0.005))
             rule = radial_rule(required_order(k))
-            kernels = iteration_kernels(n, k, rule)
+            kernels = step_kernels(n, k, rule)
             metric = build_metric(start, rule)
             defects, H = [balance_defect(metric, k)], hilb_map(metric, k)
             for _ in range(12):
-                H, defect = t_step(H, rule, kernels)
+                H, defect = t_step(H, kernels, _step_constants(n, k))
                 defects.append(defect)
             with pytest.raises(NotConverged) as err:
                 t_iteration(start, k, rule, max_iter=12)
@@ -351,11 +359,12 @@ def test_t_step_is_hilb_of_the_nodal_fs_metric(rng):
     for n in (1, 2, 3):
         for k in (10, 20):
             rule = radial_rule(required_order(k))
-            kernels = iteration_kernels(n, k, rule)
+            kernels = step_kernels(n, k, rule)
+            constants = _step_constants(n, k)
             H = hilb_map(random_metric(rng, n, rule), k)
-            nodal, _ = fs_map_metric(H, rule, kernels)
-            got = t_step(H, rule, kernels)[0]
-            on_kernels = _hilb(n, k, kernel_log_J(kernels, radial_log_node(nodal, k)))
+            nodal, _ = fs_map_metric(H, kernels)
+            got = t_step(H, kernels, constants)[0]
+            on_kernels = _hilb(n, k, kernel_log_J(kernels, radial_log_node(nodal, k)), constants)
             want = hilb_map(nodal, k)
             assert (got.n, got.k) == (want.n, want.k) == (on_kernels.n, on_kernels.k)
             assert (got.log_eta == on_kernels.log_eta).all(), (n, k)
@@ -399,8 +408,3 @@ def test_balance_defect_gauge_invariance(fs_metric):
     a = build_metric(fs_map_profile(H), rule)
     b = build_metric(fs_map_profile(BasisMetric(1, k, H.log_eta + math.log(5.0))), rule)
     assert abs(balance_defect(a, k) - balance_defect(b, k)) < 1e-10
-
-
-def test_projected_fs_map_round_trips_low_degree(fs_metric):
-    pot = project_potential(fs_map_profile(hilb_map(fs_metric(1), 10)), 2, tail_tol=1e-6)
-    assert max(abs(c) for c in pot.coeffs) < 1e-10

@@ -25,11 +25,11 @@ from artifact.bergman import (
     degree_multiplicities,
     donaldson_variation_check,
     kernel_moments,
+    log_degree_weights,
     log_stratum_sum,
     radial_log_J,
     radial_log_node,
     step_kernels,
-    stratum_grid,
     stratum_s_part,
 )
 from artifact.errors import ResolutionTooLow
@@ -106,10 +106,10 @@ def test_factorial_table_grows_bit_identically(monkeypatch):
 
 
 def test_degree_weights_are_exact():
-    # log_D[m] is np.log of the exact integer (n-1+m)!/m!
+    # log D_m is np.log of the exact integer (n-1+m)!/m!
     for n in (1, 2, 3):
         want = np.log([math.factorial(n - 1 + m) // math.factorial(m) for m in range(241)])
-        got = stratum_grid(n, 240, [0.5]).log_D
+        got = log_degree_weights(n, 240)
         assert got.shape == want.shape and (got == want).all(), n
 
 
@@ -235,8 +235,7 @@ def test_logsumexp_matches_scipy(rng, shape):
     # the stratum terms: at s = 0 and s = 1 every term but one is -inf
     k, n = shape[0] - 1, 2
     s = np.linspace(0.0, 1.0, shape[1])
-    grid = stratum_grid(n, k, s)
-    terms = grid.s_part + (grid.log_D + rng.normal(size=k + 1))[:, None]
+    terms = stratum_s_part(k, s) + (log_degree_weights(n, k) + rng.normal(size=k + 1))[:, None]
     assert np.isneginf(terms[1:, 0]).all() and np.isneginf(terms[:-1, -1]).all()
     ours = _logsumexp(terms, 0)
     assert np.isfinite(ours).all()
@@ -262,8 +261,10 @@ def test_log_sums_leave_their_inputs_unchanged(rng, rule200):
 def test_stratum_moments_are_those_of_the_term_shares(rng):
     n, k = 2, 12
     w = rng.normal(size=k + 1)
-    s = np.linspace(0.0, 1.0, 33)
-    log_P, mean, var = kernel_moments(step_kernels(stratum_grid(n, k, s), s.size), w)
+    kernels = step_kernels(n, k, radial_rule(32))
+    s = kernels.s  # the nodes, then the dense grid with both ends
+    assert s.size == 32 + 513 and s[32] == 0.0 and s[-1] == 1.0
+    log_P, mean, var = kernel_moments(kernels, w)
     assert np.abs(log_P - log_stratum_sum(n, k, w, s)).max() < 1e-12
     m = np.arange(k + 1)
     D = np.array([math.factorial(n - 1 + i) / math.factorial(i) for i in m])

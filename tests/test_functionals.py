@@ -113,11 +113,13 @@ def test_path_metric_combines_potential_series(rng, rule200, monkeypatch):
         raise AssertionError("path_metric re-fitted its potential")
 
     monkeypatch.setattr(Profile, "from_callable", classmethod(refit))
-    t = 0.3
-    got = path_metric(m1, m0, t).phi_derivs(s)
-    want = [(1.0 - t) * a + t * b for a, b in zip(m0.phi_derivs(s), m1.phi_derivs(s))]
-    for g, w in zip(got, want):
-        assert np.abs(g - w).max() < 1e-12
+    t, x = 0.3, rule200.nodes
+    mt = path_metric(m1, m0, np.array([t]))
+    assert mt.potential is None
+    want = [(1.0 - t) * a + t * b for a, b in zip(m0.phi_derivs(x), m1.phi_derivs(x))]
+    # phi, and phi' through F = s + s(1-s) phi', from the endpoints' series at the nodes
+    assert np.abs(mt.nd["phi"][0] - want[0]).max() < 1e-12
+    assert np.abs(mt.nd["F"][0] - (x + x * (1.0 - x) * want[1])).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
@@ -129,7 +131,7 @@ def test_path_metric_is_the_affine_combination_of_its_endpoints(rng, rule200, mo
         want = build_metric(ProfilePotential(n, combined), rule200).nd
         with monkeypatch.context() as patch:
             calls = count_profile_calls(patch, "deriv", "__call__")
-            mt = path_metric(m1, m0, t)
+            mt = path_metric(m1, m0, np.array([t]))
             assert calls == []  # no re-derivation and no evaluation
         assert mt.nd.keys() == want.keys()
         for key, w in want.items():
@@ -162,11 +164,12 @@ def test_path_metric_over_an_array_of_times_stacks_the_scalar_ones(rng, rule200,
         assert stacked.potential is None
         assert {key for key, v in stacked.nd.items() if v.shape == (rule200.order,)} == {
             "s", "sig", "sigp"}
-        for i, t in enumerate(nodes):
-            single = path_metric(m1, m0, float(t)).nd
+        for i in range(nodes.size):
+            single = path_metric(m1, m0, nodes[i:i + 1]).nd
             assert stacked.nd.keys() == single.keys()
-            for key, want in single.items():
+            for key, one in single.items():
                 got = np.broadcast_to(stacked.nd[key], (nodes.size, rule200.order))[i]
+                want = np.broadcast_to(one, (1, rule200.order))[0]
                 assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), (key, i)
 
 

@@ -29,6 +29,11 @@ def test_config_validation_messages():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"kind": "bergman", "k_min": 1, "k_max": 5,
                                     "mystery_knob": 3})
+    # a potential is given by n and potential_coeffs alone
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict({"kind": "bergman", "k_min": 1, "k_max": 5, "potential":
+                                    {"n": 1, "basis": "s-poly", "coeffs": ["0.0", "0.1"]}})
+    assert err.value.field_path == "potential"
 
 
 def test_bergman_run_reproduces_fs_reference(tmp_path):
@@ -292,6 +297,17 @@ def test_cli_balanced_run_converges(tmp_path):
         assert row["converged"] == "True"
         assert float(row["final_defect"]) <= 1e-10
         assert 0.0 < float(row["contraction_rate"]) < 1.0
+
+
+def test_cli_balanced_run_converges_off_the_polynomials(tmp_path):
+    # the balanced potential of (0, 0.3) is no polynomial in s, and the run still succeeds
+    pot = tmp_path / "pot.json"
+    pot.write_text('{"n": 1, "basis": "s-poly", "coeffs": ["0.0", "0.3"]}')
+    out = tmp_path / "balanced"
+    assert cli_main(["balanced", "--potential", str(pot), "--k-min", "10", "--k-max", "10",
+                     "--out", str(out)]) == 0
+    (row,) = _read_rows(out / "balanced.csv")
+    assert row["converged"] == "True" and float(row["final_defect"]) <= 1e-10
 
 
 def test_cli_fit_reads_config_file(tmp_path, monkeypatch):
