@@ -20,17 +20,19 @@ starting potential.
 
 Inside the T-iteration FS(H) is never fitted.  With P the stratum sum of
 FS(H) and p_m the share of its m-th term, phi = (1/k) log P, G =
-E_p[m]/(ks) and F' = Var_p[m]/(k s(1-s)) exactly, and e^(-k phi) = 1/P, so
-FS(H) at the quadrature nodes comes from two stratum moments
-(``fs_map_metric``).  The T-map is ``t_step``, a map on eta: it returns
-Hilb(FS(H)) and the balance defect of FS(H), read from its Bergman density
-on the dense grid.  Only the weights of the sums change from step to step,
-so ``t_iteration`` exponentiates their terms once on entry, over the nodes
-and the dense grid (``StepKernels``), and lets them go when it returns;
-each step is a few matrix-vector products with them.  ``fs_map_profile``
-fits FS(H) as a Chebyshev series once, when the iteration stops, and that
-series is the balanced potential it returns: not a polynomial in s, as the
-fixed points log(1 + (e^t - 1) s) + c are not unless t = 0.
+E_p[m]/(ks) and F' = Var_p[m]/(k s(1-s)) exactly, so J_m's per-node factor
+w (sG)^(n-1) F' e^(-k phi) is w (E_p[m]/k)^(n-1) Var_p[m]/(k s(1-s))/P,
+read from two stratum moments and no metric.  The T-map is ``t_step``, a
+map on eta: it returns Hilb(FS(H)) and the balance defect of FS(H), read
+from its Bergman density on the dense grid.  Only the weights of the sums
+change from step to step, so ``t_iteration`` exponentiates their terms
+once on entry, over the nodes and the dense grid, with the weight-free part
+of the per-node factor (``StepKernels``), and lets them go when it
+returns; each step is a few matrix-vector products with them.
+``fs_map_profile`` fits FS(H) as a Chebyshev series once, when the
+iteration stops, and that series is the balanced potential it returns: not
+a polynomial in s, as the fixed points log(1 + (e^t - 1) s) + c are not
+unless t = 0.
 """
 from __future__ import annotations
 
@@ -49,7 +51,6 @@ from .bergman import (
     kernel_moments,
     log_partition_ratio,
     log_stratum_sum,
-    radial_log_node,
     shifted_exp,
     step_kernels,
 )
@@ -138,38 +139,28 @@ def fs_map_profile(H: BasisMetric) -> ProfilePotential:
     )
 
 
-def fs_map_metric(H: BasisMetric, kernels: StepKernels) -> tuple:
-    """(FS(H) at the nodes, k phi_H on DENSE_GRID), from the stratum moments
-    on ``kernels``.
-
-    The metric carries only the nodal data phi, F, F' and G (no potential),
-    which is what the Gram data read.  F' and G are checked positive at every
-    interior point (at s = 0 and 1 both are 0/0 limits of positive ratios).
-    """
-    n, k, rule = H.n, H.k, kernels.rule
-    s, order = kernels.s, rule.order
-    log_P, mean, var = kernel_moments(kernels, _fs_weights(H))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = {"s": s, "phi": log_P / k, "F": mean / k, "F1": var / (k * s * (1.0 - s)),
-             "G": mean / (k * s)}
-    inner = kernels.inner
-    check_positive(s[inner], d["F1"][inner], d["G"][inner])
-    nodal = RadialKahlerMetric(n, None, rule, {key: v[:order] for key, v in d.items()})
-    return nodal, log_P[order:]
-
-
 def t_step(H: BasisMetric, kernels: StepKernels, constants: tuple):
     """(Hilb(FS(H)), balance defect of FS(H)) on ``kernels`` with the
-    ``_step_constants`` of (n, k); the defect reads FS(H)'s density on
-    DENSE_GRID: the stratum sum of 1/J_m over that of FS(H), a product with
-    the same kernel."""
+    ``_step_constants`` of (n, k).
+
+    FS(H) is read from the stratum moments: its F' and G are checked positive
+    at every interior point (at s = 0 and 1 both are 0/0 limits of positive
+    ratios), and (n-1) log E_p[m] + log Var_p[m] - log P joins the kernels'
+    ``log_node`` as J_m's per-node factor.  The defect reads FS(H)'s density
+    on DENSE_GRID: the stratum sum of 1/J_m over P, a product with the same
+    kernel."""
     n, k, order = H.n, H.k, kernels.rule.order
-    nodal, k_phi = fs_map_metric(H, kernels)
-    log_Jm = kernel_log_J(kernels, radial_log_node(nodal, k))
+    log_P, mean, var = kernel_moments(kernels, _fs_weights(H))
+    inner = kernels.inner
+    s = kernels.s[inner]
+    check_positive(s, var[inner] / (k * s * (1.0 - s)), mean[inner] / (k * s))
+    nodes = slice(order)
+    log_node = kernels.log_node + (n - 1) * np.log(mean[nodes]) + np.log(var[nodes])
+    log_Jm = kernel_log_J(kernels, log_node - log_P[nodes])
     b, top = shifted_exp(-log_Jm)
     dense = slice(order, kernels.s.size)
     log_sum = np.log(b @ kernels.stack[:, dense]) + kernels.shift[dense] + top
-    rho = np.exp(log_sum - k_phi - n * LOG_TWO_PI)
+    rho = np.exp(log_sum - log_P[dense] - n * LOG_TWO_PI)
     return _hilb(n, k, log_Jm, constants), _sup_defect(rho.min(), rho.max(), constants)
 
 

@@ -29,15 +29,15 @@ Fubini-Study potential phi = (1/k) log P has, exactly,
 
     F = E_p[m]/k,   G = E_p[m]/(ks),   F' = Var_p[m]/(k s(1-s)),
 
-so a T-step reads FS(H) at the nodes from the two moments of p and fits
-no series.
+so a T-step reads FS(H) from the two moments of p and fits no series.
 
 J_m contracts the same kernel over the nodes: it shares the s-part
 m log s + (k-m) log(1-s) (``stratum_s_part``), and s^(n-1) joins its
-per-node factor (``radial_log_node``).  A T-iteration changes only the
-weights, so it exponentiates the weight-free terms over the nodes and the
-dense grid once, as ``StepKernels``, and each sum of a step is a product
-with exp(w - max w).  Two spreads raise SpreadTooLarge: of w past
+per-node factor w (sG)^(n-1) F' e^(-k phi) (``radial_log_node``), for FS(H)
+w (E_p[m]/k)^(n-1) Var_p[m]/(k s(1-s))/P.  A T-iteration changes only the
+weights, so it builds the weight-free terms over the nodes and the dense
+grid once, as ``StepKernels``, and each sum of a step is a product with
+exp(w - max w).  Two spreads raise SpreadTooLarge: of w past
 ``SPREAD_BOUND``, which would leave the range of doubles, and of the shares
 p_m so far from ks that Var_p[m] cancels past ``CANCELLATION_BOUND``.
 """
@@ -147,7 +147,9 @@ class StepKernels:
     DENSE_GRID, exponentiated once: ``stack`` is [K | (m-ks) K | (m-ks)^2 K],
     K = exp(log D_m + s-part - shift) with ``shift`` the column max; ``gram``
     is exp(s-part - gram_shift) at the nodes, with ``gram_shift`` the row max;
-    ``inner`` marks the points inside (0, 1)."""
+    ``inner`` marks the points inside (0, 1); ``log_node`` is
+    log w - log(k s(1-s)) - (n-1) log k at the nodes, the part of J_m's
+    per-node factor for FS(H) that no weight enters."""
 
     rule: RadialQuadrature
     s: np.ndarray
@@ -156,11 +158,15 @@ class StepKernels:
     stack: np.ndarray
     gram: np.ndarray
     gram_shift: np.ndarray
+    log_node: np.ndarray
 
 
 def step_kernels(n: int, k: int, rule: RadialQuadrature) -> StepKernels:
-    """The StepKernels of degree k on CP^n over the nodes of ``rule``, then DENSE_GRID."""
-    s = np.concatenate([rule.nodes, DENSE_GRID])
+    """The StepKernels of degree k on CP^n over the nodes of ``rule`` (checked
+    against k), then DENSE_GRID."""
+    check_resolution(rule, k)
+    x = rule.nodes
+    s = np.concatenate([x, DENSE_GRID])
     s_part = stratum_s_part(k, s)
     terms = s_part + log_degree_weights(n, k)[:, None]
     shift = terms.max(axis=0)
@@ -171,7 +177,8 @@ def step_kernels(n: int, k: int, rule: RadialQuadrature) -> StepKernels:
     gram_shift = nodal.max(axis=1)
     return StepKernels(rule, s, (s > 0.0) & (s < 1.0), shift,
                        np.hstack([K, centred * K, centred * centred * K]),
-                       np.exp(nodal - gram_shift[:, None]), gram_shift)
+                       np.exp(nodal - gram_shift[:, None]), gram_shift,
+                       np.log(rule.weights / (k * x * (1.0 - x))) - (n - 1) * math.log(k))
 
 
 def kernel_moments(kernels: StepKernels, log_weights: np.ndarray):
@@ -223,8 +230,8 @@ def radial_log_J(metric: RadialKahlerMetric, k: int, s_part: np.ndarray) -> np.n
 
 
 def kernel_log_J(kernels: StepKernels, log_node: np.ndarray) -> np.ndarray:
-    """log J_m from the per-node vector of ``radial_log_node``: one product
-    with the Gram kernel; raises NonPositiveNorm unless every J_m > 0."""
+    """log J_m from the per-node factor's log at the nodes (as ``radial_log_node``):
+    one product with the Gram kernel; raises NonPositiveNorm unless every J_m > 0."""
     e, top = shifted_exp(log_node)
     return _positive_norms(np.log(kernels.gram @ e) + kernels.gram_shift + top)
 

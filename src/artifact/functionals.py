@@ -66,8 +66,7 @@ def path_metric(m1: RadialKahlerMetric, m0: RadialKahlerMetric, t) -> RadialKahl
     """Metric of the linear potential interpolation at the times t, shape (T,).
 
     It is one metric with a t-axis: every affine ``nd`` entry has shape
-    (T, N), "s", "sig" and "sigp" stay (N,), and it carries no potential,
-    like FS(H).
+    (T, N), "s", "sig" and "sigp" stay (N,), and it carries no potential.
     """
     # nd is affine in t, so F' and G stay positive between checked ends
     tt = np.asarray(t, dtype=float)[:, None]
@@ -134,8 +133,7 @@ class FunctionalLedger:
     path_refinement: float = 0.0  # nonzero only where a path t-quadrature enters
 
 
-def tilde_S_path(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int,
-                 coefficient_fn=coefficient_split) -> FunctionalLedger:
+def tilde_S_path(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int) -> FunctionalLedger:
     """Route one: t-quadrature of gamma^(j)(phi-dot) along the linear
     potential path."""
     _check_pair(m1, m0)
@@ -143,9 +141,7 @@ def tilde_S_path(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int,
         raise ValueError(f"j must be 0, 1, or 2, got {j}")
     s = m1.rule.nodes  # phi-dot = phi_1 - phi_0 and two derivatives, the same at every t
     dot = [a(s) - b(s) for a, b in zip(m1.phi_stack[:3], m0.phi_stack[:3])]
-    value, change = _path_quadrature(
-        m1, m0, lambda mt: gamma_pairing(mt, j, *dot, coefficient_fn)
-    )
+    value, change = _path_quadrature(m1, m0, lambda mt: gamma_pairing(mt, j, *dot))
     return FunctionalLedger(float(value), abs(float(change)))
 
 
@@ -304,8 +300,7 @@ def second_variation_S2(metric_ref: RadialKahlerMetric, dir_dot: ScalarField,
     return total, fd, abs(total - fd)
 
 
-def gamma_pairing(metric: RadialKahlerMetric, j: int, psi, psi1, psi2,
-                  coefficient_fn=coefficient_split) -> float:
+def gamma_pairing(metric: RadialKahlerMetric, j: int, psi, psi1, psi2) -> float:
     """The 1-form gamma^(j)(psi) = int psi (Delta a_{j-1} - a_j) omega_phi^n/n!
     (a_{-1} = 0), from psi and its first two s-derivatives at the nodes, in weak
     form: Delta is self-adjoint against omega_phi^n/n!, as the radial boundary
@@ -313,10 +308,10 @@ def gamma_pairing(metric: RadialKahlerMetric, j: int, psi, psi1, psi2,
     + v_j (``coefficient_split``) and u_{j-1} = 0 (true for j <= 2) it is
     int [(v_{j-1} - u_j) Delta psi - v_j psi], so nothing is interpolated."""
     S, P = metric.curvature_scalars()
-    mu, v = coefficient_fn(j, S, P)
+    mu, v = coefficient_split(j, S, P)
     integrand = -v * psi
     if j > 0:
-        v_prev = coefficient_fn(j - 1, S, P)[1]
+        v_prev = coefficient_split(j - 1, S, P)[1]
         integrand = integrand + (v_prev - mu * S) * metric.laplacian_values(psi1, psi2)
     return metric.integrate(integrand)
 

@@ -34,7 +34,6 @@ from .geometry import (
     ScalarField,
     build_metric,
     class_volume,
-    coefficient_split,
 )
 from .profiles import Profile
 
@@ -87,14 +86,13 @@ def lu_lemma_defect(metric: RadialKahlerMetric) -> float:
     return float(gap.max() - gap.min())
 
 
-def invariant_lhs(metric: RadialKahlerMetric, field_data: VectorFieldData, j: int,
-                  coefficient_fn=coefficient_split) -> float:
+def invariant_lhs(metric: RadialKahlerMetric, field_data: VectorFieldData, j: int) -> float:
     """Pairing int theta (a_j - Delta a_{j-1}) omega^n/n! = -gamma^(j)(theta)
     (imaginary part)."""
     if j not in ORDERS:
         raise ValueError(f"j must be 0, 1, or 2, got {j}")
     theta1, theta2 = -metric.nd["F1"], -metric.nd["F2"]  # theta = c - F exactly
-    return -gamma_pairing(metric, j, field_data.theta.values, theta1, theta2, coefficient_fn)
+    return -gamma_pairing(metric, j, field_data.theta.values, theta1, theta2)
 
 
 def invariant_rhs(metric: RadialKahlerMetric, field_data: VectorFieldData,

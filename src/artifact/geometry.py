@@ -139,8 +139,8 @@ def _derivative_stack(profile):
 class RadialKahlerMetric:
     """A radial Kahler metric on CP^n: ``nd`` at the rule nodes, and phi's derivative stack.
 
-    A metric given by its nodal data alone (the T-iteration's FS(H)) has no
-    potential and no stack; only what reads ``nd`` applies to it.
+    A metric given by its nodal data alone (a path metric) has no potential
+    and no stack; only what reads ``nd`` applies to it.
     """
 
     def __init__(self, n, potential, rule: RadialQuadrature, nd, stack=None):
@@ -157,10 +157,6 @@ class RadialKahlerMetric:
     @cached_property
     def phi_stack(self):
         return _derivative_stack(self.potential.profile)
-
-    def phi_derivs(self, s):
-        """phi and its first four s-derivatives at s."""
-        return [p(s) for p in self.phi_stack]
 
     def profile_data(self, s=None):
         """Profile data at s; ``nd`` at the rule's own nodes (or s=None)."""

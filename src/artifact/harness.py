@@ -40,7 +40,6 @@ from .geometry import (
     ScalarField,
     build_metric,
     coefficient_average,
-    coefficient_split,
     fubini_study,
 )
 from .quadrature import TWO_PI, radial_rule, required_order
@@ -119,7 +118,9 @@ class ExperimentConfig:
         return RadialPotential(self.n, self.potential_coeffs)
 
     def to_dict(self) -> dict:
+        """Every field but ``out_dir``: a manifest does not depend on where it is written."""
         d = dataclasses.asdict(self)
+        del d["out_dir"]
         d["potential_coeffs"] = [repr(c) for c in self.potential_coeffs]
         return d
 
@@ -341,28 +342,8 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
 
-def corrupted_coefficient(delta: float):
-    """Coefficient split (``coefficient_split``) with the curvature-polynomial
-    constant of the second expansion term perturbed: its 1/24 prefactor
-    becomes (1 + delta)/24.  Used to confirm the suite is sensitive to the
-    constants it claims to verify.
-    """
-
-    def fn(j: int, S, P):
-        mu, v = coefficient_split(j, S, P)
-        return (mu, (1.0 + delta) * P) if j == 2 else (mu, v)
-
-    return fn
-
-
-def verify_suite(tol_profile: str = "default",
-                 coefficient_fn=coefficient_split) -> VerifyReport:
-    """Run the cross-module identity checks at the named tolerance profile.
-
-    ``coefficient_fn`` is the source of the density-expansion coefficients
-    used by the route-equality and localization checks; swapping in a
-    corrupted source must make those checks fail.
-    """
+def verify_suite(tol_profile: str = "default") -> VerifyReport:
+    """Run the cross-module identity checks at the named tolerance profile."""
     tols = TOLERANCE_PROFILES[tol_profile]
     rule = radial_rule(200)
     checks = []
@@ -390,13 +371,13 @@ def verify_suite(tol_profile: str = "default",
             worst = max(worst, coefficient_average(m, j).discrepancy)
     checks.append(CheckResult("riemann-roch-averages", worst, tols["riemann_roch"]))
 
-    # two-route equality, with the injectable coefficient source
+    # two-route equality
     worst = 0.0
     for n in DIMENSIONS:
         m1 = build_metric(RadialPotential(n, (0.0, 0.1, -0.06)), rule)
         m0 = build_metric(RadialPotential(n, (0.0, -0.04, 0.03)), rule)
         for j in ORDERS[1:]:
-            a = tilde_S_path(m1, m0, j, coefficient_fn=coefficient_fn).value
+            a = tilde_S_path(m1, m0, j).value
             b = tilde_S_bc(m1, m0, j).value
             worst = max(worst, abs(a - b) / (1.0 + abs(b)))
     checks.append(CheckResult("route-equality", worst, tols["route_equality"]))
@@ -412,13 +393,13 @@ def verify_suite(tol_profile: str = "default",
             worst = max(worst, abs(cocycle_defect(j, mets[2], mets[1], mets[0])))
     checks.append(CheckResult("cocycle", worst, tols["cocycle"]))
 
-    # localization identity, with the same injectable source
+    # localization identity
     worst = 0.0
     for n in DIMENSIONS:
         m = build_metric(RadialPotential(n, (0.0, 0.12, -0.07, 0.02)), rule)
         data = hamiltonian_potential(m)
         for j in ORDERS:
-            lhs = invariant_lhs(m, data, j, coefficient_fn=coefficient_fn)
+            lhs = invariant_lhs(m, data, j)
             rhs = invariant_rhs(m, data, j)
             worst = max(worst, abs(lhs - rhs))
     checks.append(CheckResult("futaki-lhs-rhs", worst, tols["futaki"]))

@@ -10,7 +10,7 @@ from artifact import RadialPotential, build_metric, dim_h0, functionals, radial_
 from artifact.balanced import BasisMetric
 from artifact.bergman import DENSE_GRID, _logsumexp
 from artifact.errors import NonPositiveMetric, NonPositiveNorm
-from artifact.geometry import RadialKahlerMetric
+from artifact.geometry import RadialKahlerMetric, coefficient_split
 from artifact.profiles import Profile
 from artifact.quadrature import NESTED_LEVELS, TWO_PI, RadialQuadrature
 
@@ -52,6 +52,17 @@ def count_profile_calls(monkeypatch, *names):
 
         monkeypatch.setattr(Profile, name, counted)
     return calls
+
+
+def corrupted_coefficient(delta: float):
+    """``coefficient_split`` with the curvature-polynomial constant of the
+    second expansion term perturbed: its 1/24 prefactor becomes (1 + delta)/24."""
+
+    def split(j: int, S, P):
+        mu, v = coefficient_split(j, S, P)
+        return (mu, (1.0 + delta) * P) if j == 2 else (mu, v)
+
+    return split
 
 
 @pytest.fixture
@@ -227,10 +238,10 @@ def radial_log_J_by_step(metric, k):
     return _logsumexp(expo, 1)
 
 
-def logsumexp_t_step(H, rule):
-    """(Hilb(FS(H)), balance defect of FS(H)) by logsumexp: FS(H) at the nodes
-    from the moments of the term shares p_m, then log J_m, then the density on
-    DENSE_GRID as the stratum sum of 1/J_m over that of FS(H)."""
+def nodal_fs_metric(H, rule):
+    """(FS(H) at the nodes of ``rule`` as a potential-free metric, log P at the
+    nodes and then DENSE_GRID), by logsumexp: phi, F, F' and G from the moments
+    of the term shares p_m."""
     n, k, order = H.n, H.k, rule.order
     s = np.concatenate([rule.nodes, DENSE_GRID])
     terms = stratum_terms_by_step(n, k, -math.log(math.factorial(n - 1)) - H.log_eta, s)
@@ -242,7 +253,16 @@ def logsumexp_t_step(H, rule):
     x = s[:order]
     nd = {"s": x, "phi": log_P[:order] / k, "F": mean[:order] / k,
           "F1": var[:order] / (k * x * (1.0 - x)), "G": mean[:order] / (k * x)}
-    log_Jm = radial_log_J_by_step(RadialKahlerMetric(n, None, rule, nd), k)
+    return RadialKahlerMetric(n, None, rule, nd), log_P
+
+
+def logsumexp_t_step(H, rule):
+    """(Hilb(FS(H)), balance defect of FS(H)) by logsumexp: FS(H) at the nodes
+    (``nodal_fs_metric``), then log J_m, then the density on DENSE_GRID as the
+    stratum sum of 1/J_m over that of FS(H)."""
+    n, k, order = H.n, H.k, rule.order
+    nodal, log_P = nodal_fs_metric(H, rule)
+    log_Jm = radial_log_J_by_step(nodal, k)
     log_sum = _logsumexp(stratum_terms_by_step(n, k, -log_Jm, DENSE_GRID), 0)
     rho = np.exp(log_sum - log_P[order:] - n * math.log(TWO_PI))
     # eta_m = (d_k/V) (2 pi)^n J_m/(n-1)!, V = (2 pi)^n/n!; the defect is sup |(V/d_k) rho - 1|
@@ -250,3 +270,4 @@ def logsumexp_t_step(H, rule):
     log_eta = log_Jm + math.log(d_k * math.factorial(n) / math.factorial(n - 1))
     defect = np.abs(TWO_PI**n / (math.factorial(n) * d_k) * rho - 1.0).max()
     return BasisMetric(n, k, log_eta), float(defect)
+

@@ -270,7 +270,7 @@ def test_acceptance_11a_balanced_iteration_budget():
 def test_acceptance_11b_round_trip_rate():
     rng = np.random.default_rng(3011)
     m = draw_metric(rng, 1, scale=0.08)
-    phi = m.phi_derivs(S_DENSE)[0]
+    phi = m.potential.profile(S_DENSE)
     ks = np.array([10, 16, 24, 36, 54, 80])
     dist = []
     for k in ks:
@@ -293,8 +293,8 @@ def test_acceptance_11c_balanced_distance_rate():
         rule = radial_rule(required_order(int(k)))
         pot, _ = t_iteration(pert, int(k), rule, max_iter=8000, tol=tol)
         m = build_metric(pot, rule)
-        phi = m.phi_derivs(S_DENSE)[0]
-        t = math.log1p(m.phi_derivs(np.array([0.0]))[1][0])
+        phi = m.potential.profile(S_DENSE)
+        t = math.log1p(m.phi_stack[1](np.array([0.0]))[0])
         v = phi - np.log1p(math.expm1(t) * S_DENSE)
         v -= v.mean()
         ts.append(t)

@@ -18,14 +18,14 @@ from artifact import (
     radial_rule,
     t_iteration,
 )
-from artifact.balanced import BasisMetric, _hilb, _step_constants, fs_map_metric, t_step
+from artifact.balanced import BasisMetric, _fs_weights, _hilb, _step_constants, t_step
 from artifact.bergman import (density_values, gram, kernel_log_J, kernel_moments, log_stratum_sum,
                               radial_log_node, step_kernels)
 from artifact.errors import NotConverged, SpreadTooLarge
 from artifact.functionals import S_j
 from artifact.quadrature import TWO_PI, required_order
 
-from conftest import count_profile_calls, logsumexp_t_step, random_metric
+from conftest import count_profile_calls, logsumexp_t_step, nodal_fs_metric, random_metric
 
 S_DENSE = np.linspace(0.0, 1.0, 401)
 
@@ -61,7 +61,7 @@ def test_density_and_fs_map_share_one_stratum_sum(rng, rule200):
     for n in (1, 2, 3):
         m = random_metric(rng, n, rule200)
         vol = TWO_PI**n / math.factorial(n)
-        phi = m.phi_derivs(S_DENSE)[0]
+        phi = m.potential.profile(S_DENSE)
         for k in (5, 20, 40):
             rho = density_values(m, k, gram(m, k).log_Jm, S_DENSE)
             fs = fs_map_profile(hilb_map(m, k)).profile(S_DENSE)
@@ -84,25 +84,28 @@ def _fs_moments_reference(n, k, log_weights, s):
 
 
 def test_moments_give_the_fs_metric_and_its_defect(rng, rule200):
-    # phi = log P/k, F = E_p[m]/k, F' = Var_p[m]/(k s(1-s)), G = E_p[m]/(ks): exact to
-    # roundoff against decimals, and to the fit's resolution against the fitted FS(H)
+    # phi = log P/k, F = E_p[m]/k, F' = Var_p[m]/(k s(1-s)), G = E_p[m]/(ks) from the
+    # kernel moments: exact to roundoff against decimals, and to the fit's resolution
+    # against the fitted FS(H)
     keys = ("phi", "F", "F1", "G")
+    s = rule200.nodes
     for n in (1, 2, 3):
         m = random_metric(rng, n, rule200)
         for k in (5, 20, 40):
             H = hilb_map(m, k)
             kernels = step_kernels(n, k, rule200)
-            nodal, _ = fs_map_metric(H, kernels)
+            log_P, mean, var = (v[:rule200.order] for v in kernel_moments(kernels, _fs_weights(H)))
+            moments = dict(zip(keys, (log_P / k, mean / k, var / (k * s * (1.0 - s)),
+                                      mean / (k * s))))
             _, defect = t_step(H, kernels, _step_constants(n, k))
-            assert nodal.potential is None
             sample = np.arange(0, rule200.order, 9)
-            exact = np.array([_fs_moments_reference(n, k, -gammaln(n) - H.log_eta, s)
-                              for s in rule200.nodes[sample]]).T
+            exact = np.array([_fs_moments_reference(n, k, -gammaln(n) - H.log_eta, x)
+                              for x in s[sample]]).T
             fitted = build_metric(fs_map_profile(H), rule200)
             for key, ref in zip(keys, exact):
                 scale = np.abs(ref).max()
-                assert np.abs(nodal.nd[key][sample] - ref).max() < 1e-13 * scale, (n, k, key)
-                gap = np.abs(nodal.nd[key] - fitted.nd[key]).max()
+                assert np.abs(moments[key][sample] - ref).max() < 1e-13 * scale, (n, k, key)
+                gap = np.abs(moments[key] - fitted.nd[key]).max()
                 assert gap < 5e-12 * np.abs(fitted.nd[key]).max(), (n, k, key)
             assert abs(defect - balance_defect(fitted, k)) < 1e-13, (n, k)
 
@@ -158,7 +161,7 @@ def test_fs_map_gauge_scaling(fs_metric):
 
 def test_round_trip_decays_quadratically(rng, rule200):
     m = random_metric(rng, 1, rule200, scale=0.08)
-    phi_true = m.phi_derivs(S_DENSE)[0]
+    phi_true = m.potential.profile(S_DENSE)
     ks = np.array([10, 16, 24, 36, 54, 80])
     dist = []
     for k in ks:
@@ -223,22 +226,17 @@ def test_iteration_takes_the_step_constants_once(monkeypatch):
     assert calls == [(1, 10)] * 3
 
 
-def test_steps_multiply_kernels_built_once_per_iteration(monkeypatch):
-    # the kernels are built on entry; a step is products with them: it calls no
-    # logsumexp, builds no s-part and takes no Gram data by the per-metric route
-    from artifact import balanced, bergman
+def _count_calls_in_step(monkeypatch, targets):
+    """Log (name, inside a t_step) for each call of the (owner, name) targets."""
+    from artifact import balanced
 
     calls, in_step = [], [False]
+    for owner, name in targets:
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls.append((_name, in_step[0]))
+            return _fn(*args, **kwargs)
 
-    def count(module, name):
-        fn = getattr(module, name)
-
-        def counted(*args):
-            calls.append((name, in_step[0]))
-            return fn(*args)
-
-        monkeypatch.setattr(module, name, counted)
-
+        monkeypatch.setattr(owner, name, counted)
     step = balanced.t_step
 
     def t_step(*args):
@@ -249,10 +247,17 @@ def test_steps_multiply_kernels_built_once_per_iteration(monkeypatch):
             in_step[0] = False
 
     monkeypatch.setattr(balanced, "t_step", t_step)
-    for module, name in ((balanced, "step_kernels"), (balanced, "kernel_log_J"),
-                         (bergman, "_logsumexp"), (bergman, "stratum_s_part"),
-                         (bergman, "radial_log_J")):
-        count(module, name)
+    return calls
+
+
+def test_steps_multiply_kernels_built_once_per_iteration(monkeypatch):
+    # the kernels are built on entry; a step is products with them: it calls no
+    # logsumexp, builds no s-part and takes no Gram data by the per-metric route
+    from artifact import balanced, bergman
+
+    calls = _count_calls_in_step(monkeypatch, (
+        (balanced, "step_kernels"), (balanced, "kernel_log_J"), (bergman, "_logsumexp"),
+        (bergman, "stratum_s_part"), (bergman, "radial_log_J")))
     with pytest.raises(NotConverged) as err:
         t_iteration(RadialPotential(2, (0.0, 0.01, -0.005)), 10, max_iter=3)
     assert len(err.value.trace.defects) == 4
@@ -261,6 +266,20 @@ def test_steps_multiply_kernels_built_once_per_iteration(monkeypatch):
     assert [name for name, _ in calls if name != "_logsumexp"] == [
         "stratum_s_part", "radial_log_J", "stratum_s_part", "step_kernels", "stratum_s_part",
         "kernel_log_J", "kernel_log_J", "kernel_log_J"]
+
+
+def test_steps_check_no_rule_and_build_no_metric(monkeypatch):
+    # the rule is checked against k for the start's Gram data and once for the
+    # kernels; a step reads FS(H) from the moments and builds no metric
+    from artifact import bergman, geometry
+
+    calls = _count_calls_in_step(monkeypatch, (
+        (bergman, "check_resolution"), (geometry.RadialKahlerMetric, "__init__")))
+    with pytest.raises(NotConverged) as err:
+        t_iteration(RadialPotential(2, (0.0, 0.01, -0.005)), 10, max_iter=3)
+    assert len(err.value.trace.defects) == 4
+    assert calls == [("__init__", False), ("check_resolution", False),
+                     ("check_resolution", False)]
 
 
 def test_iteration_builds_its_fixed_grid_data_once(monkeypatch):
@@ -298,7 +317,7 @@ def test_fixed_grid_data_match_the_per_step_construction():
             centred = got.log_eta - got.log_eta.mean()
             assert np.abs(centred - (want.log_eta - want.log_eta.mean())).max() < tol, (n, k, step)
             if step % 10 == 0:
-                hilb = hilb_map(fs_map_metric(H, kernels)[0], k).log_eta
+                hilb = hilb_map(nodal_fs_metric(H, rule)[0], k).log_eta
                 assert np.abs(got.log_eta - hilb).max() < tol, (n, k, step)
             H = got
 
@@ -326,14 +345,14 @@ def test_step_refuses_shares_whose_variance_cancels(rule200):
     # shares sit so far from ks that E[(m-ks)^2] - E[m-ks]^2 loses its digits
     # (5e-10 relative at a spread of 100), and at 590 F' reads 0 on a positive metric
     n, k = 1, 10
-    kernels = step_kernels(n, k, rule200)
+    kernels, constants = step_kernels(n, k, rule200), _step_constants(n, k)
     for spread in (100.0, 590.0):
         H = BasisMetric(n, k, np.linspace(0.0, spread, k + 1))
         with pytest.raises(SpreadTooLarge) as err:
-            fs_map_metric(H, kernels)
+            t_step(H, kernels, constants)
         assert err.value.spread > 1e4 and err.value.bound == 1e4, spread
     # a spread of 20 keeps Var_p[m] to 1.2e-13 and passes
-    assert fs_map_metric(BasisMetric(n, k, np.linspace(0.0, 20.0, k + 1)), kernels)[0].n == n
+    assert t_step(BasisMetric(n, k, np.linspace(0.0, 20.0, k + 1)), kernels, constants)[0].n == n
 
 
 def test_t_step_iterates_to_the_iteration_defects():
@@ -354,20 +373,20 @@ def test_t_step_iterates_to_the_iteration_defects():
 
 
 def test_t_step_is_hilb_of_the_nodal_fs_metric(rng):
-    # bit for bit Hilb of the nodal FS(H) with log J_m from the iteration's
-    # Gram kernel, and Hilb by the per-metric logsumexp route within 1e-13
+    # Hilb of the nodal FS(H), both with log J_m from the iteration's Gram
+    # kernel and by the per-metric logsumexp route, within 1e-13
     for n in (1, 2, 3):
         for k in (10, 20):
             rule = radial_rule(required_order(k))
             kernels = step_kernels(n, k, rule)
             constants = _step_constants(n, k)
             H = hilb_map(random_metric(rng, n, rule), k)
-            nodal, _ = fs_map_metric(H, kernels)
+            nodal, _ = nodal_fs_metric(H, rule)
             got = t_step(H, kernels, constants)[0]
             on_kernels = _hilb(n, k, kernel_log_J(kernels, radial_log_node(nodal, k)), constants)
             want = hilb_map(nodal, k)
             assert (got.n, got.k) == (want.n, want.k) == (on_kernels.n, on_kernels.k)
-            assert (got.log_eta == on_kernels.log_eta).all(), (n, k)
+            assert np.abs(got.log_eta - on_kernels.log_eta).max() < 1e-13, (n, k)
             assert np.abs(got.log_eta - want.log_eta).max() < 1e-13, (n, k)
 
 

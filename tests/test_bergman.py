@@ -261,9 +261,9 @@ def test_log_sums_leave_their_inputs_unchanged(rng, rule200):
 def test_stratum_moments_are_those_of_the_term_shares(rng):
     n, k = 2, 12
     w = rng.normal(size=k + 1)
-    kernels = step_kernels(n, k, radial_rule(32))
+    kernels = step_kernels(n, k, radial_rule(56))  # required_order(12)
     s = kernels.s  # the nodes, then the dense grid with both ends
-    assert s.size == 32 + 513 and s[32] == 0.0 and s[-1] == 1.0
+    assert s.size == 56 + 513 and s[56] == 0.0 and s[-1] == 1.0
     log_P, mean, var = kernel_moments(kernels, w)
     assert np.abs(log_P - log_stratum_sum(n, k, w, s)).max() < 1e-12
     m = np.arange(k + 1)

@@ -116,7 +116,7 @@ def test_path_metric_combines_potential_series(rng, rule200, monkeypatch):
     t, x = 0.3, rule200.nodes
     mt = path_metric(m1, m0, np.array([t]))
     assert mt.potential is None
-    want = [(1.0 - t) * a + t * b for a, b in zip(m0.phi_derivs(x), m1.phi_derivs(x))]
+    want = [(1.0 - t) * a(x) + t * b(x) for a, b in zip(m0.phi_stack, m1.phi_stack)]
     # phi, and phi' through F = s + s(1-s) phi', from the endpoints' series at the nodes
     assert np.abs(mt.nd["phi"][0] - want[0]).max() < 1e-12
     assert np.abs(mt.nd["F"][0] - (x + x * (1.0 - x) * want[1])).max() < 1e-12

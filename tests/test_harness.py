@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import sys
 from types import SimpleNamespace
 
@@ -10,8 +11,10 @@ import pytest
 from artifact import ExperimentConfig, geometry, run_experiment, run_fit, verify_suite
 from artifact.cli import main as cli_main
 from artifact.errors import ConfigError
-from artifact.harness import TOLERANCE_PROFILES, corrupted_coefficient
+from artifact.harness import TOLERANCE_PROFILES
 from artifact.quadrature import TWO_PI
+
+from conftest import corrupted_coefficient
 
 
 def test_config_validation_messages():
@@ -68,6 +71,17 @@ def test_runs_are_deterministic_and_manifested(tmp_path):
     assert extras == set(manifest["files"])
 
 
+def test_manifests_do_not_depend_on_the_output_path(tmp_path):
+    # one config written to two directories whose paths differ in length
+    kwargs = dict(kind="partition", n=1, potential_coeffs=(0.0, 0.1), k_min=5, k_max=15)
+    texts = []
+    for name in ("a", "a-much-longer-directory-name"):
+        run_experiment(ExperimentConfig(out_dir=str(tmp_path / name), **kwargs))
+        text = (tmp_path / name / "manifest.json").read_text()
+        texts.append(re.sub(r'"(started|finished)": "[^"]*"', r'"\1": ""', text))
+    assert texts[0] == texts[1]
+
+
 def test_csv_values_keep_full_precision(tmp_path):
     config = ExperimentConfig(kind="partition", n=1, potential_coeffs=(0.0, 1.0 / 3.0),
                               k_min=10, k_max=20, k_stride=10,
@@ -91,8 +105,11 @@ def test_verify_suite_passes_both_profiles():
         assert report.passed, [c.name for c in report.checks if not c.passed]
 
 
-def test_verify_suite_detects_corrupted_constant():
-    report = verify_suite("default", corrupted_coefficient(0.05))
+def test_verify_suite_detects_corrupted_constant(monkeypatch):
+    from artifact import functionals
+
+    monkeypatch.setattr(functionals, "coefficient_split", corrupted_coefficient(0.05))
+    report = verify_suite("default")
     failed = {c.name for c in report.checks if not c.passed}
     assert "route-equality" in failed
     assert "futaki-lhs-rhs" in failed

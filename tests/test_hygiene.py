@@ -102,11 +102,14 @@ def named_functions(paths):
     return defined, named
 
 
+def code_files(*folders):
+    """The .py and .json files under the folders, benchmark results left out."""
+    return [p for folder in folders for p in sorted((ROOT / folder).rglob("*"))
+            if p.suffix in (".py", ".json") and "results" not in p.relative_to(ROOT).parts]
+
+
 def test_every_function_is_named_outside_its_definition():
-    paths = [p for folder in ("src", "tests", "benchmarks")
-             for p in sorted((ROOT / folder).rglob("*"))
-             if p.suffix in (".py", ".json") and "results" not in p.relative_to(ROOT).parts]
-    defined, named = named_functions(paths)
+    defined, named = named_functions(code_files("src", "tests", "benchmarks"))
     assert defined
     unnamed = sorted(f"{where} {name}" for name, where in defined.items() if name not in named)
     assert unnamed == []
@@ -125,6 +128,15 @@ def test_process_wide_caches_are_the_listed_ones():
                 if hasattr(value, "cache_info") and value.__module__ == module.__name__:
                     cached.add(value.__qualname__)
     assert cached == {"radial_rule", "degree_multiplicities", "_log_angular_sum"}
+
+
+def test_test_only_functions_are_the_listed_ones():
+    # checks that only tests call are kept on purpose; other code that no
+    # program path names belongs in tests/
+    defined, named = named_functions(code_files("src", "benchmarks"))
+    assert {name for name in defined if name not in named} == {
+        "check_tail", "donaldson_variation_check", "flow_pairing_spread", "gamma2_defect",
+        "liouville_first_variation"}
 
 
 def test_field_cache_is_written_only_by_geometry():
