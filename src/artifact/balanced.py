@@ -22,13 +22,16 @@ Inside the T-iteration FS(H) is never fitted.  With P the stratum sum of
 FS(H) and p_m the share of its m-th term, phi = (1/k) log P, G =
 E_p[m]/(ks) and F' = Var_p[m]/(k s(1-s)) exactly, so J_m's per-node factor
 w (sG)^(n-1) F' e^(-k phi) is w (E_p[m]/k)^(n-1) Var_p[m]/(k s(1-s))/P,
-read from two stratum moments and no metric.  The T-map is ``t_step``, a
-map on eta: it returns Hilb(FS(H)) and the balance defect of FS(H), read
-from its Bergman density on the dense grid.  Only the weights of the sums
-change from step to step, so ``t_iteration`` exponentiates their terms
-once on entry, over the nodes and the dense grid, with the weight-free part
-of the per-node factor (``StepKernels``), and lets them go when it
-returns; each step is a few matrix-vector products with them.
+read from two stratum moments and no metric.  Its Bergman density needs no
+further sum: the numerator is the stratum sum of the next iterate,
+(V/d_k) rho_FS(H) = P_Hilb(FS(H)) / P_H.  The T-map is ``t_step``, a map on
+the state (eta, the moments of FS(H)): it returns Hilb(FS(H)), the moments
+of its FS, and the balance defect of FS(H), the ratio of the two stratum
+sums on the dense grid.  Only the weights of the sums change from step to
+step, so ``t_iteration`` exponentiates their terms once on entry, over the
+nodes and the dense grid, with the weight-free part of the per-node factor
+(``StepKernels``), and lets them go when it returns; each step is one product
+with the Gram kernel and one with the moment stack.
 ``fs_map_profile`` fits FS(H) as a Chebyshev series once, when the
 iteration stops, and that series is the balanced potential it returns: not
 a polynomial in s, as the fixed points log(1 + (e^t - 1) s) + c are not
@@ -51,7 +54,6 @@ from .bergman import (
     kernel_moments,
     log_partition_ratio,
     log_stratum_sum,
-    shifted_exp,
     step_kernels,
 )
 from .errors import NotConverged
@@ -94,9 +96,16 @@ class BasisMetric:
 
 @dataclass(frozen=True)
 class IterationTrace:
+    """Defects of the start and of each step's FS(H), and how the run ended.
+    ``orbit_residual`` and ``orbit_slope`` place Hilb of the potential the run
+    ends at against the automorphism orbit of Fubini-Study (``_orbit_fit``;
+    both nan when the start is already balanced)."""
+
     defects: tuple
     iterations: int
     converged: bool
+    orbit_residual: float = math.nan
+    orbit_slope: float = math.nan
 
     @property
     def contraction_rate(self) -> float:
@@ -139,53 +148,70 @@ def fs_map_profile(H: BasisMetric) -> ProfilePotential:
     )
 
 
-def t_step(H: BasisMetric, kernels: StepKernels, constants: tuple):
-    """(Hilb(FS(H)), balance defect of FS(H)) on ``kernels`` with the
-    ``_step_constants`` of (n, k).
+def t_step(H: BasisMetric, moments: tuple, kernels: StepKernels, constants: tuple):
+    """One T-step on the state (H, the ``kernel_moments`` of FS(H)): returns
+    (H', the moments of FS(H'), the balance defect of FS(H)), H' = Hilb(FS(H)),
+    on ``kernels`` with the ``_step_constants`` of (n, k).
 
-    FS(H) is read from the stratum moments: its F' and G are checked positive
-    at every interior point (at s = 0 and 1 both are 0/0 limits of positive
-    ratios), and (n-1) log E_p[m] + log Var_p[m] - log P joins the kernels'
-    ``log_node`` as J_m's per-node factor.  The defect reads FS(H)'s density
-    on DENSE_GRID: the stratum sum of 1/J_m over P, a product with the same
-    kernel."""
+    FS(H) is read from the moments: Var_p[m] and E_p[m], the signs of F' and
+    G, are checked positive at every interior point (at s = 0 and 1 both are
+    0/0 limits of positive ratios), and (n-1) log E_p[m] + log Var_p[m] - log P
+    joins the kernels' ``log_node`` as J_m's per-node factor.  FS(H)'s density
+    on DENSE_GRID is (d_k/V) P'/P, with P' the stratum sum of H', so the defect
+    is read from the moments of FS(H') that the next step takes.  They are
+    formed before the defect is known: an H' whose moments are refused raises
+    here, even at the step whose FS(H) is balanced."""
     n, k, order = H.n, H.k, kernels.rule.order
-    log_P, mean, var = kernel_moments(kernels, _fs_weights(H))
+    S, top, mean, var = moments
     inner = kernels.inner
-    s = kernels.s[inner]
-    check_positive(s, var[inner] / (k * s * (1.0 - s)), mean[inner] / (k * s))
-    nodes = slice(order)
-    log_node = kernels.log_node + (n - 1) * np.log(mean[nodes]) + np.log(var[nodes])
-    log_Jm = kernel_log_J(kernels, log_node - log_P[nodes])
-    b, top = shifted_exp(-log_Jm)
-    dense = slice(order, kernels.s.size)
-    log_sum = np.log(b @ kernels.stack[:, dense]) + kernels.shift[dense] + top
-    rho = np.exp(log_sum - log_P[dense] - n * LOG_TWO_PI)
-    return _hilb(n, k, log_Jm, constants), _sup_defect(rho.min(), rho.max(), constants)
+    if not (var[inner].min() > 0.0 and mean[inner].min() > 0.0):
+        s = kernels.s[inner]
+        check_positive(s, var[inner] / (k * s * (1.0 - s)), mean[inner] / (k * s))
+    log_node = np.log(var[:order] / S[:order])
+    log_node += kernels.log_node - top
+    if n > 1:
+        log_node += (n - 1) * np.log(mean[:order])
+    H_next = _hilb(n, k, kernel_log_J(kernels, log_node), constants)
+    S_next, top_next, *_ = moments_next = kernel_moments(kernels, _fs_weights(H_next))
+    ratio = S_next[order:] / S[order:]  # P'/P less e^(top' - top): the shift cancels
+    return H_next, moments_next, _sup_defect(ratio.min(), ratio.max(), math.exp(top_next - top))
 
 
-def _sup_defect(low: float, high: float, constants: tuple) -> float:
-    """sup |(V/d_k) rho - 1| for a density rho with range [low, high], with the
-    ``_step_constants`` of (n, k)."""
-    scale = constants[1]
+def _sup_defect(low: float, high: float, scale: float) -> float:
+    """sup |scale rho - 1| for a density rho with range [low, high]."""
     return float(max(abs(scale * high - 1.0), abs(scale * low - 1.0)))
 
 
 def balance_defect(metric: RadialKahlerMetric, k: int) -> float:
     """sup |(V/d_k) rho_k - 1| over [0, 1]."""
     dens = bergman_density(metric, k)
-    return _sup_defect(dens.min_value, dens.max_value, _step_constants(metric.n, k))
+    return _sup_defect(dens.min_value, dens.max_value, _step_constants(metric.n, k)[1])
+
+
+def _orbit_fit(H: BasisMetric, kernels: StepKernels) -> tuple:
+    """(sup residual, slope b) of log eta - log eta_FS after its least-squares
+    fit a + b m, with eta_FS = Hilb(FS) on the kernels (FS's per-node factor is
+    w s^(n-1); Hilb's constant goes into a).  FS pulled back by z -> lambda z
+    has residual 0 and b = -t, t = log|lambda|^2."""
+    x = kernels.s[:kernels.rule.order]
+    gap = H.log_eta - kernel_log_J(kernels, np.log(kernels.rule.weights * x ** (H.n - 1)))
+    m = np.arange(H.k + 1) - H.k / 2
+    slope = float(m @ gap / (m @ m))
+    return float(np.abs(gap - gap.mean() - slope * m).max()), slope
 
 
 def t_iteration(initial_potential: RadialPotential, k: int, rule=None,
                 max_iter: int = MAX_ITERATIONS, tol: float = BALANCE_TOL):
     """Iterate the T-map on eta from Hilb of the initial potential until balanced.
 
-    Step 0 measures the starting metric; every later step is one ``t_step``.
+    Step 0 measures the starting metric; every later step is one ``t_step``,
+    on the moments of the iterate formed on entry or by the step before (so an
+    iterate whose moments are refused raises even after a balanced step).
     Returns (balanced potential, IterationTrace): the start itself when it is
     already balanced, else FS(H) for the H whose defect ended the loop, fitted
     once by ``fs_map_profile``.  Raises NotConverged (carrying the trace) when
-    max_iter is exhausted.
+    max_iter is exhausted.  The trace's orbit residual and slope are read once,
+    when the loop stops, from Hilb(FS(H)) (Hilb of the start before any step).
     """
     rule = rule or radial_rule(required_order(k))
     metric = build_metric(initial_potential, rule)
@@ -195,13 +221,17 @@ def t_iteration(initial_potential: RadialPotential, k: int, rule=None,
     kernels = step_kernels(metric.n, k, rule)
     constants = _step_constants(metric.n, k)
     H_next = hilb_map(metric, k)
-    while not defects[-1] <= tol:
-        if len(defects) > max_iter:
-            raise NotConverged(IterationTrace(tuple(defects), max_iter, False))
+    moments = kernel_moments(kernels, _fs_weights(H_next))
+    while not defects[-1] <= tol and len(defects) <= max_iter:
         H = H_next
-        H_next, defect = t_step(H, kernels, constants)
+        H_next, moments, defect = t_step(H, moments, kernels, constants)
         defects.append(defect)
-    return fs_map_profile(H), IterationTrace(tuple(defects), len(defects) - 1, True)
+    converged = defects[-1] <= tol
+    trace = IterationTrace(tuple(defects), len(defects) - 1, converged,
+                           *_orbit_fit(H_next, kernels))
+    if not converged:
+        raise NotConverged(trace)
+    return fs_map_profile(H), trace
 
 
 def normalize_potential(potential: RadialPotential, rule: RadialQuadrature) -> RadialPotential:

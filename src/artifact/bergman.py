@@ -37,7 +37,10 @@ per-node factor w (sG)^(n-1) F' e^(-k phi) (``radial_log_node``), for FS(H)
 w (E_p[m]/k)^(n-1) Var_p[m]/(k s(1-s))/P.  A T-iteration changes only the
 weights, so it builds the weight-free terms over the nodes and the dense
 grid once, as ``StepKernels``, and each sum of a step is a product with
-exp(w - max w).  Two spreads raise SpreadTooLarge: of w past
+exp(w - max w).  The Bergman density of FS(H) is itself a ratio of two such
+sums: its numerator, the stratum sum of 1/J_m, is the sum P of the next
+iterate Hilb(FS(H)) up to a constant, so a step forms it once, as that
+iterate's moments.  Two spreads raise SpreadTooLarge: of w past
 ``SPREAD_BOUND``, which would leave the range of doubles, and of the shares
 p_m so far from ks that Var_p[m] cancels past ``CANCELLATION_BOUND``.
 """
@@ -145,14 +148,16 @@ def shifted_exp(x: np.ndarray) -> tuple:
 class StepKernels:
     """The weight-free stratum terms at ``s``, the nodes of ``rule`` and then
     DENSE_GRID, exponentiated once: ``stack`` is [K | (m-ks) K | (m-ks)^2 K],
-    K = exp(log D_m + s-part - shift) with ``shift`` the column max; ``gram``
-    is exp(s-part - gram_shift) at the nodes, with ``gram_shift`` the row max;
-    ``inner`` marks the points inside (0, 1); ``log_node`` is
-    log w - log(k s(1-s)) - (n-1) log k at the nodes, the part of J_m's
-    per-node factor for FS(H) that no weight enters."""
+    K = exp(log D_m + s-part - shift) with ``shift`` the column max and ``ks``
+    the FS mean k s; ``gram`` is exp(s-part - gram_shift) at the nodes, with
+    ``gram_shift`` the row max; ``inner`` marks the points inside (0, 1);
+    ``log_node`` is log w - log(k s(1-s)) - (n-1) log k - shift at the nodes,
+    the part of J_m's per-node factor for FS(H) that no weight enters, less the
+    shift that the stratum sum P carries."""
 
     rule: RadialQuadrature
     s: np.ndarray
+    ks: np.ndarray
     inner: np.ndarray
     shift: np.ndarray
     stack: np.ndarray
@@ -172,20 +177,23 @@ def step_kernels(n: int, k: int, rule: RadialQuadrature) -> StepKernels:
     shift = terms.max(axis=0)
     K = np.exp(terms - shift)
     # centred at the FS mean ks, against the cancellation in E[m^2] - E[m]^2
-    centred = np.arange(k + 1.0)[:, None] - k * s
+    ks = k * s
+    centred = np.arange(k + 1.0)[:, None] - ks
     nodal = s_part[:, :rule.order]
     gram_shift = nodal.max(axis=1)
-    return StepKernels(rule, s, (s > 0.0) & (s < 1.0), shift,
+    log_node = np.log(rule.weights / (k * x * (1.0 - x))) - (n - 1) * math.log(k)
+    return StepKernels(rule, s, ks, (s > 0.0) & (s < 1.0), shift,
                        np.hstack([K, centred * K, centred * centred * K]),
                        np.exp(nodal - gram_shift[:, None]), gram_shift,
-                       np.log(rule.weights / (k * x * (1.0 - x))) - (n - 1) * math.log(k))
+                       log_node - shift[:rule.order])
 
 
 def kernel_moments(kernels: StepKernels, log_weights: np.ndarray):
-    """(log P, E_p[m], Var_p[m]) at the kernels' points, with p_m the m-th
-    term's share of P: one product of exp(w - max w) with the stack.  Raises
-    SpreadTooLarge where (E_p[m] - ks)^2 passes CANCELLATION_BOUND Var_p[m]
-    (at s = 0 and 1 both are exactly 0)."""
+    """(S, top, E_p[m], Var_p[m]) at the kernels' points: the stratum sum is
+    P = S e^(shift + top), and p_m is the m-th term's share of it; one product
+    of exp(w - max w) with the stack.  Raises SpreadTooLarge where
+    (E_p[m] - ks)^2 passes CANCELLATION_BOUND Var_p[m] (at s = 0 and 1 both
+    are exactly 0)."""
     a, top = shifted_exp(log_weights)
     S0, S1, S2 = (a @ kernels.stack).reshape(3, -1)
     centre = S1 / S0  # E_p[m] - ks
@@ -195,8 +203,7 @@ def kernel_moments(kernels: StepKernels, log_weights: np.ndarray):
         with np.errstate(divide="ignore"):
             ratio = np.max(square[lost] / np.abs(var[lost]))
         raise SpreadTooLarge(float(ratio), CANCELLATION_BOUND)
-    k = log_weights.size - 1
-    return np.log(S0) + kernels.shift + top, k * kernels.s + centre, var
+    return S0, top, kernels.ks + centre, var
 
 
 @dataclass(frozen=True)

@@ -236,8 +236,9 @@ def _balanced_rows(config, rule):
         except NotConverged as exc:
             trace = exc.trace
         rows.append((k, trace.iterations, trace.converged, trace.defects[-1],
-                     trace.contraction_rate))
-    return ["k", "iterations", "converged", "final_defect", "contraction_rate"], rows
+                     trace.contraction_rate, trace.orbit_residual, trace.orbit_slope))
+    return ["k", "iterations", "converged", "final_defect", "contraction_rate",
+            "orbit_residual", "orbit_slope"], rows
 
 
 def run_experiment(config: ExperimentConfig) -> RunManifest:

@@ -256,18 +256,23 @@ def nodal_fs_metric(H, rule):
     return RadialKahlerMetric(n, None, rule, nd), log_P
 
 
-def logsumexp_t_step(H, rule):
-    """(Hilb(FS(H)), balance defect of FS(H)) by logsumexp: FS(H) at the nodes
-    (``nodal_fs_metric``), then log J_m, then the density on DENSE_GRID as the
+def logsumexp_density(H, rule):
+    """(log J_m of the nodal FS(H), FS(H)'s density on DENSE_GRID) by logsumexp: the
     stratum sum of 1/J_m over that of FS(H)."""
     n, k, order = H.n, H.k, rule.order
     nodal, log_P = nodal_fs_metric(H, rule)
     log_Jm = radial_log_J_by_step(nodal, k)
     log_sum = _logsumexp(stratum_terms_by_step(n, k, -log_Jm, DENSE_GRID), 0)
-    rho = np.exp(log_sum - log_P[order:] - n * math.log(TWO_PI))
+    return log_Jm, np.exp(log_sum - log_P[order:] - n * math.log(TWO_PI))
+
+
+def logsumexp_t_step(H, rule):
+    """(Hilb(FS(H)), balance defect of FS(H)) by logsumexp: FS(H) at the nodes
+    (``nodal_fs_metric``), then log J_m, then the density (``logsumexp_density``)."""
+    n, k = H.n, H.k
+    log_Jm, rho = logsumexp_density(H, rule)
     # eta_m = (d_k/V) (2 pi)^n J_m/(n-1)!, V = (2 pi)^n/n!; the defect is sup |(V/d_k) rho - 1|
     d_k = dim_h0(n, k)
     log_eta = log_Jm + math.log(d_k * math.factorial(n) / math.factorial(n - 1))
     defect = np.abs(TWO_PI**n / (math.factorial(n) * d_k) * rho - 1.0).max()
     return BasisMetric(n, k, log_eta), float(defect)
-

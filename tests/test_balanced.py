@@ -19,13 +19,15 @@ from artifact import (
     t_iteration,
 )
 from artifact.balanced import BasisMetric, _fs_weights, _hilb, _step_constants, t_step
-from artifact.bergman import (density_values, gram, kernel_log_J, kernel_moments, log_stratum_sum,
-                              radial_log_node, step_kernels)
-from artifact.errors import NotConverged, SpreadTooLarge
+from artifact.bergman import (DENSE_GRID, density_values, gram, kernel_log_J, kernel_moments,
+                              log_stratum_sum, radial_log_node, step_kernels)
+from artifact.errors import NonPositiveMetric, NotConverged, SpreadTooLarge
 from artifact.functionals import S_j
+from artifact.geometry import check_positive
 from artifact.quadrature import TWO_PI, required_order
 
-from conftest import count_profile_calls, logsumexp_t_step, nodal_fs_metric, random_metric
+from conftest import (count_profile_calls, logsumexp_density, logsumexp_t_step, nodal_fs_metric,
+                      random_metric)
 
 S_DENSE = np.linspace(0.0, 1.0, 401)
 
@@ -94,10 +96,13 @@ def test_moments_give_the_fs_metric_and_its_defect(rng, rule200):
         for k in (5, 20, 40):
             H = hilb_map(m, k)
             kernels = step_kernels(n, k, rule200)
-            log_P, mean, var = (v[:rule200.order] for v in kernel_moments(kernels, _fs_weights(H)))
+            S, top, mean, var = state = kernel_moments(kernels, _fs_weights(H))
+            nodes = slice(rule200.order)
+            log_P = np.log(S[nodes]) + kernels.shift[nodes] + top
+            mean, var = mean[nodes], var[nodes]
             moments = dict(zip(keys, (log_P / k, mean / k, var / (k * s * (1.0 - s)),
                                       mean / (k * s))))
-            _, defect = t_step(H, kernels, _step_constants(n, k))
+            defect = t_step(H, state, kernels, _step_constants(n, k))[2]
             sample = np.arange(0, rule200.order, 9)
             exact = np.array([_fs_moments_reference(n, k, -gammaln(n) - H.log_eta, x)
                               for x in s[sample]]).T
@@ -251,21 +256,26 @@ def _count_calls_in_step(monkeypatch, targets):
 
 
 def test_steps_multiply_kernels_built_once_per_iteration(monkeypatch):
-    # the kernels are built on entry; a step is products with them: it calls no
-    # logsumexp, builds no s-part and takes no Gram data by the per-metric route
+    # the kernels are built on entry and the first iterate's moments formed; a
+    # step is one product with the Gram kernel and one with the moment stack,
+    # which gives the next iterate's moments and the density's numerator: it
+    # calls no logsumexp, builds no s-part and takes no Gram data by the
+    # per-metric route
     from artifact import balanced, bergman
 
     calls = _count_calls_in_step(monkeypatch, (
-        (balanced, "step_kernels"), (balanced, "kernel_log_J"), (bergman, "_logsumexp"),
-        (bergman, "stratum_s_part"), (bergman, "radial_log_J")))
+        (balanced, "step_kernels"), (balanced, "kernel_log_J"), (balanced, "kernel_moments"),
+        (bergman, "_logsumexp"), (bergman, "stratum_s_part"), (bergman, "radial_log_J")))
     with pytest.raises(NotConverged) as err:
         t_iteration(RadialPotential(2, (0.0, 0.01, -0.005)), 10, max_iter=3)
     assert len(err.value.trace.defects) == 4
-    assert [name for name, stepping in calls if stepping] == ["kernel_log_J"] * 3
+    assert [name for name, stepping in calls if stepping] == [
+        "kernel_log_J", "kernel_moments"] * 3
     # the start's Gram data and dense density only, then the iteration's kernels
+    # and the first iterate's moments; Hilb(FS) for the orbit fit when it stops
     assert [name for name, _ in calls if name != "_logsumexp"] == [
         "stratum_s_part", "radial_log_J", "stratum_s_part", "step_kernels", "stratum_s_part",
-        "kernel_log_J", "kernel_log_J", "kernel_log_J"]
+        "kernel_moments"] + ["kernel_log_J", "kernel_moments"] * 3 + ["kernel_log_J"]
 
 
 def test_steps_check_no_rule_and_build_no_metric(monkeypatch):
@@ -310,8 +320,9 @@ def test_fixed_grid_data_match_the_per_step_construction():
         rule = radial_rule(required_order(k))
         kernels = step_kernels(n, k, rule)
         H = hilb_map(build_metric(RadialPotential(n, (0.0, 0.05, -0.03)), rule), k)
+        moments = kernel_moments(kernels, _fs_weights(H))
         for step in range(40):
-            got, defect = t_step(H, kernels, _step_constants(n, k))
+            got, moments, defect = t_step(H, moments, kernels, _step_constants(n, k))
             want, want_defect = logsumexp_t_step(H, rule)
             assert abs(defect - want_defect) < tol, (n, k, step)
             centred = got.log_eta - got.log_eta.mean()
@@ -322,9 +333,69 @@ def test_fixed_grid_data_match_the_per_step_construction():
             H = got
 
 
+def test_density_is_the_ratio_of_consecutive_stratum_sums():
+    # (V/d_k) rho_FS(H) = P_H'/P_H with H' = Hilb(FS(H)): the ratio of the moments
+    # that two consecutive steps form is the logsumexp step's density, pointwise
+    for n in (1, 2, 3):
+        for k in (10, 20, 60):
+            rule = radial_rule(required_order(k))
+            kernels, constants = step_kernels(n, k, rule), _step_constants(n, k)
+            H = hilb_map(build_metric(RadialPotential(n, (0.0, 0.05, -0.03)), rule), k)
+            moments = kernel_moments(kernels, _fs_weights(H))
+            for step in range(10):
+                got, next_moments, _ = t_step(H, moments, kernels, constants)
+                ratio = (next_moments[0][rule.order:] / moments[0][rule.order:]
+                         * math.exp(next_moments[1] - moments[1]))
+                want = logsumexp_density(H, rule)[1] * constants[1]
+                assert ratio.shape == DENSE_GRID.shape
+                assert np.abs(ratio - want).max() < 1e-13, (n, k, step)
+                H, moments = got, next_moments
+
+
+def test_step_names_the_first_non_positive_point_of_f1_or_g(rule200):
+    # a step checks the signs of Var_p[m] and E_p[m]; where one fails it raises
+    # at the same s, value and sector as the check of F' and G themselves
+    n, k = 2, 10
+    kernels, constants = step_kernels(n, k, rule200), _step_constants(n, k)
+    H = hilb_map(build_metric(RadialPotential(n, (0.0, 0.05, -0.03)), rule200), k)
+    S, top, mean, var = kernel_moments(kernels, _fs_weights(H))
+    s, inner = kernels.s, kernels.inner
+    for bad_var, bad_mean in (((40, 700), ()), ((), (650,)), ((5,), (6,))):
+        v, e = var.copy(), mean.copy()
+        v[list(bad_var)] *= -1.0
+        e[list(bad_mean)] *= -1.0
+        with pytest.raises(NonPositiveMetric) as want:
+            check_positive(s[inner], v[inner] / (k * s[inner] * (1.0 - s[inner])),
+                           e[inner] / (k * s[inner]))
+        with pytest.raises(NonPositiveMetric) as got:
+            t_step(H, (S, top, e, v), kernels, constants)
+        assert str(got.value) == str(want.value)
+        assert got.value.sector == ("radial" if bad_var else "spherical")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_trace_reads_the_distance_to_the_fs_orbit(n):
+    # log eta of a pullback of FS by z -> lambda z is log eta_FS + a - t m; the
+    # balanced limit lies on that orbit, with t read from the returned potential
+    # as 11c reads it, and the start lies far off it
+    k = 10
+    rule = radial_rule(required_order(k))
+    start = RadialPotential(n, (0.0, 0.01, -0.005))
+    pot, trace = t_iteration(start, k, rule)
+    t = math.log1p(build_metric(pot, rule).phi_stack[1](np.array([0.0]))[0])
+    assert trace.converged and trace.orbit_residual <= 1e-8
+    assert abs(trace.orbit_slope + t) <= 1e-6 * abs(t)
+    with pytest.raises(NotConverged) as err:
+        t_iteration(start, k, rule, max_iter=0)
+    assert err.value.trace.orbit_residual > 5e-3
+    fs_start = t_iteration(RadialPotential(n, (0.0,)), k, rule)[1]
+    assert math.isnan(fs_start.orbit_residual) and math.isnan(fs_start.orbit_slope)
+
+
 def test_step_refuses_weights_beyond_the_kernel_range(rule200):
     # a synthetic eta whose weights spread past the bound: the smallest
-    # product against the kernels would leave the doubles' range
+    # product against the kernels would leave the doubles' range.  A step forms
+    # its iterate's moments by kernel_moments, which refuses them
     n, k = 1, 10
     kernels = step_kernels(n, k, rule200)
     for spread, refused in ((590.0, False), (610.0, True)):
@@ -332,10 +403,11 @@ def test_step_refuses_weights_beyond_the_kernel_range(rule200):
         H = BasisMetric(n, k, np.where(np.arange(k + 1) == k // 2, spread, 0.0))
         if refused:
             with pytest.raises(SpreadTooLarge) as err:
-                t_step(H, kernels, _step_constants(n, k))
+                kernel_moments(kernels, _fs_weights(H))
             assert err.value.spread == pytest.approx(spread) and err.value.bound == 600.0
         else:  # inside the bound the sum keeps its digits
-            log_P = kernel_moments(kernels, -H.log_eta)[0]
+            S, top = kernel_moments(kernels, -H.log_eta)[:2]
+            log_P = np.log(S) + kernels.shift + top
             want = log_stratum_sum(n, k, -H.log_eta, kernels.s)
             assert np.abs(log_P - want).max() < 1e-13 * np.abs(want).max()
 
@@ -343,16 +415,18 @@ def test_step_refuses_weights_beyond_the_kernel_range(rule200):
 def test_step_refuses_shares_whose_variance_cancels(rule200):
     # FS pulled back by z -> lambda z has log eta linear in m; far from FS the
     # shares sit so far from ks that E[(m-ks)^2] - E[m-ks]^2 loses its digits
-    # (5e-10 relative at a spread of 100), and at 590 F' reads 0 on a positive metric
+    # (5e-10 relative at a spread of 100), and at 590 F' reads 0 on a positive metric.
+    # A step forms its iterate's moments by kernel_moments, which refuses them
     n, k = 1, 10
     kernels, constants = step_kernels(n, k, rule200), _step_constants(n, k)
     for spread in (100.0, 590.0):
         H = BasisMetric(n, k, np.linspace(0.0, spread, k + 1))
         with pytest.raises(SpreadTooLarge) as err:
-            t_step(H, kernels, constants)
+            kernel_moments(kernels, _fs_weights(H))
         assert err.value.spread > 1e4 and err.value.bound == 1e4, spread
     # a spread of 20 keeps Var_p[m] to 1.2e-13 and passes
-    assert t_step(BasisMetric(n, k, np.linspace(0.0, 20.0, k + 1)), kernels, constants)[0].n == n
+    H = BasisMetric(n, k, np.linspace(0.0, 20.0, k + 1))
+    assert t_step(H, kernel_moments(kernels, _fs_weights(H)), kernels, constants)[0].n == n
 
 
 def test_t_step_iterates_to_the_iteration_defects():
@@ -364,8 +438,9 @@ def test_t_step_iterates_to_the_iteration_defects():
             kernels = step_kernels(n, k, rule)
             metric = build_metric(start, rule)
             defects, H = [balance_defect(metric, k)], hilb_map(metric, k)
+            moments = kernel_moments(kernels, _fs_weights(H))
             for _ in range(12):
-                H, defect = t_step(H, kernels, _step_constants(n, k))
+                H, moments, defect = t_step(H, moments, kernels, _step_constants(n, k))
                 defects.append(defect)
             with pytest.raises(NotConverged) as err:
                 t_iteration(start, k, rule, max_iter=12)
@@ -382,7 +457,7 @@ def test_t_step_is_hilb_of_the_nodal_fs_metric(rng):
             constants = _step_constants(n, k)
             H = hilb_map(random_metric(rng, n, rule), k)
             nodal, _ = nodal_fs_metric(H, rule)
-            got = t_step(H, kernels, constants)[0]
+            got = t_step(H, kernel_moments(kernels, _fs_weights(H)), kernels, constants)[0]
             on_kernels = _hilb(n, k, kernel_log_J(kernels, radial_log_node(nodal, k)), constants)
             want = hilb_map(nodal, k)
             assert (got.n, got.k) == (want.n, want.k) == (on_kernels.n, on_kernels.k)

@@ -314,6 +314,10 @@ def test_cli_balanced_run_converges(tmp_path):
         assert row["converged"] == "True"
         assert float(row["final_defect"]) <= 1e-10
         assert 0.0 < float(row["contraction_rate"]) < 1.0
+        assert float(row["orbit_residual"]) <= 1e-8  # the limit lies on the orbit of FS
+    # at one point of it for every k: the slopes read -0.0050050 to 2e-7 relative
+    slopes = [float(row["orbit_slope"]) for row in rows]
+    assert max(slopes) < 0.0 and max(slopes) - min(slopes) <= 1e-5 * abs(slopes[0])
 
 
 def test_cli_balanced_run_converges_off_the_polynomials(tmp_path):
