@@ -67,7 +67,6 @@ from .balanced import (
     fs_map_profile,
     hilb_map,
     liouville_approx_SLk,
-    normalize_potential,
     t_iteration,
 )
 from .fitting import FitResult, fit_expansion

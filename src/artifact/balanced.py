@@ -68,7 +68,7 @@ from .geometry import (
     fubini_study,
 )
 from .profiles import Profile
-from .quadrature import TWO_PI, RadialQuadrature, radial_rule, required_order
+from .quadrature import TWO_PI, radial_rule, required_order
 
 BALANCE_TOL = 1e-10
 MAX_ITERATIONS = 500
@@ -234,42 +234,38 @@ def t_iteration(initial_potential: RadialPotential, k: int, rule=None,
     return fs_map_profile(H), trace
 
 
-def normalize_potential(potential: RadialPotential, rule: RadialQuadrature) -> RadialPotential:
-    """Shift by the constant making the degree-(n+1) energy S_0 vanish on ``rule``."""
-    metric = build_metric(potential, rule)
-    s0 = S_j(metric, fubini_study(potential.n, rule), 0).value
-    return potential.shifted(s0)
-
-
 def liouville_approx_SLk(potential: RadialPotential, k: int, rule=None,
                          route: str = "identity") -> float:
     """Level-k approximation of the generalized Liouville action:
 
-    S_{L,k} = ((2 pi)^n log det_omega(Hilb_k(phi))
-               - (2 pi)^n d_k log(d_k/V)
+    S_{L,k} = ((2 pi)^n [log det_omega(Hilb_k(phi)) - d_k log(d_k/V)
+                         - k d_k S_0[phi, omega_0]]
                - k^n S_1[FS_k(Hilb_k(phi)), omega_0]) k^{1-n},
 
-    with phi normalized so that S_0[phi, 0] = 0.  ``route`` selects how
-    the determinant term is computed: "identity" uses the partition-ratio
-    identity log det_omega(H) - d_k log(d_k/V) = log Z_k[phi]/Z_k[0];
-    "raw" subtracts the literal Gram log dets, log det Gram[phi] -
-    log det Gram[0], the same term because H = (d_k/V) Gram entrywise.
-    Those log dets are of size ~10^2 and share the angular sum (n = 1,
-    k = 20: -195.494 and -195.496), so the raw route's digits past about
-    1e-9 relative are noise: it is a cross-check only.
+    the action at the representative phi + S_0[phi, omega_0], whose S_0 is
+    0, read on phi itself: a constant shift phi + c moves log Z_k by
+    -k d_k c (verify's partition-constant-shift), scales Hilb_k by e^(-kc)
+    (``test_hilbert_map_shift_scaling``), so FS_k(Hilb_k) moves by c, and
+    moves S_0 by -c but not S_1 (``test_acceptance_13_representative_independence``).
+    ``route`` selects how the determinant term is computed: "identity" uses
+    the partition-ratio identity log det_omega(H) - d_k log(d_k/V) =
+    log Z_k[phi]/Z_k[0]; "raw" subtracts the literal Gram log dets,
+    log det Gram[phi] - log det Gram[0], the same term because
+    H = (d_k/V) Gram entrywise.  Those log dets are of size ~10^2 and share
+    the angular sum (n = 1, k = 20, phi = 0.1 s - 0.04 s^2: -210.758 and
+    -195.496), so the raw route's digits past about 1e-9 relative are noise:
+    it is a cross-check only.
     """
     if route not in ("identity", "raw"):
         raise ValueError(f"unknown route {route!r}")
     n = potential.n
     rule = rule or radial_rule(required_order(k))
-    phi = normalize_potential(potential, rule)
-    metric = build_metric(phi, rule)
+    metric = build_metric(potential, rule)
     base = fubini_study(n, rule)
-    H = hilb_map(metric, k)
     if route == "identity":
         det_term = log_partition_ratio(metric, base, k)
     else:
         det_term = gram(metric, k).log_det - gram(base, k).log_det
-    fsk = build_metric(fs_map_profile(H), rule)
-    s1 = S_j(fsk, base, 1).value
+    det_term -= k * dim_h0(n, k) * S_j(metric, base, 0).value
+    s1 = S_j(build_metric(fs_map_profile(hilb_map(metric, k)), rule), base, 1).value
     return float((TWO_PI**n * det_term - k**n * s1) * k ** (1 - n))

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import mul
 
@@ -245,10 +245,11 @@ def kernel_log_J(kernels: StepKernels, log_node: np.ndarray) -> np.ndarray:
 
 def gram(metric: RadialKahlerMetric, k: int, *, s_part=None) -> GramData:
     """Radial-diagonal Gram data for degree-k sections, computed once per
-    (metric, k); ``s_part()``, if given, returns the s-part at the nodes."""
+    (metric, k); ``s_part``, if given, is the stratum s-part at the nodes."""
 
     def build():
-        log_Jm = radial_log_J(metric, k, s_part() if s_part else stratum_s_part(k, metric.nd["s"]))
+        nodal = stratum_s_part(k, metric.nd["s"]) if s_part is None else s_part
+        log_Jm = radial_log_J(metric, k, nodal)
         n = metric.n
         log_det = _log_angular_sum(n, k) + float(degree_multiplicities(n, k) @ log_Jm)
         return GramData(log_Jm, log_det)
@@ -292,9 +293,8 @@ def log_partition_ratio(metric_phi: RadialKahlerMetric, metric_ref: RadialKahler
     """log Z_k[phi] - log Z_k[ref]; basis factors cancel degree by degree."""
     if metric_phi.n != metric_ref.n:
         raise ValueError("metrics live on different manifolds")
-    # on one rule both grams read one s-part, built by the first not yet cached
-    s_part = (cache(lambda: stratum_s_part(k, metric_phi.nd["s"]))
-              if metric_phi.rule is metric_ref.rule else None)
+    # on one rule both grams read one s-part
+    s_part = stratum_s_part(k, metric_phi.nd["s"]) if metric_phi.rule is metric_ref.rule else None
     diff = gram(metric_phi, k, s_part=s_part).log_Jm - gram(metric_ref, k, s_part=s_part).log_Jm
     return float(degree_multiplicities(metric_phi.n, k) @ diff)
 

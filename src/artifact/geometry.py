@@ -79,11 +79,6 @@ class RadialPotential:
             coef = chebadd(chebmul(coef, [0.5, 0.5]), [c])
         return Profile(coef)
 
-    def shifted(self, constant: float) -> "RadialPotential":
-        c = list(self.coeffs) or [0.0]
-        c[0] += float(constant)
-        return RadialPotential(self.n, tuple(c))
-
     def to_json(self) -> str:
         return json.dumps(
             {"n": self.n, "basis": "s-poly", "coeffs": [repr(c) for c in self.coeffs]}

@@ -42,6 +42,13 @@ def random_metric(rng, n, rule, scale=0.12, terms=4):
     return build_metric(random_potential(rng, n, scale, terms), rule)
 
 
+def shifted_potential(potential, constant):
+    """The same potential plus a constant: another representative of its metric."""
+    c = list(potential.coeffs) or [0.0]
+    c[0] += float(constant)
+    return RadialPotential(potential.n, tuple(c))
+
+
 def count_profile_calls(monkeypatch, *names):
     """Patch the named Profile methods to log each call; returns the log."""
     calls = []

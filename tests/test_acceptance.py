@@ -33,7 +33,6 @@ from artifact import (
     liouville_approx_SLk,
     lu_lemma_defect,
     metric_independence,
-    normalize_potential,
     radial_rule,
     second_variation_S2,
     t_iteration,
@@ -53,6 +52,8 @@ from artifact.functionals import (
 )
 from artifact.forms import hessian_form, ricci_form
 from artifact.quadrature import TWO_PI, required_order
+
+from conftest import shifted_potential
 
 RULE = radial_rule(200)
 RULE_DEEP = radial_rule(520)  # covers k <= 244
@@ -304,7 +305,7 @@ def test_acceptance_11c_balanced_distance_rate():
 
 def test_acceptance_12_level_action_convergence():
     pot = RadialPotential(1, (0.0, 0.1, -0.06))
-    m = build_metric(normalize_potential(pot, RULE_DEEP), RULE_DEEP)
+    m = build_metric(pot, RULE_DEEP)  # S_2 is blind to the constant (acceptance 13)
     base = fs(1, RULE_DEEP)
     s2 = S_j(m, base, 2).value
     ks = [20, 28, 40, 57, 80, 113, 160, 200]
@@ -319,7 +320,7 @@ def test_acceptance_13_representative_independence():
         m0 = draw_metric(rng, n)
         pot = RadialPotential(n, (0.0, 0.08, -0.03))
         m1 = build_metric(pot, RULE)
-        m1c = build_metric(pot.shifted(0.61), RULE)
+        m1c = build_metric(shifted_potential(pot, 0.61), RULE)
         s0a = S_j(m1, m0, 0).value
         s0b = S_j(m1c, m0, 0).value
         assert abs((s0b - s0a) + 0.61) <= 1e-10

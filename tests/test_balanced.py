@@ -14,7 +14,6 @@ from artifact import (
     fs_map_profile,
     hilb_map,
     liouville_approx_SLk,
-    normalize_potential,
     radial_rule,
     t_iteration,
 )
@@ -22,12 +21,11 @@ from artifact.balanced import BasisMetric, _fs_weights, _hilb, _step_constants, 
 from artifact.bergman import (DENSE_GRID, density_values, gram, kernel_log_J, kernel_moments,
                               log_stratum_sum, radial_log_node, step_kernels)
 from artifact.errors import NonPositiveMetric, NotConverged, SpreadTooLarge
-from artifact.functionals import S_j
 from artifact.geometry import check_positive
 from artifact.quadrature import TWO_PI, required_order
 
 from conftest import (count_profile_calls, logsumexp_density, logsumexp_t_step, nodal_fs_metric,
-                      random_metric)
+                      random_metric, shifted_potential)
 
 S_DENSE = np.linspace(0.0, 1.0, 401)
 
@@ -472,26 +470,53 @@ def test_iteration_rejects_start_above_degree_bound():
         t_iteration(start, 10, max_iter=1)
 
 
-def test_normalization_fixes_degree_energy(fs_metric, rule200):
-    pot = RadialPotential(1, (0.7,))
-    norm = normalize_potential(pot, rule200)
-    assert abs(norm.coeffs[0]) < 1e-12
-    again = normalize_potential(norm, rule200)
-    assert np.abs(np.array(again.coeffs) - np.array(norm.coeffs)).max() < 1e-12
-    m = build_metric(normalize_potential(RadialPotential(1, (0.0, 0.2)), rule200), rule200)
-    assert abs(S_j(m, fs_metric(1), 0).value) < 1e-12
-
-
 def test_level_action_vanishes_at_reference(rule200):
     assert abs(liouville_approx_SLk(RadialPotential(1, (0.0,)), 30, rule200)) < 1e-12
 
 
-def test_level_action_route_consistency(rule200):
-    pot = RadialPotential(1, (0.0, 0.1, -0.04))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_level_action_route_consistency(rule200, n):
+    pot = RadialPotential(n, (0.0, 0.1, -0.04))
     for k in (20, 60):
         a = liouville_approx_SLk(pot, k, rule200, route="identity")
         b = liouville_approx_SLk(pot, k, rule200, route="raw")
         assert abs(a - b) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_level_action_is_blind_to_the_potential_constant(rule200, n):
+    # the S_0 normalization enters as -k d_k S_0: log Z_k, FS_k(Hilb_k) and
+    # S_0 move with the constant so that the action does not
+    pot = RadialPotential(n, (0.0, 0.1, -0.04))
+    for k in (20, 60):
+        for route in ("identity", "raw"):
+            a = liouville_approx_SLk(pot, k, rule200, route=route)
+            b = liouville_approx_SLk(shifted_potential(pot, 0.37), k, rule200, route=route)
+            assert abs(a - b) <= 1e-9, (k, route)
+
+
+def _count_metric_builds(monkeypatch):
+    from artifact import balanced
+
+    return _count_calls_in_step(
+        monkeypatch, ((balanced, "build_metric"), (balanced, "fubini_study")))
+
+
+def test_level_action_builds_three_metrics(rule200, monkeypatch):
+    # phi and Fubini-Study once each, then FS_k(Hilb_k(phi)); the
+    # normalization builds no second metric of phi
+    calls = _count_metric_builds(monkeypatch)
+    for route in ("identity", "raw"):
+        calls.clear()
+        liouville_approx_SLk(RadialPotential(2, (0.0, 0.1, -0.04)), 20, rule200, route=route)
+        assert [name for name, _ in calls] == ["build_metric", "fubini_study", "build_metric"]
+
+
+def test_level_action_rejects_an_unknown_route_before_building(rule200, monkeypatch):
+    calls = _count_metric_builds(monkeypatch)
+    with pytest.raises(ValueError, match="unknown route"):
+        liouville_approx_SLk(RadialPotential(1, (0.0, 0.1)), 20, rule200, route="bogus")
+    assert calls == []
 
 
 def test_balance_defect_gauge_invariance(fs_metric):

@@ -75,10 +75,47 @@ def _docstrings(tree):
             if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)}
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _local_names(scope):
+    """The arguments of a function or lambda and every name its own body binds
+    by assignment or import (nested scopes bind their own; a nested def binds
+    the function it defines, which its calls name)."""
+    a = scope.args
+    bound = {arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+             if arg}
+    todo = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, ast.alias):
+            bound.add((node.asname or node.name).split(".")[0])
+        if not isinstance(node, (*_SCOPES, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return bound
+
+
+def _free_names(node, local=frozenset()):
+    """Every Name in the tree that no enclosing function binds as a local or
+    an argument: a local that shares a package function's name names nothing."""
+    if isinstance(node, ast.Name):
+        return set() if node.id in local else {node.id}
+    inner, body = local, ()
+    if isinstance(node, _SCOPES):
+        inner = local | _local_names(node)
+        body = {id(b) for b in (node.body if isinstance(node.body, list) else [node.body])}
+    names = set()
+    for child in ast.iter_child_nodes(node):
+        names |= _free_names(child, inner if id(child) in body else local)
+    return names
+
+
 def named_functions(paths):
     """(defined, named): the non-dunder functions and methods defined in
-    src/artifact, and every name the files read, patch or list (docstrings
-    and comments name nothing)."""
+    src/artifact, and every name the files read, patch or list outside the
+    functions that bind it locally (docstrings and comments name nothing)."""
     defined, named = {}, set()
     for path in paths:
         if path.suffix == ".json":
@@ -86,12 +123,11 @@ def named_functions(paths):
             continue
         tree = ast.parse(path.read_text())
         docstrings = _docstrings(tree)
+        named |= _free_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if SRC in path.parents and not node.name.startswith("__"):
                     defined[node.name] = f"{path.name}:{node.lineno}"
-            elif isinstance(node, ast.Name):
-                named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
@@ -113,6 +149,18 @@ def test_every_function_is_named_outside_its_definition():
     assert defined
     unnamed = sorted(f"{where} {name}" for name, where in defined.items() if name not in named)
     assert unnamed == []
+
+
+def test_locals_and_arguments_name_no_package_function():
+    # a local or an argument shares a package function's name without naming
+    # it; a nested def names itself, and a name no enclosing function binds counts
+    tree = ast.parse(
+        "def f(gram, *tail):\n"
+        "    shifted = profile\n"
+        "    def build():\n"
+        "        return shifted + gram + order\n"
+        "    return build, (lambda values: values + scale)\n")
+    assert _free_names(tree) == {"profile", "build", "order", "scale"}
 
 
 def test_process_wide_caches_are_the_listed_ones():
