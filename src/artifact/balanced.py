@@ -55,6 +55,7 @@ from .bergman import (
     log_partition_ratio,
     log_stratum_sum,
     step_kernels,
+    stratum_s_part,
 )
 from .errors import NotConverged
 from .functionals import S_j
@@ -265,7 +266,9 @@ def liouville_approx_SLk(potential: RadialPotential, k: int, rule=None,
     if route == "identity":
         det_term = log_partition_ratio(metric, base, k)
     else:
-        det_term = gram(metric, k).log_det - gram(base, k).log_det
+        s_part = stratum_s_part(k, metric.nd["s"])  # one rule: both grams read it
+        det_term = (gram(metric, k, s_part=s_part).log_det
+                    - gram(base, k, s_part=s_part).log_det)
     det_term -= k * dim_h0(n, k) * S_j(metric, base, 0).value
     s1 = S_j(build_metric(fs_map_profile(hilb_map(metric, k)), rule), base, 1).value
     return float((TWO_PI**n * det_term - k**n * s1) * k ** (1 - n))

@@ -512,6 +512,19 @@ def test_level_action_builds_three_metrics(rule200, monkeypatch):
         assert [name for name, _ in calls] == ["build_metric", "fubini_study", "build_metric"]
 
 
+def test_level_action_builds_one_s_part_per_gram_pair(monkeypatch):
+    # both routes read phi's and Fubini-Study's Gram data off one s-part; the
+    # other is the stratum sum that FS_k(Hilb_k(phi)) is fitted from
+    from artifact import balanced, bergman
+
+    calls = _count_calls_in_step(
+        monkeypatch, ((bergman, "stratum_s_part"), (balanced, "stratum_s_part")))
+    for route in ("identity", "raw"):
+        calls.clear()
+        liouville_approx_SLk(RadialPotential(1, (0.0, 0.1, -0.04)), 20, route=route)
+        assert len(calls) == 2, route
+
+
 def test_level_action_rejects_an_unknown_route_before_building(rule200, monkeypatch):
     calls = _count_metric_builds(monkeypatch)
     with pytest.raises(ValueError, match="unknown route"):

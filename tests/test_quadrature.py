@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from artifact import quadrature
 from artifact.errors import ResolutionTooLow
 from artifact.quadrature import (
     NESTED_LEVELS,
     TWO_PI,
+    RadialQuadrature,
     check_resolution,
     radial_rule,
     required_order,
@@ -51,7 +53,7 @@ def _reference_rule(order):
 
 
 def test_rules_are_shared_and_read_only():
-    for order in (16, 72, 272, 432, 512):
+    for order in (16, 32, 52, 72, 112, 200, 272, 432, 512):
         rule = radial_rule(order)
         assert radial_rule(order) is rule
         with mp.workdps(40):
@@ -65,6 +67,22 @@ def test_rules_are_shared_and_read_only():
         for values in (rule.nodes, rule.weights):
             with pytest.raises(ValueError):
                 values[0] = 0.5
+
+
+def test_weights_sum_to_one_at_every_order():
+    for order in (*range(16, 129), *range(136, 601, 8)):
+        assert abs(RadialQuadrature(order).weights.sum() - 1.0) <= 4.4e-16, order
+
+
+def test_a_rule_takes_two_recurrence_passes(monkeypatch):
+    # one Chebyshev step, then one Newton step that also gives the weights
+    calls, legendre = [], quadrature._legendre
+    monkeypatch.setattr(quadrature, "_legendre",
+                        lambda order, x: calls.append(order) or legendre(order, x))
+    for order in (16, 17, 272, 512):
+        calls.clear()
+        RadialQuadrature(order)
+        assert calls == [order, order]
 
 
 def test_odd_rules_are_symmetric_about_one_half():
