@@ -18,23 +18,25 @@ log(1 + (e^t - 1) s) + c and t = log|lambda|^2, is a fixed point at every
 level, and the iteration converges to one of them that depends on the
 starting potential.
 
-Inside the T-iteration FS(H) is never fitted.  With P the stratum sum of
-FS(H) and p_m the share of its m-th term, phi = (1/k) log P, G =
-E_p[m]/(ks) and F' = Var_p[m]/(k s(1-s)) exactly, so J_m's per-node factor
-w (sG)^(n-1) F' e^(-k phi) is w (E_p[m]/k)^(n-1) Var_p[m]/(k s(1-s))/P,
-read from two stratum moments and no metric.  Its Bergman density needs no
-further sum: the numerator is the stratum sum of the next iterate,
-(V/d_k) rho_FS(H) = P_Hilb(FS(H)) / P_H.  The T-map is ``t_step``, a map on
-the state (eta, the moments of FS(H)): it returns Hilb(FS(H)), the moments
-of its FS, and the balance defect of FS(H), the ratio of the two stratum
-sums on the dense grid.  Only the weights of the sums change from step to
-step, so ``t_iteration`` exponentiates their terms once on entry, over the
-nodes and the dense grid, with the weight-free part of the per-node factor
-(``StepKernels``), and lets them go when it returns; each step is one product
-with the Gram kernel and one with the moment stack.
-``fs_map_profile`` fits FS(H) as a Chebyshev series once, when the
-iteration stops, and that series is the balanced potential it returns: not
-a polynomial in s, as the fixed points log(1 + (e^t - 1) s) + c are not
+The T-step (``t_step``) maps log eta alone, carried with the moments of
+FS(H) that it reads, and builds no BasisMetric.  FS(H) is never fitted in
+it: with P the stratum sum of FS(H) and p_m the share of its m-th term,
+phi = (1/k) log P, G = E_p[m]/(ks) and F' = Var_p[m]/(k s(1-s)) exactly
+(``bergman``), so J_m's per-node factor w (sG)^(n-1) F' e^(-k phi) is
+w (E_p[m]/k)^(n-1) Var_p[m]/(k s(1-s))/P, read from two stratum moments and
+no metric, and log eta of Hilb(FS(H)) is log J_m plus Hilb's scale
+(``_hilb_scale``).  The Bergman density of FS(H) needs no further sum: its
+numerator is the stratum sum of the next iterate,
+(V/d_k) rho_FS(H) = P_Hilb(FS(H)) / P_H, so a step forms the next iterate's
+moments once, for its own defect and for the next step.  Only the weights of
+the sums change from step to step, so ``t_iteration`` exponentiates their
+terms once on entry, over the nodes and the dense grid, with the weight-free
+part of the per-node factor (``StepKernels``), and lets them go when it
+returns; each step is one product with the Gram kernel and one with the
+moment stack.  The iteration builds a BasisMetric for Hilb of the start
+(``hilb_map``) and, once it has converged, for ``fs_map_profile``, which fits
+FS(H) as a Chebyshev series: the balanced potential it returns, not a
+polynomial in s, as the fixed points log(1 + (e^t - 1) s) + c are not
 unless t = 0.
 """
 from __future__ import annotations
@@ -119,40 +121,35 @@ class IterationTrace:
         return float((d[-1] / d[half]) ** (1.0 / (len(d) - 1 - half)))
 
 
-def _step_constants(n: int, k: int) -> tuple:
-    """(log (d_k/V) (2 pi)^n/(n-1)!, V/d_k): the scales of Hilb and of the defect, per (n, k)."""
+def _hilb_scale(n: int, k: int) -> float:
+    """log (d_k/V) (2 pi)^n/(n-1)!: Hilb's log eta_m is log J_m plus this scale."""
     return (math.log(dim_h0(n, k) / class_volume(n)) + n * LOG_TWO_PI
-            - math.log(math.factorial(n - 1)), class_volume(n) / dim_h0(n, k))
-
-
-def _hilb(n: int, k: int, log_Jm: np.ndarray, constants: tuple) -> BasisMetric:
-    """eta_m = (d_k/V) (2 pi)^n J_m / (n-1)!, with the ``_step_constants`` of (n, k)."""
-    return BasisMetric(n, k, log_Jm + constants[0])
+            - math.log(math.factorial(n - 1)))
 
 
 def hilb_map(metric: RadialKahlerMetric, k: int) -> BasisMetric:
     """Rescaled L^2 form of the potential: eta_m from the radial Gram data."""
     n = metric.n
-    return _hilb(n, k, gram(metric, k).log_Jm, _step_constants(n, k))
+    return BasisMetric(n, k, gram(metric, k).log_Jm + _hilb_scale(n, k))
 
 
-def _fs_weights(H: BasisMetric) -> np.ndarray:
+def _fs_weights(n: int, log_eta: np.ndarray) -> np.ndarray:
     """Stratum weights w_m = -log (n-1)! - log eta_m, so that k phi_H = log_stratum_sum."""
-    return -math.log(math.factorial(H.n - 1)) - H.log_eta
+    return -math.log(math.factorial(n - 1)) - log_eta
 
 
 def fs_map_profile(H: BasisMetric) -> ProfilePotential:
     """The Fubini-Study potential of H as a smooth radial profile."""
-    n, k, log_weights = H.n, H.k, _fs_weights(H)
+    n, k, log_weights = H.n, H.k, _fs_weights(H.n, H.log_eta)
     return ProfilePotential(
         n, Profile.from_callable(lambda s: log_stratum_sum(n, k, log_weights, s) / k)
     )
 
 
-def t_step(H: BasisMetric, moments: tuple, kernels: StepKernels, constants: tuple):
-    """One T-step on the state (H, the ``kernel_moments`` of FS(H)): returns
-    (H', the moments of FS(H'), the balance defect of FS(H)), H' = Hilb(FS(H)),
-    on ``kernels`` with the ``_step_constants`` of (n, k).
+def t_step(moments: tuple, kernels: StepKernels, scale: float):
+    """One T-step on the ``kernel_moments`` of FS(H): returns (log eta of
+    H' = Hilb(FS(H)), the moments of FS(H'), the balance defect of FS(H)), on
+    ``kernels`` with Hilb's ``_hilb_scale`` of their (n, k).
 
     FS(H) is read from the moments: Var_p[m] and E_p[m], the signs of F' and
     G, are checked positive at every interior point (at s = 0 and 1 both are
@@ -162,7 +159,7 @@ def t_step(H: BasisMetric, moments: tuple, kernels: StepKernels, constants: tupl
     is read from the moments of FS(H') that the next step takes.  They are
     formed before the defect is known: an H' whose moments are refused raises
     here, even at the step whose FS(H) is balanced."""
-    n, k, order = H.n, H.k, kernels.rule.order
+    n, k, order = kernels.n, kernels.k, kernels.rule.order
     S, top, mean, var = moments
     inner = kernels.inner
     if not (var[inner].min() > 0.0 and mean[inner].min() > 0.0):
@@ -172,10 +169,10 @@ def t_step(H: BasisMetric, moments: tuple, kernels: StepKernels, constants: tupl
     log_node += kernels.log_node - top
     if n > 1:
         log_node += (n - 1) * np.log(mean[:order])
-    H_next = _hilb(n, k, kernel_log_J(kernels, log_node), constants)
-    S_next, top_next, *_ = moments_next = kernel_moments(kernels, _fs_weights(H_next))
+    log_eta = kernel_log_J(kernels, log_node) + scale  # finite: kernel_log_J checks log J_m
+    S_next, top_next, *_ = moments_next = kernel_moments(kernels, _fs_weights(n, log_eta))
     ratio = S_next[order:] / S[order:]  # P'/P less e^(top' - top): the shift cancels
-    return H_next, moments_next, _sup_defect(ratio.min(), ratio.max(), math.exp(top_next - top))
+    return log_eta, moments_next, _sup_defect(ratio.min(), ratio.max(), math.exp(top_next - top))
 
 
 def _sup_defect(low: float, high: float, scale: float) -> float:
@@ -186,24 +183,25 @@ def _sup_defect(low: float, high: float, scale: float) -> float:
 def balance_defect(metric: RadialKahlerMetric, k: int) -> float:
     """sup |(V/d_k) rho_k - 1| over [0, 1]."""
     dens = bergman_density(metric, k)
-    return _sup_defect(dens.min_value, dens.max_value, _step_constants(metric.n, k)[1])
+    n = metric.n
+    return _sup_defect(dens.min_value, dens.max_value, class_volume(n) / dim_h0(n, k))
 
 
-def _orbit_fit(H: BasisMetric, kernels: StepKernels) -> tuple:
+def _orbit_fit(log_eta: np.ndarray, kernels: StepKernels) -> tuple:
     """(sup residual, slope b) of log eta - log eta_FS after its least-squares
     fit a + b m, with eta_FS = Hilb(FS) on the kernels (FS's per-node factor is
     w s^(n-1); Hilb's constant goes into a).  FS pulled back by z -> lambda z
     has residual 0 and b = -t, t = log|lambda|^2."""
     x = kernels.s[:kernels.rule.order]
-    gap = H.log_eta - kernel_log_J(kernels, np.log(kernels.rule.weights * x ** (H.n - 1)))
-    m = np.arange(H.k + 1) - H.k / 2
+    gap = log_eta - kernel_log_J(kernels, np.log(kernels.rule.weights * x ** (kernels.n - 1)))
+    m = np.arange(kernels.k + 1) - kernels.k / 2
     slope = float(m @ gap / (m @ m))
     return float(np.abs(gap - gap.mean() - slope * m).max()), slope
 
 
 def t_iteration(initial_potential: RadialPotential, k: int, rule=None,
                 max_iter: int = MAX_ITERATIONS, tol: float = BALANCE_TOL):
-    """Iterate the T-map on eta from Hilb of the initial potential until balanced.
+    """Iterate the T-map on log eta from Hilb of the initial potential until balanced.
 
     Step 0 measures the starting metric; every later step is one ``t_step``,
     on the moments of the iterate formed on entry or by the step before (so an
@@ -219,20 +217,21 @@ def t_iteration(initial_potential: RadialPotential, k: int, rule=None,
     defects = [balance_defect(metric, k)]
     if defects[0] <= tol:
         return initial_potential, IterationTrace(tuple(defects), 0, True)
-    kernels = step_kernels(metric.n, k, rule)
-    constants = _step_constants(metric.n, k)
-    H_next = hilb_map(metric, k)
-    moments = kernel_moments(kernels, _fs_weights(H_next))
+    n = metric.n
+    kernels = step_kernels(n, k, rule)
+    scale = _hilb_scale(n, k)
+    log_eta_next = hilb_map(metric, k).log_eta
+    moments = kernel_moments(kernels, _fs_weights(n, log_eta_next))
     while not defects[-1] <= tol and len(defects) <= max_iter:
-        H = H_next
-        H_next, moments, defect = t_step(H, moments, kernels, constants)
+        log_eta = log_eta_next
+        log_eta_next, moments, defect = t_step(moments, kernels, scale)
         defects.append(defect)
     converged = defects[-1] <= tol
     trace = IterationTrace(tuple(defects), len(defects) - 1, converged,
-                           *_orbit_fit(H_next, kernels))
+                           *_orbit_fit(log_eta_next, kernels))
     if not converged:
         raise NotConverged(trace)
-    return fs_map_profile(H), trace
+    return fs_map_profile(BasisMetric(n, k, log_eta)), trace
 
 
 def liouville_approx_SLk(potential: RadialPotential, k: int, rule=None,

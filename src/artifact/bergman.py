@@ -29,20 +29,17 @@ Fubini-Study potential phi = (1/k) log P has, exactly,
 
     F = E_p[m]/k,   G = E_p[m]/(ks),   F' = Var_p[m]/(k s(1-s)),
 
-so a T-step reads FS(H) from the two moments of p and fits no series.
+the two moments of p that a T-step reads (``balanced`` sets the step out).
 
 J_m contracts the same kernel over the nodes: it shares the s-part
 m log s + (k-m) log(1-s) (``stratum_s_part``), and s^(n-1) joins its
-per-node factor w (sG)^(n-1) F' e^(-k phi) (``radial_log_node``), for FS(H)
-w (E_p[m]/k)^(n-1) Var_p[m]/(k s(1-s))/P.  A T-iteration changes only the
-weights, so it builds the weight-free terms over the nodes and the dense
-grid once, as ``StepKernels``, and each sum of a step is a product with
-exp(w - max w).  The Bergman density of FS(H) is itself a ratio of two such
-sums: its numerator, the stratum sum of 1/J_m, is the sum P of the next
-iterate Hilb(FS(H)) up to a constant, so a step forms it once, as that
-iterate's moments.  Two spreads raise SpreadTooLarge: of w past
-``SPREAD_BOUND``, which would leave the range of doubles, and of the shares
-p_m so far from ks that Var_p[m] cancels past ``CANCELLATION_BOUND``.
+per-node factor w (sG)^(n-1) F' e^(-k phi) (``radial_log_node``).
+``StepKernels`` hold the weight-free terms of both sums over the nodes and
+the dense grid, exponentiated once, so that a sum with new weights w is one
+product with exp(w - max w) (``kernel_moments``, ``kernel_log_J``).  Two
+spreads raise SpreadTooLarge: of w past ``SPREAD_BOUND``, which would leave
+the range of doubles, and of the shares p_m so far from ks that Var_p[m]
+cancels past ``CANCELLATION_BOUND``.
 """
 from __future__ import annotations
 
@@ -146,15 +143,18 @@ def shifted_exp(x: np.ndarray) -> tuple:
 
 @dataclass(frozen=True)
 class StepKernels:
-    """The weight-free stratum terms at ``s``, the nodes of ``rule`` and then
-    DENSE_GRID, exponentiated once: ``stack`` is [K | (m-ks) K | (m-ks)^2 K],
-    K = exp(log D_m + s-part - shift) with ``shift`` the column max and ``ks``
-    the FS mean k s; ``gram`` is exp(s-part - gram_shift) at the nodes, with
-    ``gram_shift`` the row max; ``inner`` marks the points inside (0, 1);
-    ``log_node`` is log w - log(k s(1-s)) - (n-1) log k - shift at the nodes,
-    the part of J_m's per-node factor for FS(H) that no weight enters, less the
-    shift that the stratum sum P carries."""
+    """The weight-free stratum terms of degree ``k`` on CP^``n`` at ``s``, the
+    nodes of ``rule`` and then DENSE_GRID, exponentiated once: ``stack`` is
+    [K | (m-ks) K | (m-ks)^2 K], K = exp(log D_m + s-part - shift) with
+    ``shift`` the column max and ``ks`` the FS mean k s; ``gram`` is
+    exp(s-part - gram_shift) at the nodes, with ``gram_shift`` the row max;
+    ``inner`` marks the points inside (0, 1); ``log_node`` is
+    log w - log(k s(1-s)) - (n-1) log k - shift at the nodes, the part of J_m's
+    per-node factor for FS(H) that no weight enters, less the shift that the
+    stratum sum P carries."""
 
+    n: int
+    k: int
     rule: RadialQuadrature
     s: np.ndarray
     ks: np.ndarray
@@ -182,7 +182,7 @@ def step_kernels(n: int, k: int, rule: RadialQuadrature) -> StepKernels:
     nodal = s_part[:, :rule.order]
     gram_shift = nodal.max(axis=1)
     log_node = np.log(rule.weights / (k * x * (1.0 - x))) - (n - 1) * math.log(k)
-    return StepKernels(rule, s, ks, (s > 0.0) & (s < 1.0), shift,
+    return StepKernels(n, k, rule, s, ks, (s > 0.0) & (s < 1.0), shift,
                        np.hstack([K, centred * K, centred * centred * K]),
                        np.exp(nodal - gram_shift[:, None]), gram_shift,
                        log_node - shift[:rule.order])

@@ -62,6 +62,10 @@ class RadialPotential:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if self.n not in DIMENSIONS:
             raise ValueError(f"complex dimension must be 1..3, got {self.n}")
+        if not all(map(math.isfinite, self.coeffs)):
+            raise ValueError(f"coefficients must be finite, got {self.coeffs}")
+        if self.degree > MAX_POTENTIAL_DEGREE:
+            raise ValueError(f"potential degree {self.degree} exceeds bound {MAX_POTENTIAL_DEGREE}")
 
     @property
     def degree(self) -> int:
@@ -144,14 +148,9 @@ class RadialKahlerMetric:
         self.rule = rule
         self.nd = nd
         self._field_cache = {}
-        if stack is not None:  # else derived from the potential on first read
-            self.phi_stack = stack
+        self.phi_stack = stack
 
     # -- pointwise profile calculus -------------------------------------
-
-    @cached_property
-    def phi_stack(self):
-        return _derivative_stack(self.potential.profile)
 
     def profile_data(self, s=None):
         """Profile data at s; ``nd`` at the rule's own nodes (or s=None)."""
@@ -228,8 +227,8 @@ class RadialKahlerMetric:
 
 class ScalarField:
     """A smooth radial function attached to a metric, defined by a vectorized
-    function of s (a Profile is one).  Values come from that function; the
-    Chebyshev profile is interpolated once, and only to differentiate.
+    function of s.  Values come from that function; the Chebyshev profile is
+    interpolated once, and only to differentiate.
     """
 
     __slots__ = ("metric", "fn", "_profile", "_values")
@@ -237,7 +236,7 @@ class ScalarField:
     def __init__(self, metric: RadialKahlerMetric, fn: Callable):
         self.metric = metric
         self.fn = fn
-        self._profile = fn if isinstance(fn, Profile) else None
+        self._profile = None
         self._values = None
 
     @classmethod
@@ -270,19 +269,16 @@ def _require_attached(metric, field: ScalarField):
 
 
 def check_positive(s, F1, G) -> None:
-    """Raise NonPositiveMetric at the first s where F' or G is not positive."""
+    """Raise NonPositiveMetric where F' or G is not positive, at the first s of
+    its least value, or at the first s where it is nan or infinite."""
     for name, vals in (("radial", F1), ("spherical", G)):
-        idx = int(np.argmin(vals))
-        if vals[idx] <= 0.0:
+        idx = int(np.argmin(np.where(np.isfinite(vals), vals, -np.inf)))
+        if not 0.0 < vals[idx] < np.inf:
             raise NonPositiveMetric(s[idx], vals[idx], sector=name)
 
 
 def build_metric(potential, rule: RadialQuadrature) -> RadialKahlerMetric:
     """Construct and positivity-check a radial metric."""
-    if isinstance(potential, RadialPotential) and potential.degree > MAX_POTENTIAL_DEGREE:
-        raise ValueError(
-            f"potential degree {potential.degree} exceeds bound {MAX_POTENTIAL_DEGREE}"
-        )
     stack = _derivative_stack(potential.profile)
     # positivity at the nodes and the dense grid; the data is elementwise in s,
     # so its head is exactly the nodal data

@@ -105,6 +105,7 @@ class ExperimentConfig:
         object.__setattr__(
             self, "potential_coeffs", tuple(float(c) for c in self.potential_coeffs)
         )
+        self.potential()  # a non-finite coefficient or a degree past the bound raises here
 
     @property
     def k_values(self):
@@ -207,7 +208,7 @@ def _partition_rows(config, metric, base):
     return ["k", "log_ratio", "scaled_log_ratio"], rows
 
 
-def _functionals_rows(config, metric, base):
+def _functionals_rows(metric, base):
     rows = []
     for j in ORDERS:
         path = tilde_S_path(metric, base, j).value
@@ -217,7 +218,7 @@ def _functionals_rows(config, metric, base):
     return ["j", "tilde_path", "tilde_bott_chern", "route_defect", "S_j"], rows
 
 
-def _futaki_rows(config, metric):
+def _futaki_rows(metric):
     data = hamiltonian_potential(metric)
     rows = []
     for j in ORDERS:
@@ -264,9 +265,9 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         elif config.kind == "partition":
             header, rows = _partition_rows(config, metric, base)
         elif config.kind == "functionals":
-            header, rows = _functionals_rows(config, metric, base)
+            header, rows = _functionals_rows(metric, base)
         elif config.kind == "futaki":
-            header, rows = _futaki_rows(config, metric)
+            header, rows = _futaki_rows(metric)
         else:
             header, rows = _balanced_rows(config, rule)
         path = os.path.join(config.out_dir, f"{config.kind}.csv")

@@ -17,11 +17,11 @@ from artifact import (
     radial_rule,
     t_iteration,
 )
-from artifact.balanced import BasisMetric, _fs_weights, _hilb, _step_constants, t_step
+from artifact.balanced import BasisMetric, _fs_weights, _hilb_scale, t_step
 from artifact.bergman import (DENSE_GRID, density_values, gram, kernel_log_J, kernel_moments,
                               log_stratum_sum, radial_log_node, step_kernels)
 from artifact.errors import NonPositiveMetric, NotConverged, SpreadTooLarge
-from artifact.geometry import check_positive
+from artifact.geometry import check_positive, class_volume
 from artifact.quadrature import TWO_PI, required_order
 
 from conftest import (count_profile_calls, logsumexp_density, logsumexp_t_step, nodal_fs_metric,
@@ -94,13 +94,13 @@ def test_moments_give_the_fs_metric_and_its_defect(rng, rule200):
         for k in (5, 20, 40):
             H = hilb_map(m, k)
             kernels = step_kernels(n, k, rule200)
-            S, top, mean, var = state = kernel_moments(kernels, _fs_weights(H))
+            S, top, mean, var = state = kernel_moments(kernels, _fs_weights(n, H.log_eta))
             nodes = slice(rule200.order)
             log_P = np.log(S[nodes]) + kernels.shift[nodes] + top
             mean, var = mean[nodes], var[nodes]
             moments = dict(zip(keys, (log_P / k, mean / k, var / (k * s * (1.0 - s)),
                                       mean / (k * s))))
-            defect = t_step(H, state, kernels, _step_constants(n, k))[2]
+            defect = t_step(state, kernels, _hilb_scale(n, k))[2]
             sample = np.arange(0, rule200.order, 9)
             exact = np.array([_fs_moments_reference(n, k, -gammaln(n) - H.log_eta, x)
                               for x in s[sample]]).T
@@ -215,18 +215,27 @@ def test_iteration_cap_raises_with_trace():
     assert len(trace.defects) == 21
 
 
-def test_iteration_takes_the_step_constants_once(monkeypatch):
-    # the scales of Hilb and of the defect depend on (n, k) alone
+def test_iteration_takes_hilb_scale_once_and_builds_no_metric_per_step(monkeypatch):
+    # Hilb's scale depends on (n, k) alone, and a step maps arrays: a run builds
+    # one BasisMetric, Hilb of the start, plus FS(H)'s when it converges
     from artifact import balanced
 
-    calls = []
-    step_constants = balanced._step_constants
-    monkeypatch.setattr(balanced, "_step_constants",
-                        lambda n, k: calls.append((n, k)) or step_constants(n, k))
+    scales, built = [], []
+    hilb_scale, post_init = balanced._hilb_scale, BasisMetric.__post_init__
+    monkeypatch.setattr(balanced, "_hilb_scale",
+                        lambda n, k: scales.append((n, k)) or hilb_scale(n, k))
+    monkeypatch.setattr(BasisMetric, "__post_init__",
+                        lambda self: built.append(self.k) or post_init(self))
+    start = RadialPotential(1, (0.0, 0.01, -0.005))
     with pytest.raises(NotConverged):
-        t_iteration(RadialPotential(1, (0.0, 0.01, -0.005)), 10, max_iter=5)
-    # the start's defect, then once for the steps, then the start's Hilb
-    assert calls == [(1, 10)] * 3
+        t_iteration(start, 10, max_iter=5)
+    # once for the steps, then once in hilb_map for the start
+    assert scales == [(1, 10)] * 2 and built == [10]
+    scales.clear()
+    built.clear()
+    _, trace = t_iteration(start, 10)
+    assert trace.converged and trace.iterations > 100
+    assert scales == [(1, 10)] * 2 and built == [10] * 2
 
 
 def _count_calls_in_step(monkeypatch, targets):
@@ -316,19 +325,19 @@ def test_fixed_grid_data_match_the_per_step_construction():
     cases = [(n, k, 1e-13) for n in (1, 2, 3) for k in (10, 20, 60)] + [(1, 200, 5e-13)]
     for n, k, tol in cases:
         rule = radial_rule(required_order(k))
-        kernels = step_kernels(n, k, rule)
+        kernels, scale = step_kernels(n, k, rule), _hilb_scale(n, k)
         H = hilb_map(build_metric(RadialPotential(n, (0.0, 0.05, -0.03)), rule), k)
-        moments = kernel_moments(kernels, _fs_weights(H))
+        moments = kernel_moments(kernels, _fs_weights(n, H.log_eta))
         for step in range(40):
-            got, moments, defect = t_step(H, moments, kernels, _step_constants(n, k))
+            got, moments, defect = t_step(moments, kernels, scale)
             want, want_defect = logsumexp_t_step(H, rule)
             assert abs(defect - want_defect) < tol, (n, k, step)
-            centred = got.log_eta - got.log_eta.mean()
+            centred = got - got.mean()
             assert np.abs(centred - (want.log_eta - want.log_eta.mean())).max() < tol, (n, k, step)
             if step % 10 == 0:
                 hilb = hilb_map(nodal_fs_metric(H, rule)[0], k).log_eta
-                assert np.abs(got.log_eta - hilb).max() < tol, (n, k, step)
-            H = got
+                assert np.abs(got - hilb).max() < tol, (n, k, step)
+            H = BasisMetric(n, k, got)
 
 
 def test_density_is_the_ratio_of_consecutive_stratum_sums():
@@ -337,26 +346,26 @@ def test_density_is_the_ratio_of_consecutive_stratum_sums():
     for n in (1, 2, 3):
         for k in (10, 20, 60):
             rule = radial_rule(required_order(k))
-            kernels, constants = step_kernels(n, k, rule), _step_constants(n, k)
+            kernels, scale = step_kernels(n, k, rule), _hilb_scale(n, k)
             H = hilb_map(build_metric(RadialPotential(n, (0.0, 0.05, -0.03)), rule), k)
-            moments = kernel_moments(kernels, _fs_weights(H))
+            moments = kernel_moments(kernels, _fs_weights(n, H.log_eta))
             for step in range(10):
-                got, next_moments, _ = t_step(H, moments, kernels, constants)
+                got, next_moments, _ = t_step(moments, kernels, scale)
                 ratio = (next_moments[0][rule.order:] / moments[0][rule.order:]
                          * math.exp(next_moments[1] - moments[1]))
-                want = logsumexp_density(H, rule)[1] * constants[1]
+                want = logsumexp_density(H, rule)[1] * (class_volume(n) / dim_h0(n, k))
                 assert ratio.shape == DENSE_GRID.shape
                 assert np.abs(ratio - want).max() < 1e-13, (n, k, step)
-                H, moments = got, next_moments
+                H, moments = BasisMetric(n, k, got), next_moments
 
 
 def test_step_names_the_first_non_positive_point_of_f1_or_g(rule200):
     # a step checks the signs of Var_p[m] and E_p[m]; where one fails it raises
     # at the same s, value and sector as the check of F' and G themselves
     n, k = 2, 10
-    kernels, constants = step_kernels(n, k, rule200), _step_constants(n, k)
+    kernels, scale = step_kernels(n, k, rule200), _hilb_scale(n, k)
     H = hilb_map(build_metric(RadialPotential(n, (0.0, 0.05, -0.03)), rule200), k)
-    S, top, mean, var = kernel_moments(kernels, _fs_weights(H))
+    S, top, mean, var = kernel_moments(kernels, _fs_weights(n, H.log_eta))
     s, inner = kernels.s, kernels.inner
     for bad_var, bad_mean in (((40, 700), ()), ((), (650,)), ((5,), (6,))):
         v, e = var.copy(), mean.copy()
@@ -366,7 +375,7 @@ def test_step_names_the_first_non_positive_point_of_f1_or_g(rule200):
             check_positive(s[inner], v[inner] / (k * s[inner] * (1.0 - s[inner])),
                            e[inner] / (k * s[inner]))
         with pytest.raises(NonPositiveMetric) as got:
-            t_step(H, (S, top, e, v), kernels, constants)
+            t_step((S, top, e, v), kernels, scale)
         assert str(got.value) == str(want.value)
         assert got.value.sector == ("radial" if bad_var else "spherical")
 
@@ -398,15 +407,15 @@ def test_step_refuses_weights_beyond_the_kernel_range(rule200):
     kernels = step_kernels(n, k, rule200)
     for spread, refused in ((590.0, False), (610.0, True)):
         # one middle degree at -spread: the shares stay near ks, so no variance cancels
-        H = BasisMetric(n, k, np.where(np.arange(k + 1) == k // 2, spread, 0.0))
+        log_eta = np.where(np.arange(k + 1) == k // 2, spread, 0.0)
         if refused:
             with pytest.raises(SpreadTooLarge) as err:
-                kernel_moments(kernels, _fs_weights(H))
+                kernel_moments(kernels, _fs_weights(n, log_eta))
             assert err.value.spread == pytest.approx(spread) and err.value.bound == 600.0
         else:  # inside the bound the sum keeps its digits
-            S, top = kernel_moments(kernels, -H.log_eta)[:2]
+            S, top = kernel_moments(kernels, -log_eta)[:2]
             log_P = np.log(S) + kernels.shift + top
-            want = log_stratum_sum(n, k, -H.log_eta, kernels.s)
+            want = log_stratum_sum(n, k, -log_eta, kernels.s)
             assert np.abs(log_P - want).max() < 1e-13 * np.abs(want).max()
 
 
@@ -416,15 +425,14 @@ def test_step_refuses_shares_whose_variance_cancels(rule200):
     # (5e-10 relative at a spread of 100), and at 590 F' reads 0 on a positive metric.
     # A step forms its iterate's moments by kernel_moments, which refuses them
     n, k = 1, 10
-    kernels, constants = step_kernels(n, k, rule200), _step_constants(n, k)
+    kernels, scale = step_kernels(n, k, rule200), _hilb_scale(n, k)
     for spread in (100.0, 590.0):
-        H = BasisMetric(n, k, np.linspace(0.0, spread, k + 1))
         with pytest.raises(SpreadTooLarge) as err:
-            kernel_moments(kernels, _fs_weights(H))
+            kernel_moments(kernels, _fs_weights(n, np.linspace(0.0, spread, k + 1)))
         assert err.value.spread > 1e4 and err.value.bound == 1e4, spread
     # a spread of 20 keeps Var_p[m] to 1.2e-13 and passes
-    H = BasisMetric(n, k, np.linspace(0.0, 20.0, k + 1))
-    assert t_step(H, kernel_moments(kernels, _fs_weights(H)), kernels, constants)[0].n == n
+    moments = kernel_moments(kernels, _fs_weights(n, np.linspace(0.0, 20.0, k + 1)))
+    assert np.isfinite(t_step(moments, kernels, scale)[0]).all()
 
 
 def test_t_step_iterates_to_the_iteration_defects():
@@ -435,10 +443,10 @@ def test_t_step_iterates_to_the_iteration_defects():
             rule = radial_rule(required_order(k))
             kernels = step_kernels(n, k, rule)
             metric = build_metric(start, rule)
-            defects, H = [balance_defect(metric, k)], hilb_map(metric, k)
-            moments = kernel_moments(kernels, _fs_weights(H))
+            defects = [balance_defect(metric, k)]
+            moments = kernel_moments(kernels, _fs_weights(n, hilb_map(metric, k).log_eta))
             for _ in range(12):
-                H, moments, defect = t_step(H, moments, kernels, _step_constants(n, k))
+                _, moments, defect = t_step(moments, kernels, _hilb_scale(n, k))
                 defects.append(defect)
             with pytest.raises(NotConverged) as err:
                 t_iteration(start, k, rule, max_iter=12)
@@ -452,22 +460,22 @@ def test_t_step_is_hilb_of_the_nodal_fs_metric(rng):
         for k in (10, 20):
             rule = radial_rule(required_order(k))
             kernels = step_kernels(n, k, rule)
-            constants = _step_constants(n, k)
+            scale = _hilb_scale(n, k)
             H = hilb_map(random_metric(rng, n, rule), k)
             nodal, _ = nodal_fs_metric(H, rule)
-            got = t_step(H, kernel_moments(kernels, _fs_weights(H)), kernels, constants)[0]
-            on_kernels = _hilb(n, k, kernel_log_J(kernels, radial_log_node(nodal, k)), constants)
+            got = t_step(kernel_moments(kernels, _fs_weights(n, H.log_eta)), kernels, scale)[0]
+            on_kernels = kernel_log_J(kernels, radial_log_node(nodal, k)) + scale
             want = hilb_map(nodal, k)
-            assert (got.n, got.k) == (want.n, want.k) == (on_kernels.n, on_kernels.k)
-            assert np.abs(got.log_eta - on_kernels.log_eta).max() < 1e-13, (n, k)
-            assert np.abs(got.log_eta - want.log_eta).max() < 1e-13, (n, k)
+            assert (want.n, want.k) == (n, k)
+            assert got.shape == on_kernels.shape == want.log_eta.shape == (k + 1,)
+            assert np.abs(got - on_kernels).max() < 1e-13, (n, k)
+            assert np.abs(got - want.log_eta).max() < 1e-13, (n, k)
 
 
 def test_iteration_rejects_start_above_degree_bound():
-    start = RadialPotential(1, (0.0,) * 13 + (1e-3,))
-    assert start.degree == 13
+    # the degree-13 start is refused where it is built, before any iteration
     with pytest.raises(ValueError, match="exceeds bound"):
-        t_iteration(start, 10, max_iter=1)
+        t_iteration(RadialPotential(1, (0.0,) * 13 + (1e-3,)), 10, max_iter=1)
 
 
 def test_level_action_vanishes_at_reference(rule200):

@@ -20,7 +20,7 @@ from artifact import (
 from artifact.balanced import balance_defect
 from artifact.errors import NonPositiveMetric, UnsupportedCoefficient
 from artifact.functionals import gamma_pairing
-from artifact.geometry import MAX_POTENTIAL_DEGREE, ProfilePotential
+from artifact.geometry import MAX_POTENTIAL_DEGREE, ProfilePotential, check_positive
 from artifact.profiles import Profile
 from artifact.quadrature import TWO_PI
 
@@ -50,16 +50,43 @@ def test_potential_rejects_bad_dimension():
         RadialPotential(4, (0.0,))
 
 
-def test_build_rejects_over_degree(rule200):
+def test_build_rejects_over_degree():
+    # refused where the potential is built; trailing zeros do not count
     coeffs = (0.0,) * MAX_POTENTIAL_DEGREE + (0.0, 1e-3)
-    with pytest.raises(ValueError):
-        build_metric(RadialPotential(1, coeffs), rule200)
+    with pytest.raises(ValueError, match="exceeds bound"):
+        RadialPotential(1, coeffs)
+    assert RadialPotential(1, coeffs[:-1] + (0.0,) * 3).degree == 0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_potential_rejects_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match="finite"):
+        RadialPotential(1, (0.0, bad))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_check_positive_rejects_non_finite_values(bad):
+    # argmin lands on a nan and never on +inf, and nan <= 0 is False: each is
+    # named at its own s, in its own sector
+    s = np.linspace(0.1, 0.9, 5)
+    ok = np.ones_like(s)
+    for sector, F1, G in (("radial", ok.copy(), ok), ("spherical", ok, ok.copy())):
+        (F1 if sector == "radial" else G)[3] = bad
+        with pytest.raises(NonPositiveMetric) as err:
+            check_positive(s, F1, G)
+        assert err.value.sector == sector and err.value.node == s[3]
+        assert repr(err.value.value) == repr(bad)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
 def test_build_rejects_nonpositive_metric(rule200):
     # phi' = -3 makes the spherical eigenvalue 1 + (1-s) phi' negative near 0
     with pytest.raises(NonPositiveMetric):
         build_metric(RadialPotential(2, (0.0, -3.0)), rule200)
+    # finite coefficients whose F' and G overflow to inf or nan at the nodes
+    with pytest.raises(NonPositiveMetric):
+        build_metric(RadialPotential(1, (0.0, 1e308, 1e308)), rule200)
 
 
 def test_polynomial_and_profile_potentials_share_one_calculus(rng, rule200):

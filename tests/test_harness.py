@@ -364,7 +364,15 @@ def test_cli_rejects_bad_configuration(tmp_path, capsys):
     ("functionals", "--potential", '{"n": 1, "basis": "cheb", "coeffs": ["0.0"]}'),
     ("functionals", "--potential", '{"basis": "s-poly", "coeffs": ["0.0", "0.1"]}'),
     ("fit", "--config", '{"n": 2, "k_min": 20, "k_'),
-], ids=["unknown-basis", "missing-n", "truncated-config"])
+    # potentials that cannot be built: past the degree bound, or not finite
+    ("partition", "--potential",
+     json.dumps({"n": 1, "basis": "s-poly", "coeffs": ["0.0"] * 13 + ["1e-3"]})),
+    ("functionals", "--potential", '{"n": 1, "basis": "s-poly", "coeffs": ["0.0", "nan"]}'),
+    ("futaki", "--potential", '{"n": 1, "basis": "s-poly", "coeffs": ["0.0", "inf"]}'),
+    ("functionals", "--config", '{"n": 1, "potential_coeffs": ["0.0", "nan"]}'),
+    ("futaki", "--config", '{"n": 1, "potential_coeffs": ["0.0", "-inf"]}'),
+], ids=["unknown-basis", "missing-n", "truncated-config", "degree-13-file", "nan-file",
+        "inf-file", "nan-config", "inf-config"])
 def test_cli_reports_malformed_input_files(tmp_path, capsys, command, flag, text):
     path = tmp_path / "input.json"
     path.write_text(text)

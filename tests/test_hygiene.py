@@ -163,6 +163,39 @@ def test_locals_and_arguments_name_no_package_function():
     assert _free_names(tree) == {"profile", "build", "order", "scale"}
 
 
+def unread_parameters(source, name):
+    """The parameters of each function or method in a module that its body
+    never reads (lambdas are exempt: their signature is set by the caller)."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = [arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg,
+                                          a.kwarg) if arg]
+            read = set().union(*map(_free_names, node.body))
+            unread += [f"{name}:{node.lineno} {node.name}({param})"
+                       for param in params if param not in read]
+    return unread
+
+
+def test_every_parameter_is_read():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    assert [entry for path in modules
+            for entry in unread_parameters(path.read_text(), path.name)] == []
+
+
+def test_unread_parameters_sees_through_nested_scopes():
+    # a read in a nested function or lambda counts; a nested binding of the
+    # same name hides the parameter, and a lambda's own parameters are exempt
+    source = ("def f(a, b, c, *d, **e):\n"
+              "    def g(b):\n"
+              "        return b + a\n"
+              "    return g, (lambda x, y: c + x)\n")
+    assert unread_parameters(source, "sample") == [
+        "sample:1 f(b)", "sample:1 f(d)", "sample:1 f(e)"]
+
+
 def test_process_wide_caches_are_the_listed_ones():
     # a functools cache lives as long as the process, so each one is chosen on
     # purpose (cached_property caches live on one instance and are not counted)
