@@ -162,7 +162,7 @@ def t_step(moments: tuple, kernels: StepKernels, scale: float):
     n, k, order = kernels.n, kernels.k, kernels.rule.order
     S, top, mean, var = moments
     inner = kernels.inner
-    if not (var[inner].min() > 0.0 and mean[inner].min() > 0.0):
+    if not np.minimum(var, mean)[inner].min() > 0.0:  # nan fails too
         s = kernels.s[inner]
         check_positive(s, var[inner] / (k * s * (1.0 - s)), mean[inner] / (k * s))
     log_node = np.log(var[:order] / S[:order])

@@ -21,7 +21,11 @@ same log-space stratum sum
 
     log P(s) = log sum_m D_m s^m (1-s)^(k-m) e^(w_m)
 
-with different weights w (``log_stratum_sum``).  The degree weight
+with different weights w (``log_stratum_sum``).  A log-space sum
+(``_logsumexp``) floors its shifted terms at -SPREAD_BOUND before exp, which
+then skips its slow subnormal results; every such sum holds exp(0) = 1, and
+e^-600 lies some 800 binades under its last bit, so the floor moves no bit
+of it (tested on the largest Gram and density sums run).  The degree weight
 D_m = (n-1+m)!/m! = (n-1)! C(m+n-1, n-1) is an integer, computed exactly, as
 are the factorials of the angular sum.  The shares p_m of the m-th
 term in P form a probability distribution on the degrees, and the
@@ -73,7 +77,9 @@ def dim_h0(n: int, k: int) -> int:
 def degree_multiplicities(n: int, k: int) -> np.ndarray:
     """C(m+n-1, n-1), the number of monomials of degree exactly m, for m = 0..k
     (built once per (n, k), read-only)."""
-    mult = np.array([math.comb(m + n - 1, n - 1) for m in range(k + 1)], dtype=float)
+    m, mult = np.arange(k + 1.0), np.ones(k + 1)
+    for i in range(1, n):
+        mult = mult * (m + i) / i  # C(m+i, i): integers, exact below 2^53
     mult.flags.writeable = False
     return mult
 
@@ -101,16 +107,18 @@ def _log_angular_sum(n: int, k: int) -> float:
 
 def _logsumexp(a: np.ndarray, axis: int, out=None) -> np.ndarray:
     """log sum exp(a) along an axis, shifted by the largest term into ``out``
-    (out=a only for an array built for the call: it is overwritten)."""
+    (out=a only for an array built for the call: it is overwritten), with the
+    shifted terms floored at -SPREAD_BOUND."""
     top = a.max(axis=axis, keepdims=True)
     shifted = np.subtract(a, top, out=out)
+    np.maximum(shifted, -SPREAD_BOUND, out=shifted)
     return np.log(np.exp(shifted, out=shifted).sum(axis=axis)) + np.squeeze(top, axis)
 
 
 def stratum_s_part(k: int, s: np.ndarray) -> np.ndarray:
     """m log s + (k-m) log(1-s), m = 0..k by rows, s by columns (the m = 0 and
     m = k rows skip the 0 log 0)."""
-    m = np.arange(k + 1)
+    m = np.arange(k + 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_s = np.outer(m, np.log(s))
         t_1ms = np.outer(k - m, np.log1p(-s))
@@ -195,15 +203,16 @@ def kernel_moments(kernels: StepKernels, log_weights: np.ndarray):
     (E_p[m] - ks)^2 passes CANCELLATION_BOUND Var_p[m] (at s = 0 and 1 both
     are exactly 0)."""
     a, top = shifted_exp(log_weights)
-    S0, S1, S2 = (a @ kernels.stack).reshape(3, -1)
-    centre = S1 / S0  # E_p[m] - ks
+    S0, centre, var = (a @ kernels.stack).reshape(3, -1)
+    centre /= S0  # E_p[m] - ks
     square = centre * centre
-    var = S2 / S0 - square
+    var /= S0
+    var -= square
     if (lost := square > CANCELLATION_BOUND * var).any():
         with np.errstate(divide="ignore"):
-            ratio = np.max(square[lost] / np.abs(var[lost]))
+            ratio = (square[lost] / np.abs(var[lost])).max()
         raise SpreadTooLarge(float(ratio), CANCELLATION_BOUND)
-    return S0, top, kernels.ks + centre, var
+    return S0, top, np.add(kernels.ks, centre, out=centre), var
 
 
 @dataclass(frozen=True)
@@ -223,8 +232,8 @@ def radial_log_node(metric: RadialKahlerMetric, k: int) -> np.ndarray:
 
 
 def _positive_norms(log_Jm: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(log_Jm)):
-        raise NonPositiveNorm(int(np.argmin(np.isfinite(log_Jm))), 0.0)
+    if not (finite := np.isfinite(log_Jm)).all():
+        raise NonPositiveNorm(int(finite.argmin()), 0.0)
     return log_Jm
 
 

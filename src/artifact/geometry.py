@@ -278,13 +278,15 @@ def check_positive(s, F1, G) -> None:
 
 
 def build_metric(potential, rule: RadialQuadrature) -> RadialKahlerMetric:
-    """Construct and positivity-check a radial metric."""
-    stack = _derivative_stack(potential.profile)
+    """Construct and positivity-check a radial metric; a potential so large
+    that its data overflows raises NonPositiveMetric without numpy's warnings."""
     # positivity at the nodes and the dense grid; the data is elementwise in s,
     # so its head is exactly the nodal data
     check = np.concatenate([rule.nodes, _POSITIVITY_GRID])
-    d = _stack_data(stack, check)
-    check_positive(check, d["F1"], d["G"])
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = _derivative_stack(potential.profile)
+        d = _stack_data(stack, check)
+        check_positive(check, d["F1"], d["G"])
     nd = {key: v[: rule.order] for key, v in d.items()}
     return RadialKahlerMetric(potential.n, potential, rule, nd, stack)
 

@@ -243,18 +243,15 @@ def _balanced_rows(config, rule):
 
 
 def run_experiment(config: ExperimentConfig) -> RunManifest:
-    """Execute the configured experiment; returns the written manifest."""
+    """Execute the configured experiment; returns the written manifest.  Its
+    directory is made once the results are in: a run that raises leaves none."""
     started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-    os.makedirs(config.out_dir, exist_ok=True)
     manifest = RunManifest(config.to_dict(), __version__, started)
-    emitted = []
 
     if config.kind == "verify":
         report = verify_suite(config.tol_profile)
-        path = os.path.join(config.out_dir, "verify.csv")
-        write_csv(path, ["check", "measured", "tolerance", "passed"],
-                  [(c.name, c.measured, c.tolerance, c.passed) for c in report.checks])
-        emitted.append(path)
+        header = ["check", "measured", "tolerance", "passed"]
+        rows = [(c.name, c.measured, c.tolerance, c.passed) for c in report.checks]
         manifest.status = "ok" if report.passed else "verification-failed"
     else:
         rule = radial_rule(config.order)
@@ -270,12 +267,11 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
             header, rows = _futaki_rows(metric)
         else:
             header, rows = _balanced_rows(config, rule)
-        path = os.path.join(config.out_dir, f"{config.kind}.csv")
-        write_csv(path, header, rows)
-        emitted.append(path)
 
-    for p in emitted:
-        manifest.files[os.path.basename(p)] = _sha256(p)
+    os.makedirs(config.out_dir, exist_ok=True)
+    path = os.path.join(config.out_dir, f"{config.kind}.csv")
+    write_csv(path, header, rows)
+    manifest.files[os.path.basename(path)] = _sha256(path)
     manifest.finished = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
     _atomic_write(os.path.join(config.out_dir, "manifest.json"), manifest.to_json())
     return manifest

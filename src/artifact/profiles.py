@@ -8,7 +8,10 @@ Differentiation is always spectral; the one finite-difference stencil,
 A fit is one product with the degree-160 interpolation operator, built once
 at import (bit for bit numpy's ``chebinterpolate``); a path metric fits
 nothing, since ``functionals.path_metric`` combines its endpoints' nodal
-data affinely, at one t or over a whole t-rule at once.
+data affinely, at one t or over a whole t-rule at once.  Evaluation and
+differentiation run numpy's ``chebval`` (Clenshaw) and ``chebder`` recurrences
+in their operation order on the coefficients as floats: numpy's bits, without
+its per-call array handling.
 """
 from __future__ import annotations
 
@@ -70,15 +73,30 @@ class Profile:
         return cls(coef)
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        return _ch.chebval(2.0 * s - 1.0, self.coef)
+        # chebval's Clenshaw recurrence, step for step (so bit for bit), on floats
+        x = 2.0 * np.asarray(s, dtype=float) - 1.0
+        c = self.coef.tolist()
+        c0, c1 = (c[-2], c[-1]) if len(c) > 1 else (c[0], 0)
+        x2 = 2 * x
+        for ci in reversed(c[:-2]):
+            c0, c1 = ci - c1, c0 + c1 * x2
+        return c0 + c1 * x
 
     def deriv(self, order: int = 1) -> "Profile":
-        c = self.coef
+        # chebder's recurrence, step for step, on floats; then 2 x for x = 2s - 1
+        c = self.coef.tolist()
         for _ in range(order):
-            c = 2.0 * _ch.chebder(c)  # chain rule for x = 2s - 1
-            if c.size == 0:
-                c = np.zeros(1)
+            if len(c) < 2:
+                c = [2.0 * (c[0] * 0)]
+                continue
+            der = c[1:]
+            for j in range(len(der), 2, -1):
+                der[j - 1] = (2 * j) * c[j]
+                c[j - 2] += (j * c[j]) / (j - 2)
+            if len(der) > 1:
+                der[1] = 4 * c[2]
+            der[0] = c[1]
+            c = [2.0 * d for d in der]
         return Profile(c)
 
     def tail(self) -> float:

@@ -299,6 +299,23 @@ def test_steps_check_no_rule_and_build_no_metric(monkeypatch):
                      ("check_resolution", False)]
 
 
+def test_metrics_and_iterations_call_neither_chebval_nor_chebder(monkeypatch):
+    # profiles run their own Clenshaw and derivative recurrences, bit for bit numpy's
+    from numpy.polynomial import chebyshev
+
+    calls = []
+    for name in ("chebval", "chebder"):
+        fn = getattr(chebyshev, name)
+        monkeypatch.setattr(chebyshev, name,
+                            lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args))
+    start, k = RadialPotential(2, (0.0, 0.01, -0.005)), 10
+    build_metric(start, radial_rule(required_order(k)))
+    assert t_iteration(start, k)[1].converged
+    assert calls == []
+    chebyshev.chebder(chebyshev.chebval(0.5, [[1.0, 2.0]]))
+    assert calls == ["chebval", "chebder"]
+
+
 def test_iteration_builds_its_fixed_grid_data_once(monkeypatch):
     from artifact import balanced, bergman
 

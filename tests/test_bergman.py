@@ -20,6 +20,7 @@ from artifact import (
     radial_rule,
 )
 from artifact.bergman import (
+    DENSE_GRID,
     _log_angular_sum,
     _logsumexp,
     degree_multiplicities,
@@ -34,7 +35,7 @@ from artifact.bergman import (
 )
 from artifact.errors import ResolutionTooLow
 from artifact.geometry import fubini_study
-from artifact.quadrature import TWO_PI
+from artifact.quadrature import TWO_PI, required_order
 
 from conftest import MonomialBasis, gram_full, monomial_angular_factor, random_metric
 
@@ -48,11 +49,12 @@ def test_section_space_dimensions():
 
 
 def test_degree_multiplicities_are_built_once_and_read_only():
-    for n, k in ((1, 7), (2, 20), (3, 120)):
+    # exact binomials: k = 1000 covers every degree m <= 1000
+    for n, k in ((1, 7), (2, 20), (3, 120), (1, 1000), (2, 1000), (3, 1000)):
         mult = degree_multiplicities(n, k)
         assert degree_multiplicities(n, k) is mult
         assert not mult.flags.writeable
-        assert mult.tolist() == [float(math.comb(m + n - 1, n - 1)) for m in range(k + 1)]
+        assert np.array_equal(mult, [math.comb(m + n - 1, n - 1) for m in range(k + 1)])
 
 
 def test_fs_monomial_norms_cp1(fs_metric):
@@ -241,6 +243,23 @@ def test_logsumexp_matches_scipy(rng, shape):
     ours = _logsumexp(terms, 0)
     assert np.isfinite(ours).all()
     assert np.abs(ours - logsumexp(terms, axis=0)).max() < 1e-13
+
+
+def test_floored_logsumexp_is_the_unfloored_sum_bit_for_bit():
+    # shifted terms below -SPREAD_BOUND are floored before exp: every sum holds
+    # exp(0) = 1, so no bit of it moves, on the largest Gram and density sums run
+    def unfloored(a, axis):
+        top = a.max(axis=axis, keepdims=True)
+        return np.log(np.exp(a - top).sum(axis=axis)) + np.squeeze(top, axis)
+
+    rule = radial_rule(512)
+    gram_terms = stratum_s_part(240, rule.nodes) + radial_log_node(fubini_study(1, rule), 240)
+    fs3 = fubini_study(3, radial_rule(required_order(120)))
+    density_terms = stratum_s_part(120, DENSE_GRID) + (
+        log_degree_weights(3, 120) - gram(fs3, 120).log_Jm)[:, None]
+    for terms, axis in ((gram_terms, 1), (density_terms, 0)):
+        assert (terms - terms.max(axis=axis, keepdims=True) < -745.0).any()  # exp gives 0
+        assert np.array_equal(_logsumexp(terms, axis), unfloored(terms, axis))
 
 
 def test_log_sums_leave_their_inputs_unchanged(rng, rule200):

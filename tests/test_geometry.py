@@ -78,9 +78,9 @@ def test_check_positive_rejects_non_finite_values(bad):
         assert repr(err.value.value) == repr(bad)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_build_rejects_nonpositive_metric(rule200):
+    # with warnings as errors: build_metric silences numpy's overflow warnings
     # phi' = -3 makes the spherical eigenvalue 1 + (1-s) phi' negative near 0
     with pytest.raises(NonPositiveMetric):
         build_metric(RadialPotential(2, (0.0, -3.0)), rule200)

@@ -282,6 +282,18 @@ def test_cli_reads_potential_files(tmp_path):
     assert len(lines) == 4  # header + j = 0, 1, 2
 
 
+@pytest.mark.filterwarnings("error")
+def test_cli_run_of_an_overflowing_potential_leaves_one_line_and_no_directory(tmp_path, capfd):
+    # the metric is built and checked before the run directory is made
+    pot = tmp_path / "pot.json"
+    pot.write_text('{"n": 1, "basis": "s-poly", "coeffs": ["0", "1e308", "1e308"]}')
+    out = tmp_path / "o"
+    assert cli_main(["functionals", "--potential", str(pot), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capfd.readouterr().err.splitlines() == [
+        "numerical error: metric not positive: radial eigenvalue inf at s=0.000036"]
+
+
 SMOKE_POTENTIAL = '{"n": 1, "basis": "s-poly", "coeffs": ["0.0", "0.01", "-0.005"]}'
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebder, chebval
 
 from artifact.errors import TailTooLarge
 from artifact.profiles import DEFAULT_DEGREE, Profile, chebyshev_points
@@ -26,6 +27,21 @@ def test_fit_matches_numpy_interpolation_bit_for_bit():
         )
         kept = np.nonzero(np.abs(ref) > 5e-14 * np.abs(ref).max())[0]
         assert np.array_equal(Profile.from_callable(fn).coef, ref[: kept[-1] + 1])
+
+
+def test_values_and_derivatives_are_numpy_bit_for_bit():
+    # the Clenshaw and derivative recurrences run in chebval's and chebder's order
+    rng = np.random.default_rng(7)
+    points = (np.asarray(0.3), rng.random(33), rng.random((4, 9)))
+    for degree in range(DEFAULT_DEGREE + 1):
+        coef = rng.normal(size=degree + 1) * np.exp(-0.1 * np.arange(degree + 1))
+        p, want = Profile(coef), coef
+        for s in points:
+            got = p(s)
+            assert np.array_equal(got, chebval(2.0 * s - 1.0, coef)) and got.shape == s.shape
+        for order in range(1, 5):
+            want = 2.0 * chebder(want)
+            assert np.array_equal(p.deriv(order).coef, want)
 
 
 def test_derivative_of_analytic_function():
