@@ -61,7 +61,6 @@ from .futaki import (
     metric_independence,
 )
 from .balanced import (
-    BasisMetric,
     IterationTrace,
     balance_defect,
     fs_map_profile,

@@ -2,16 +2,17 @@
 
 A radial potential keeps every Hermitian form on the degree-k section
 space diagonal in the monomial basis, with entries constant along each
-degree stratum.  A BasisMetric therefore stores one positive real per
-degree, eta_m, with the full monomial entry H_alpha = c_alpha eta_m,
-c_alpha = alpha! (n-1)!/(n-1+m)!.  The two natural maps are
+degree stratum.  H is therefore one positive real per degree, eta_m, with
+the full monomial entry H_alpha = alpha!/(n-1+m)! eta_m, and it is carried
+as the array log eta, m = 0..k.  The two natural maps are
 
-    Hilb:  eta_m = (d_k/V) (2 pi)^n J_m / (n-1)!
-    FS:    phi_H(s) = (1/k) log sum_m C(n-1+m, m) tau^m / eta_m
+    Hilb:  eta_m = (d_k/V) (2 pi)^n J_m
+    FS:    phi_H(s) = (1/k) log sum_m (n-1+m)!/m! tau^m / eta_m
                       + log(1-s),     tau = s/(1-s),
 
 and a metric is balanced at level k when the Bergman density is the
-constant d_k/V.  The T-iteration alternates the two maps.  Balanced
+constant d_k/V.  The stratum weights of FS(H) (``bergman.log_stratum_sum``)
+are then exactly -log eta.  The T-iteration alternates the two maps.  Balanced
 metrics are unique only modulo automorphisms: on the radial slice every
 pullback of Fubini-Study by z -> lambda z, with potential
 log(1 + (e^t - 1) s) + c and t = log|lambda|^2, is a fixed point at every
@@ -19,10 +20,10 @@ level, and the iteration converges to one of them that depends on the
 starting potential.
 
 The T-step (``t_step``) maps log eta alone, carried with the moments of
-FS(H) that it reads, and builds no BasisMetric.  FS(H) is never fitted in
-it: with P the stratum sum of FS(H) and p_m the share of its m-th term,
-phi = (1/k) log P, G = E_p[m]/(ks) and F' = Var_p[m]/(k s(1-s)) exactly
-(``bergman``), so J_m's per-node factor w (sG)^(n-1) F' e^(-k phi) is
+FS(H) that it reads.  FS(H) is never fitted in it: with P the stratum sum
+of FS(H) and p_m the share of its m-th term, phi = (1/k) log P,
+G = E_p[m]/(ks) and F' = Var_p[m]/(k s(1-s)) exactly (``bergman``), so
+J_m's per-node factor w (sG)^(n-1) F' e^(-k phi) is
 w (E_p[m]/k)^(n-1) Var_p[m]/(k s(1-s))/P, read from two stratum moments and
 no metric, and log eta of Hilb(FS(H)) is log J_m plus Hilb's scale
 (``_hilb_scale``).  The Bergman density of FS(H) needs no further sum: its
@@ -33,11 +34,10 @@ the sums change from step to step, so ``t_iteration`` exponentiates their
 terms once on entry, over the nodes and the dense grid, with the weight-free
 part of the per-node factor (``StepKernels``), and lets them go when it
 returns; each step is one product with the Gram kernel and one with the
-moment stack.  The iteration builds a BasisMetric for Hilb of the start
-(``hilb_map``) and, once it has converged, for ``fs_map_profile``, which fits
-FS(H) as a Chebyshev series: the balanced potential it returns, not a
-polynomial in s, as the fixed points log(1 + (e^t - 1) s) + c are not
-unless t = 0.
+moment stack.  The iteration takes Hilb of the start once (``hilb_map``)
+and, once it has converged, calls ``fs_map_profile``, which fits FS(H) as a
+Chebyshev series: the balanced potential it returns, not a polynomial in s,
+as the fixed points log(1 + (e^t - 1) s) + c are not unless t = 0.
 """
 from __future__ import annotations
 
@@ -78,26 +78,6 @@ MAX_ITERATIONS = 500
 
 
 @dataclass(frozen=True)
-class BasisMetric:
-    """Diagonal Hermitian form on the degree-k section space.
-
-    ``log_eta[m]`` is the logarithm of the per-degree entry; the monomial
-    entry is H_alpha = alpha!(n-1)!/(n-1+m)! exp(log_eta[m]).  Overall
-    positive scaling is gauge.
-    """
-
-    n: int
-    k: int
-    log_eta: np.ndarray
-
-    def __post_init__(self):
-        le = np.asarray(self.log_eta, dtype=float)
-        if le.shape != (self.k + 1,) or not np.all(np.isfinite(le)):
-            raise ValueError("need one finite log-entry per degree 0..k")
-        object.__setattr__(self, "log_eta", le)
-
-
-@dataclass(frozen=True)
 class IterationTrace:
     """Defects of the start and of each step's FS(H), and how the run ended.
     ``orbit_residual`` and ``orbit_slope`` place Hilb of the potential the run
@@ -122,25 +102,22 @@ class IterationTrace:
 
 
 def _hilb_scale(n: int, k: int) -> float:
-    """log (d_k/V) (2 pi)^n/(n-1)!: Hilb's log eta_m is log J_m plus this scale."""
-    return (math.log(dim_h0(n, k) / class_volume(n)) + n * LOG_TWO_PI
-            - math.log(math.factorial(n - 1)))
+    """log (d_k/V) (2 pi)^n: Hilb's log eta_m is log J_m plus this scale."""
+    return math.log(dim_h0(n, k) / class_volume(n)) + n * LOG_TWO_PI
 
 
-def hilb_map(metric: RadialKahlerMetric, k: int) -> BasisMetric:
-    """Rescaled L^2 form of the potential: eta_m from the radial Gram data."""
-    n = metric.n
-    return BasisMetric(n, k, gram(metric, k).log_Jm + _hilb_scale(n, k))
+def hilb_map(metric: RadialKahlerMetric, k: int) -> np.ndarray:
+    """Rescaled L^2 form of the potential: log eta_m, m = 0..k, from the radial Gram data."""
+    return gram(metric, k).log_Jm + _hilb_scale(metric.n, k)
 
 
-def _fs_weights(n: int, log_eta: np.ndarray) -> np.ndarray:
-    """Stratum weights w_m = -log (n-1)! - log eta_m, so that k phi_H = log_stratum_sum."""
-    return -math.log(math.factorial(n - 1)) - log_eta
-
-
-def fs_map_profile(H: BasisMetric) -> ProfilePotential:
-    """The Fubini-Study potential of H as a smooth radial profile."""
-    n, k, log_weights = H.n, H.k, _fs_weights(H.n, H.log_eta)
+def fs_map_profile(n: int, log_eta: np.ndarray) -> ProfilePotential:
+    """The Fubini-Study potential of H = log eta on CP^n as a smooth radial
+    profile: the stratum sum with weights -log eta over k = log_eta.size - 1 >= 1."""
+    log_eta = np.asarray(log_eta, dtype=float)
+    if log_eta.ndim != 1 or log_eta.size < 2 or not np.isfinite(log_eta).all():
+        raise ValueError("need one finite log eta per degree 0..k, k >= 1")
+    k, log_weights = log_eta.size - 1, -log_eta
     return ProfilePotential(
         n, Profile.from_callable(lambda s: log_stratum_sum(n, k, log_weights, s) / k)
     )
@@ -170,7 +147,7 @@ def t_step(moments: tuple, kernels: StepKernels, scale: float):
     if n > 1:
         log_node += (n - 1) * np.log(mean[:order])
     log_eta = kernel_log_J(kernels, log_node) + scale  # finite: kernel_log_J checks log J_m
-    S_next, top_next, *_ = moments_next = kernel_moments(kernels, _fs_weights(n, log_eta))
+    S_next, top_next, *_ = moments_next = kernel_moments(kernels, -log_eta)
     ratio = S_next[order:] / S[order:]  # P'/P less e^(top' - top): the shift cancels
     return log_eta, moments_next, _sup_defect(ratio.min(), ratio.max(), math.exp(top_next - top))
 
@@ -220,8 +197,8 @@ def t_iteration(initial_potential: RadialPotential, k: int, rule=None,
     n = metric.n
     kernels = step_kernels(n, k, rule)
     scale = _hilb_scale(n, k)
-    log_eta_next = hilb_map(metric, k).log_eta
-    moments = kernel_moments(kernels, _fs_weights(n, log_eta_next))
+    log_eta_next = hilb_map(metric, k)
+    moments = kernel_moments(kernels, -log_eta_next)
     while not defects[-1] <= tol and len(defects) <= max_iter:
         log_eta = log_eta_next
         log_eta_next, moments, defect = t_step(moments, kernels, scale)
@@ -231,7 +208,7 @@ def t_iteration(initial_potential: RadialPotential, k: int, rule=None,
                            *_orbit_fit(log_eta_next, kernels))
     if not converged:
         raise NotConverged(trace)
-    return fs_map_profile(BasisMetric(n, k, log_eta)), trace
+    return fs_map_profile(n, log_eta), trace
 
 
 def liouville_approx_SLk(potential: RadialPotential, k: int, rule=None,
@@ -258,6 +235,8 @@ def liouville_approx_SLk(potential: RadialPotential, k: int, rule=None,
     """
     if route not in ("identity", "raw"):
         raise ValueError(f"unknown route {route!r}")
+    if k < 1:
+        raise ValueError(f"level k must be at least 1, got {k}")
     n = potential.n
     rule = rule or radial_rule(required_order(k))
     metric = build_metric(potential, rule)
@@ -269,5 +248,5 @@ def liouville_approx_SLk(potential: RadialPotential, k: int, rule=None,
         det_term = (gram(metric, k, s_part=s_part).log_det
                     - gram(base, k, s_part=s_part).log_det)
     det_term -= k * dim_h0(n, k) * S_j(metric, base, 0).value
-    s1 = S_j(build_metric(fs_map_profile(hilb_map(metric, k)), rule), base, 1).value
+    s1 = S_j(build_metric(fs_map_profile(n, hilb_map(metric, k)), rule), base, 1).value
     return float((TWO_PI**n * det_term - k**n * s1) * k ** (1 - n))

@@ -33,7 +33,6 @@ from .forms import (
     trace_against,
 )
 from .geometry import (
-    ORDERS,
     VARIATION_STEP,
     ProfilePotential,
     RadialKahlerMetric,
@@ -41,6 +40,7 @@ from .geometry import (
     build_metric,
     central_difference,
     characteristic_coefficient,
+    check_order,
     class_volume,
     coefficient_split,
     fubini_study,
@@ -137,8 +137,7 @@ def tilde_S_path(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int) -> Func
     """Route one: t-quadrature of gamma^(j)(phi-dot) along the linear
     potential path."""
     _check_pair(m1, m0)
-    if j not in ORDERS:
-        raise ValueError(f"j must be 0, 1, or 2, got {j}")
+    check_order(j)
     s = m1.rule.nodes  # phi-dot = phi_1 - phi_0 and two derivatives, the same at every t
     dot = [a(s) - b(s) for a, b in zip(m1.phi_stack[:3], m0.phi_stack[:3])]
     value, change = _path_quadrature(m1, m0, lambda mt: gamma_pairing(mt, j, *dot))
@@ -156,8 +155,7 @@ def tilde_S_bc(m1: RadialKahlerMetric, m0: RadialKahlerMetric, j: int) -> Functi
     int BC(Td_2) omega_0^{n-1} between the last two t-levels.
     """
     _check_pair(m1, m0)
-    if j not in ORDERS:
-        raise ValueError(f"j must be 0, 1, or 2, got {j}")
+    check_order(j)
     n, rule = m1.n, m1.rule
     om1, om0 = omega_form(m1), omega_form(m0)
     bc_term, refinement = 0.0, 0.0

@@ -28,11 +28,11 @@ import numpy as np
 from .forms import mixed_integral, omega_form, todd_form, todd_variation
 from .functionals import gamma_pairing
 from .geometry import (
-    ORDERS,
     ProfilePotential,
     RadialKahlerMetric,
     ScalarField,
     build_metric,
+    check_order,
     class_volume,
 )
 from .profiles import Profile
@@ -89,8 +89,7 @@ def lu_lemma_defect(metric: RadialKahlerMetric) -> float:
 def invariant_lhs(metric: RadialKahlerMetric, field_data: VectorFieldData, j: int) -> float:
     """Pairing int theta (a_j - Delta a_{j-1}) omega^n/n! = -gamma^(j)(theta)
     (imaginary part)."""
-    if j not in ORDERS:
-        raise ValueError(f"j must be 0, 1, or 2, got {j}")
+    check_order(j)
     theta1, theta2 = -metric.nd["F1"], -metric.nd["F2"]  # theta = c - F exactly
     return -gamma_pairing(metric, j, field_data.theta.values, theta1, theta2)
 
@@ -106,8 +105,7 @@ def invariant_rhs(metric: RadialKahlerMetric, field_data: VectorFieldData,
     term whose omega-power would be negative is dropped, and so is the second
     term at j = 0, whose coefficient is 0.
     """
-    if j not in ORDERS:
-        raise ValueError(f"j must be 0, 1, or 2, got {j}")
+    check_order(j)
     n, rule = metric.n, metric.rule
     om = omega_form(metric)
     total = 0.0

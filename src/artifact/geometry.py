@@ -34,7 +34,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebadd, chebmul
 
 from .errors import NonPositiveMetric, UnsupportedCoefficient
 from .profiles import Profile, chebyshev_points
@@ -45,6 +44,12 @@ ORDERS = (0, 1, 2)  # the supported orders j of a_j, Td_j and S_j
 MAX_POTENTIAL_DEGREE = 12
 VARIATION_STEP = 1e-4  # central-difference step of the first-variation checks
 _POSITIVITY_GRID = np.concatenate([chebyshev_points(257), [0.0, 1.0]])  # dense, with endpoints
+
+
+def check_order(j: int) -> None:
+    """Raise ValueError unless j is one of ORDERS."""
+    if j not in ORDERS:
+        raise ValueError(f"j must be 0, 1, or 2, got {j}")
 
 
 # ---------------------------------------------------------------------------
@@ -77,11 +82,19 @@ class RadialPotential:
 
     @cached_property
     def profile(self) -> Profile:
-        """The exact Chebyshev series of phi on [0, 1], by Horner's rule in s = (1 + x)/2."""
-        coef = np.zeros(1)
+        """The exact Chebyshev series of phi on [0, 1], by Horner's rule in s = (1 + x)/2:
+        numpy's ``chebmul`` by (1 + x)/2 and ``chebadd`` in their operation order, on floats."""
+        series = [0.0]
         for c in reversed(self.coeffs or (0.0,)):
-            coef = chebadd(chebmul(coef, [0.5, 0.5]), [c])
-        return Profile(coef)
+            half = [a / 2 for a in series]
+            # the z-series of the series from its centre on, with one mirrored term before it
+            z = [*(half[1:2] or [0.0]), half[0] + half[0], *half[1:], 0.0, 0.0]
+            series = [0.25 * z[i] + 0.5 * z[i + 1] + 0.25 * z[i + 2]
+                      for i in range(len(series) + 1)]
+            series = [series[0] + c, *(2 * a for a in series[1:])]
+            while len(series) > 1 and series[-1] == 0.0:
+                series.pop()
+        return Profile(series)
 
     def to_json(self) -> str:
         return json.dumps(

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from artifact import RadialPotential, build_metric, dim_h0, functionals, radial_rule
-from artifact.balanced import BasisMetric
 from artifact.bergman import DENSE_GRID, _logsumexp
 from artifact.errors import NonPositiveMetric, NonPositiveNorm
 from artifact.geometry import RadialKahlerMetric, coefficient_split
@@ -245,13 +244,13 @@ def radial_log_J_by_step(metric, k):
     return _logsumexp(expo, 1)
 
 
-def nodal_fs_metric(H, rule):
-    """(FS(H) at the nodes of ``rule`` as a potential-free metric, log P at the
-    nodes and then DENSE_GRID), by logsumexp: phi, F, F' and G from the moments
-    of the term shares p_m."""
-    n, k, order = H.n, H.k, rule.order
+def nodal_fs_metric(n, log_eta, rule):
+    """(FS(H) of H = log eta on CP^n at the nodes of ``rule`` as a potential-free
+    metric, log P at the nodes and then DENSE_GRID), by logsumexp: phi, F, F' and
+    G from the moments of the term shares p_m of the stratum sum with weights -log eta."""
+    k, order = len(log_eta) - 1, rule.order
     s = np.concatenate([rule.nodes, DENSE_GRID])
-    terms = stratum_terms_by_step(n, k, -math.log(math.factorial(n - 1)) - H.log_eta, s)
+    terms = stratum_terms_by_step(n, k, -log_eta, s)
     log_P = _logsumexp(terms, 0)
     p = np.exp(terms - log_P)
     m = np.arange(k + 1.0)[:, None]
@@ -263,23 +262,21 @@ def nodal_fs_metric(H, rule):
     return RadialKahlerMetric(n, None, rule, nd), log_P
 
 
-def logsumexp_density(H, rule):
+def logsumexp_density(n, log_eta, rule):
     """(log J_m of the nodal FS(H), FS(H)'s density on DENSE_GRID) by logsumexp: the
     stratum sum of 1/J_m over that of FS(H)."""
-    n, k, order = H.n, H.k, rule.order
-    nodal, log_P = nodal_fs_metric(H, rule)
+    k, order = len(log_eta) - 1, rule.order
+    nodal, log_P = nodal_fs_metric(n, log_eta, rule)
     log_Jm = radial_log_J_by_step(nodal, k)
     log_sum = _logsumexp(stratum_terms_by_step(n, k, -log_Jm, DENSE_GRID), 0)
     return log_Jm, np.exp(log_sum - log_P[order:] - n * math.log(TWO_PI))
 
 
-def logsumexp_t_step(H, rule):
-    """(Hilb(FS(H)), balance defect of FS(H)) by logsumexp: FS(H) at the nodes
-    (``nodal_fs_metric``), then log J_m, then the density (``logsumexp_density``)."""
-    n, k = H.n, H.k
-    log_Jm, rho = logsumexp_density(H, rule)
-    # eta_m = (d_k/V) (2 pi)^n J_m/(n-1)!, V = (2 pi)^n/n!; the defect is sup |(V/d_k) rho - 1|
-    d_k = dim_h0(n, k)
-    log_eta = log_Jm + math.log(d_k * math.factorial(n) / math.factorial(n - 1))
+def logsumexp_t_step(n, log_eta, rule):
+    """(log eta of Hilb(FS(H)), balance defect of FS(H)) by logsumexp: FS(H) at the
+    nodes (``nodal_fs_metric``), then log J_m, then the density (``logsumexp_density``)."""
+    log_Jm, rho = logsumexp_density(n, log_eta, rule)
+    # eta_m = (d_k/V) (2 pi)^n J_m = d_k n! J_m, V = (2 pi)^n/n!; the defect is sup |(V/d_k) rho - 1|
+    d_k = dim_h0(n, len(log_eta) - 1)
     defect = np.abs(TWO_PI**n / (math.factorial(n) * d_k) * rho - 1.0).max()
-    return BasisMetric(n, k, log_eta), float(defect)
+    return log_Jm + math.log(d_k * math.factorial(n)), float(defect)

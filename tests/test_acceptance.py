@@ -275,7 +275,7 @@ def test_acceptance_11b_round_trip_rate():
     ks = np.array([10, 16, 24, 36, 54, 80])
     dist = []
     for k in ks:
-        diff = fs_map_profile(hilb_map(m, int(k))).profile(S_DENSE) - phi
+        diff = fs_map_profile(1, hilb_map(m, int(k))).profile(S_DENSE) - phi
         diff -= diff.mean()
         dist.append(np.abs(diff).max())
     slope = np.polyfit(np.log(ks), np.log(dist), 1)[0]

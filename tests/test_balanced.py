@@ -1,10 +1,10 @@
 import decimal
 import math
+import warnings
 from decimal import Decimal
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from artifact import (
     RadialPotential,
@@ -17,7 +17,7 @@ from artifact import (
     radial_rule,
     t_iteration,
 )
-from artifact.balanced import BasisMetric, _fs_weights, _hilb_scale, t_step
+from artifact.balanced import _hilb_scale, t_step
 from artifact.bergman import (DENSE_GRID, density_values, gram, kernel_log_J, kernel_moments,
                               log_stratum_sum, radial_log_node, step_kernels)
 from artifact.errors import NonPositiveMetric, NotConverged, SpreadTooLarge
@@ -31,8 +31,20 @@ S_DENSE = np.linspace(0.0, 1.0, 401)
 
 
 def test_hilbert_map_fs_level_one(fs_metric):
-    H = hilb_map(fs_metric(1), 1)
-    assert np.abs(np.exp(H.log_eta) - 1.0).max() < 1e-13
+    assert np.abs(np.exp(hilb_map(fs_metric(1), 1)) - 1.0).max() < 1e-13
+
+
+def test_hilbert_map_of_fs_in_closed_form(fs_metric):
+    # J_m = B(m+n, k-m+1) on FS, so eta_m = (d_k/V) (2 pi)^n J_m = (m+n-1)!(k-m)!/k!,
+    # whose FS stratum sum is (1-s)^-k sum_m C(k, m) s^m (1-s)^(k-m) = (1-s)^-k: FS is 0
+    for n in (1, 2, 3):
+        for k in (1, 6, 20):
+            want = np.log([math.factorial(m + n - 1) * math.factorial(k - m) / math.factorial(k)
+                           for m in range(k + 1)])
+            got = hilb_map(fs_metric(n), k)
+            assert got.shape == (k + 1,)
+            assert np.abs(np.expm1(got - want)).max() < 1e-12, (n, k)
+            assert np.abs(fs_map_profile(n, want).profile(S_DENSE)).max() < 1e-12, (n, k)
 
 
 def test_hilbert_map_shift_scaling(fs_metric, rule200):
@@ -40,19 +52,23 @@ def test_hilbert_map_shift_scaling(fs_metric, rule200):
     shifted = build_metric(RadialPotential(1, (c,)), rule200)
     a = hilb_map(shifted, k)
     b = hilb_map(fs_metric(1), k)
-    assert np.abs(a.log_eta - (b.log_eta - k * c)).max() < 1e-12
+    assert np.abs(a - (b - k * c)).max() < 1e-12
 
 
-def test_basis_metric_validation():
-    with pytest.raises(ValueError):
-        BasisMetric(1, 2, np.zeros(2))  # wrong length
-    with pytest.raises(ValueError):
-        BasisMetric(1, 2, np.array([0.0, np.inf, 0.0]))  # not finite
+def test_fs_map_profile_checks_its_input():
+    # one finite log eta per degree 0..k, and k >= 1: level 0 would divide by 0
+    bad = (np.array([0.0, np.inf, 0.0]), np.array([0.0, np.nan, 0.0]), np.zeros((2, 3)),
+           np.zeros(1), np.zeros(0))
+    for log_eta in bad:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="one finite log eta per degree"):
+                fs_map_profile(1, log_eta)
 
 
 def test_fs_map_fixes_fubini_study(fs_metric):
     for n, k in ((1, 12), (2, 9), (3, 6)):
-        prof = fs_map_profile(hilb_map(fs_metric(n), k))
+        prof = fs_map_profile(n, hilb_map(fs_metric(n), k))
         assert np.abs(prof.profile(np.linspace(0.0, 1.0, 512))).max() < 1e-12
 
 
@@ -64,7 +80,7 @@ def test_density_and_fs_map_share_one_stratum_sum(rng, rule200):
         phi = m.potential.profile(S_DENSE)
         for k in (5, 20, 40):
             rho = density_values(m, k, gram(m, k).log_Jm, S_DENSE)
-            fs = fs_map_profile(hilb_map(m, k)).profile(S_DENSE)
+            fs = fs_map_profile(n, hilb_map(m, k)).profile(S_DENSE)
             lhs = vol * rho / dim_h0(n, k)
             assert np.abs(lhs - np.exp(k * (fs - phi))).max() < 1e-12, (n, k)
 
@@ -92,9 +108,9 @@ def test_moments_give_the_fs_metric_and_its_defect(rng, rule200):
     for n in (1, 2, 3):
         m = random_metric(rng, n, rule200)
         for k in (5, 20, 40):
-            H = hilb_map(m, k)
+            log_eta = hilb_map(m, k)
             kernels = step_kernels(n, k, rule200)
-            S, top, mean, var = state = kernel_moments(kernels, _fs_weights(n, H.log_eta))
+            S, top, mean, var = state = kernel_moments(kernels, -log_eta)
             nodes = slice(rule200.order)
             log_P = np.log(S[nodes]) + kernels.shift[nodes] + top
             mean, var = mean[nodes], var[nodes]
@@ -102,9 +118,8 @@ def test_moments_give_the_fs_metric_and_its_defect(rng, rule200):
                                       mean / (k * s))))
             defect = t_step(state, kernels, _hilb_scale(n, k))[2]
             sample = np.arange(0, rule200.order, 9)
-            exact = np.array([_fs_moments_reference(n, k, -gammaln(n) - H.log_eta, x)
-                              for x in s[sample]]).T
-            fitted = build_metric(fs_map_profile(H), rule200)
+            exact = np.array([_fs_moments_reference(n, k, -log_eta, x) for x in s[sample]]).T
+            fitted = build_metric(fs_map_profile(n, log_eta), rule200)
             for key, ref in zip(keys, exact):
                 scale = np.abs(ref).max()
                 assert np.abs(moments[key][sample] - ref).max() < 1e-13 * scale, (n, k, key)
@@ -155,9 +170,9 @@ def test_balance_defect_makes_one_stratum_sum(rng, rule200, monkeypatch):
 
 def test_fs_map_gauge_scaling(fs_metric):
     k, lam = 12, 3.0
-    H = hilb_map(fs_metric(1), k)
-    scaled = BasisMetric(1, k, H.log_eta + math.log(lam))
-    shift = fs_map_profile(scaled).profile(S_DENSE) - fs_map_profile(H).profile(S_DENSE)
+    log_eta = hilb_map(fs_metric(1), k)
+    scaled = log_eta + math.log(lam)
+    shift = fs_map_profile(1, scaled).profile(S_DENSE) - fs_map_profile(1, log_eta).profile(S_DENSE)
     assert np.abs(shift - shift[0]).max() < 1e-12  # constant shift: same metric
     assert abs(abs(shift[0]) - math.log(lam) / k) < 1e-12
 
@@ -168,7 +183,7 @@ def test_round_trip_decays_quadratically(rng, rule200):
     ks = np.array([10, 16, 24, 36, 54, 80])
     dist = []
     for k in ks:
-        prof = fs_map_profile(hilb_map(m, int(k)))
+        prof = fs_map_profile(1, hilb_map(m, int(k)))
         diff = prof.profile(S_DENSE) - phi_true
         diff -= diff.mean()
         dist.append(np.abs(diff).max())
@@ -216,26 +231,22 @@ def test_iteration_cap_raises_with_trace():
 
 
 def test_iteration_takes_hilb_scale_once_and_builds_no_metric_per_step(monkeypatch):
-    # Hilb's scale depends on (n, k) alone, and a step maps arrays: a run builds
-    # one BasisMetric, Hilb of the start, plus FS(H)'s when it converges
+    # Hilb's scale depends on (n, k) alone, and a step maps log eta arrays: a run
+    # takes Hilb of the start once, and fits FS(H) only when it converges
     from artifact import balanced
 
-    scales, built = [], []
-    hilb_scale, post_init = balanced._hilb_scale, BasisMetric.__post_init__
-    monkeypatch.setattr(balanced, "_hilb_scale",
-                        lambda n, k: scales.append((n, k)) or hilb_scale(n, k))
-    monkeypatch.setattr(BasisMetric, "__post_init__",
-                        lambda self: built.append(self.k) or post_init(self))
+    calls = _count_calls_in_step(monkeypatch, (
+        (balanced, "_hilb_scale"), (balanced, "hilb_map"), (balanced, "fs_map_profile")))
     start = RadialPotential(1, (0.0, 0.01, -0.005))
     with pytest.raises(NotConverged):
         t_iteration(start, 10, max_iter=5)
-    # once for the steps, then once in hilb_map for the start
-    assert scales == [(1, 10)] * 2 and built == [10]
-    scales.clear()
-    built.clear()
+    # the scale once for the steps, then once in hilb_map for the start
+    assert [name for name, _ in calls] == ["_hilb_scale", "hilb_map", "_hilb_scale"]
+    calls.clear()
     _, trace = t_iteration(start, 10)
     assert trace.converged and trace.iterations > 100
-    assert scales == [(1, 10)] * 2 and built == [10] * 2
+    assert [name for name, _ in calls] == [
+        "_hilb_scale", "hilb_map", "_hilb_scale", "fs_map_profile"]
 
 
 def _count_calls_in_step(monkeypatch, targets):
@@ -343,18 +354,18 @@ def test_fixed_grid_data_match_the_per_step_construction():
     for n, k, tol in cases:
         rule = radial_rule(required_order(k))
         kernels, scale = step_kernels(n, k, rule), _hilb_scale(n, k)
-        H = hilb_map(build_metric(RadialPotential(n, (0.0, 0.05, -0.03)), rule), k)
-        moments = kernel_moments(kernels, _fs_weights(n, H.log_eta))
+        log_eta = hilb_map(build_metric(RadialPotential(n, (0.0, 0.05, -0.03)), rule), k)
+        moments = kernel_moments(kernels, -log_eta)
         for step in range(40):
             got, moments, defect = t_step(moments, kernels, scale)
-            want, want_defect = logsumexp_t_step(H, rule)
+            want, want_defect = logsumexp_t_step(n, log_eta, rule)
             assert abs(defect - want_defect) < tol, (n, k, step)
             centred = got - got.mean()
-            assert np.abs(centred - (want.log_eta - want.log_eta.mean())).max() < tol, (n, k, step)
+            assert np.abs(centred - (want - want.mean())).max() < tol, (n, k, step)
             if step % 10 == 0:
-                hilb = hilb_map(nodal_fs_metric(H, rule)[0], k).log_eta
+                hilb = hilb_map(nodal_fs_metric(n, log_eta, rule)[0], k)
                 assert np.abs(got - hilb).max() < tol, (n, k, step)
-            H = BasisMetric(n, k, got)
+            log_eta = got
 
 
 def test_density_is_the_ratio_of_consecutive_stratum_sums():
@@ -364,16 +375,16 @@ def test_density_is_the_ratio_of_consecutive_stratum_sums():
         for k in (10, 20, 60):
             rule = radial_rule(required_order(k))
             kernels, scale = step_kernels(n, k, rule), _hilb_scale(n, k)
-            H = hilb_map(build_metric(RadialPotential(n, (0.0, 0.05, -0.03)), rule), k)
-            moments = kernel_moments(kernels, _fs_weights(n, H.log_eta))
+            log_eta = hilb_map(build_metric(RadialPotential(n, (0.0, 0.05, -0.03)), rule), k)
+            moments = kernel_moments(kernels, -log_eta)
             for step in range(10):
                 got, next_moments, _ = t_step(moments, kernels, scale)
                 ratio = (next_moments[0][rule.order:] / moments[0][rule.order:]
                          * math.exp(next_moments[1] - moments[1]))
-                want = logsumexp_density(H, rule)[1] * (class_volume(n) / dim_h0(n, k))
+                want = logsumexp_density(n, log_eta, rule)[1] * (class_volume(n) / dim_h0(n, k))
                 assert ratio.shape == DENSE_GRID.shape
                 assert np.abs(ratio - want).max() < 1e-13, (n, k, step)
-                H, moments = BasisMetric(n, k, got), next_moments
+                log_eta, moments = got, next_moments
 
 
 def test_step_names_the_first_non_positive_point_of_f1_or_g(rule200):
@@ -381,8 +392,8 @@ def test_step_names_the_first_non_positive_point_of_f1_or_g(rule200):
     # at the same s, value and sector as the check of F' and G themselves
     n, k = 2, 10
     kernels, scale = step_kernels(n, k, rule200), _hilb_scale(n, k)
-    H = hilb_map(build_metric(RadialPotential(n, (0.0, 0.05, -0.03)), rule200), k)
-    S, top, mean, var = kernel_moments(kernels, _fs_weights(n, H.log_eta))
+    log_eta = hilb_map(build_metric(RadialPotential(n, (0.0, 0.05, -0.03)), rule200), k)
+    S, top, mean, var = kernel_moments(kernels, -log_eta)
     s, inner = kernels.s, kernels.inner
     for bad_var, bad_mean in (((40, 700), ()), ((), (650,)), ((5,), (6,))):
         v, e = var.copy(), mean.copy()
@@ -427,7 +438,7 @@ def test_step_refuses_weights_beyond_the_kernel_range(rule200):
         log_eta = np.where(np.arange(k + 1) == k // 2, spread, 0.0)
         if refused:
             with pytest.raises(SpreadTooLarge) as err:
-                kernel_moments(kernels, _fs_weights(n, log_eta))
+                kernel_moments(kernels, -log_eta)
             assert err.value.spread == pytest.approx(spread) and err.value.bound == 600.0
         else:  # inside the bound the sum keeps its digits
             S, top = kernel_moments(kernels, -log_eta)[:2]
@@ -445,10 +456,10 @@ def test_step_refuses_shares_whose_variance_cancels(rule200):
     kernels, scale = step_kernels(n, k, rule200), _hilb_scale(n, k)
     for spread in (100.0, 590.0):
         with pytest.raises(SpreadTooLarge) as err:
-            kernel_moments(kernels, _fs_weights(n, np.linspace(0.0, spread, k + 1)))
+            kernel_moments(kernels, -np.linspace(0.0, spread, k + 1))
         assert err.value.spread > 1e4 and err.value.bound == 1e4, spread
     # a spread of 20 keeps Var_p[m] to 1.2e-13 and passes
-    moments = kernel_moments(kernels, _fs_weights(n, np.linspace(0.0, 20.0, k + 1)))
+    moments = kernel_moments(kernels, -np.linspace(0.0, 20.0, k + 1))
     assert np.isfinite(t_step(moments, kernels, scale)[0]).all()
 
 
@@ -461,7 +472,7 @@ def test_t_step_iterates_to_the_iteration_defects():
             kernels = step_kernels(n, k, rule)
             metric = build_metric(start, rule)
             defects = [balance_defect(metric, k)]
-            moments = kernel_moments(kernels, _fs_weights(n, hilb_map(metric, k).log_eta))
+            moments = kernel_moments(kernels, -hilb_map(metric, k))
             for _ in range(12):
                 _, moments, defect = t_step(moments, kernels, _hilb_scale(n, k))
                 defects.append(defect)
@@ -478,15 +489,14 @@ def test_t_step_is_hilb_of_the_nodal_fs_metric(rng):
             rule = radial_rule(required_order(k))
             kernels = step_kernels(n, k, rule)
             scale = _hilb_scale(n, k)
-            H = hilb_map(random_metric(rng, n, rule), k)
-            nodal, _ = nodal_fs_metric(H, rule)
-            got = t_step(kernel_moments(kernels, _fs_weights(n, H.log_eta)), kernels, scale)[0]
+            log_eta = hilb_map(random_metric(rng, n, rule), k)
+            nodal, _ = nodal_fs_metric(n, log_eta, rule)
+            got = t_step(kernel_moments(kernels, -log_eta), kernels, scale)[0]
             on_kernels = kernel_log_J(kernels, radial_log_node(nodal, k)) + scale
             want = hilb_map(nodal, k)
-            assert (want.n, want.k) == (n, k)
-            assert got.shape == on_kernels.shape == want.log_eta.shape == (k + 1,)
+            assert got.shape == on_kernels.shape == want.shape == (k + 1,)
             assert np.abs(got - on_kernels).max() < 1e-13, (n, k)
-            assert np.abs(got - want.log_eta).max() < 1e-13, (n, k)
+            assert np.abs(got - want).max() < 1e-13, (n, k)
 
 
 def test_iteration_rejects_start_above_degree_bound():
@@ -557,11 +567,20 @@ def test_level_action_rejects_an_unknown_route_before_building(rule200, monkeypa
     assert calls == []
 
 
+def test_level_action_rejects_level_zero_before_building(monkeypatch):
+    calls = _count_metric_builds(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="level k must be at least 1"):
+            liouville_approx_SLk(RadialPotential(1, (0.0, 0.01)), 0)
+    assert calls == []
+
+
 def test_balance_defect_gauge_invariance(fs_metric):
     k = 15
     rule = radial_rule(required_order(k))
     m = build_metric(RadialPotential(1, (0.0, 0.03)), rule)
-    H = hilb_map(m, k)
-    a = build_metric(fs_map_profile(H), rule)
-    b = build_metric(fs_map_profile(BasisMetric(1, k, H.log_eta + math.log(5.0))), rule)
+    log_eta = hilb_map(m, k)
+    a = build_metric(fs_map_profile(1, log_eta), rule)
+    b = build_metric(fs_map_profile(1, log_eta + math.log(5.0)), rule)
     assert abs(balance_defect(a, k) - balance_defect(b, k)) < 1e-10

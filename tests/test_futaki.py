@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from artifact import (
     RadialPotential,
@@ -9,6 +10,8 @@ from artifact import (
     invariant_rhs,
     lu_lemma_defect,
     metric_independence,
+    tilde_S_bc,
+    tilde_S_path,
 )
 from artifact.futaki import flow_pairing_spread
 
@@ -80,3 +83,15 @@ def test_pairing_is_constant_along_rotation_flow(rng, rule200):
     m = random_metric(rng, 1, rule200, scale=0.08)
     for j in (0, 1, 2):
         assert flow_pairing_spread(m, j) < 1e-6
+
+
+@pytest.mark.parametrize("j", [3, -1])
+@pytest.mark.parametrize("name", ["tilde_S_path", "tilde_S_bc", "invariant_lhs", "invariant_rhs"])
+def test_orders_past_the_supported_ones_are_refused(fs_metric, name, j):
+    m = fs_metric(1)
+    call = {"tilde_S_path": lambda: tilde_S_path(m, m, j),
+            "tilde_S_bc": lambda: tilde_S_bc(m, m, j),
+            "invariant_lhs": lambda: invariant_lhs(m, hamiltonian_potential(m), j),
+            "invariant_rhs": lambda: invariant_rhs(m, hamiltonian_potential(m), j)}[name]
+    with pytest.raises(ValueError, match=f"j must be 0, 1, or 2, got {j}"):
+        call()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Chebyshev, Polynomial
+from numpy.polynomial.chebyshev import chebadd, chebmul
 
 from artifact import (
     RadialPotential,
@@ -34,15 +35,25 @@ def test_potential_serialization_round_trip():
 
 
 def test_potential_profile_is_numpys_chebyshev_cast_bit_for_bit(rng):
-    cases = [(), (0.0,), (-0.0,), (1.0,), (0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.1, -0.05)]
+    # Horner's rule on floats against numpy's chebmul by (1 + x)/2 and chebadd,
+    # step by step, and against Chebyshev.cast: -0.0, all-zero and subnormal entries too
+    cases = [(), (0.0,), (-0.0,), (1.0,), (0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.1, -0.05),
+             (-0.0, 0.0, -0.0), (5e-324, -5e-324), (1e-310, 3e-320)]
+    cases += [(zero,) * (degree + 1) for zero in (0.0, -0.0)
+              for degree in range(MAX_POTENTIAL_DEGREE + 1)]
     for _ in range(300):
-        c = rng.normal(scale=rng.choice([0.1, 1.0, 1e3]), size=rng.integers(1, 13))
+        c = rng.normal(scale=rng.choice([1e-6, 0.1, 1.0, 1e3]), size=rng.integers(1, 14))
+        c[rng.random(len(c)) < 0.1] = -0.0
         c[rng.integers(1, len(c) + 1):] = 0.0  # trailing zeros, some of the time
         cases.append(tuple(c.tolist()))
     for coeffs in cases:
         got = RadialPotential(1, coeffs).profile.coef
-        want = Chebyshev.cast(Polynomial(coeffs or (0.0,)), domain=[0.0, 1.0]).coef
-        assert got.shape == want.shape and (got.view(np.uint64) == want.view(np.uint64)).all()
+        horner = np.zeros(1)
+        for c in reversed(coeffs or (0.0,)):
+            horner = chebadd(chebmul(horner, [0.5, 0.5]), [c])
+        cast = Chebyshev.cast(Polynomial(coeffs or (0.0,)), domain=[0.0, 1.0]).coef
+        for want in (horner, cast):
+            assert got.shape == want.shape and (got.view(np.uint64) == want.view(np.uint64)).all()
 
 
 def test_potential_rejects_bad_dimension():

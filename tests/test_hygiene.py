@@ -226,3 +226,14 @@ def test_field_cache_is_written_only_by_geometry():
     named = sorted(p.name for p in SRC.glob("*.py")
                    if p.name != "geometry.py" and "_field_cache" in p.read_text())
     assert named == []
+
+
+def test_balanced_computes_no_factorial():
+    # H_alpha = alpha!/(n-1+m)! eta_m makes the FS stratum weights -log eta, so
+    # (n-1)! lives only in bergman's degree weight (n-1+m)!/m!
+    tree = ast.parse((SRC / "balanced.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert names & {"factorial", "gamma", "lgamma", "gammaln", "comb", "perm"} == set()
