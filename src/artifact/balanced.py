@@ -31,10 +31,10 @@ numerator is the stratum sum of the next iterate,
 (V/d_k) rho_FS(H) = P_Hilb(FS(H)) / P_H, so a step forms the next iterate's
 moments once, for its own defect and for the next step.  Only the weights of
 the sums change from step to step, so ``t_iteration`` exponentiates their
-terms once on entry, over the nodes and the dense grid, with the weight-free
-part of the per-node factor (``StepKernels``), and lets them go when it
-returns; each step is one product with the Gram kernel and one with the
-moment stack.  The iteration takes Hilb of the start once (``hilb_map``)
+terms once on entry into one kernel (``StepKernels``) and lets it go when it
+returns; 1/P cancels the kernel's column shift, so each step is one product
+of its node block with the per-node factor and one of the moment stack with
+the new weights.  The iteration takes Hilb of the start once (``hilb_map``)
 and, once it has converged, calls ``fs_map_profile``, which fits FS(H) as a
 Chebyshev series: the balanced potential it returns, not a polynomial in s,
 as the fixed points log(1 + (e^t - 1) s) + c are not unless t = 0.
@@ -49,6 +49,7 @@ import numpy as np
 from .bergman import (
     LOG_TWO_PI,
     StepKernels,
+    _log_factorials,
     bergman_density,
     dim_h0,
     gram,
@@ -130,9 +131,10 @@ def t_step(moments: tuple, kernels: StepKernels, scale: float):
 
     FS(H) is read from the moments: Var_p[m] and E_p[m], the signs of F' and
     G, are checked positive at every interior point (at s = 0 and 1 both are
-    0/0 limits of positive ratios), and (n-1) log E_p[m] + log Var_p[m] - log P
-    joins the kernels' ``log_node`` as J_m's per-node factor.  FS(H)'s density
-    on DENSE_GRID is (d_k/V) P'/P, with P' the stratum sum of H', so the defect
+    0/0 limits of positive ratios).  As P = S e^(shift + top), J_m's per-node
+    factor times e^(shift + top) is Var_p[m] E_p[m]^(n-1)/S times the kernels'
+    ``node``, so ``kernel_log_J`` of it is log J_m + top.  FS(H)'s density on
+    DENSE_GRID is (d_k/V) P'/P, with P' the stratum sum of H', so the defect
     is read from the moments of FS(H') that the next step takes.  They are
     formed before the defect is known: an H' whose moments are refused raises
     here, even at the step whose FS(H) is balanced."""
@@ -142,11 +144,8 @@ def t_step(moments: tuple, kernels: StepKernels, scale: float):
     if not np.minimum(var, mean)[inner].min() > 0.0:  # nan fails too
         s = kernels.s[inner]
         check_positive(s, var[inner] / (k * s * (1.0 - s)), mean[inner] / (k * s))
-    log_node = np.log(var[:order] / S[:order])
-    log_node += kernels.log_node - top
-    if n > 1:
-        log_node += (n - 1) * np.log(mean[:order])
-    log_eta = kernel_log_J(kernels, log_node) + scale  # finite: kernel_log_J checks log J_m
+    factor = var[:order] / S[:order] * kernels.node * mean[:order] ** (n - 1)
+    log_eta = kernel_log_J(kernels, factor) + (scale - top)  # finite: kernel_log_J checks it
     S_next, top_next, *_ = moments_next = kernel_moments(kernels, -log_eta)
     ratio = S_next[order:] / S[order:]  # P'/P less e^(top' - top): the shift cancels
     return log_eta, moments_next, _sup_defect(ratio.min(), ratio.max(), math.exp(top_next - top))
@@ -166,11 +165,12 @@ def balance_defect(metric: RadialKahlerMetric, k: int) -> float:
 
 def _orbit_fit(log_eta: np.ndarray, kernels: StepKernels) -> tuple:
     """(sup residual, slope b) of log eta - log eta_FS after its least-squares
-    fit a + b m, with eta_FS = Hilb(FS) on the kernels (FS's per-node factor is
-    w s^(n-1); Hilb's constant goes into a).  FS pulled back by z -> lambda z
-    has residual 0 and b = -t, t = log|lambda|^2."""
-    x = kernels.s[:kernels.rule.order]
-    gap = log_eta - kernel_log_J(kernels, np.log(kernels.rule.weights * x ** (kernels.n - 1)))
+    fit a + b m, with eta_FS = Hilb(FS) = D_m m!(k-m)!/k! in closed form (k!
+    goes into a): the kernels' rule integrates it exactly, and its J_m, spread
+    about k log 2, leave the doubles past k = 1000.  FS pulled back by
+    z -> lambda z has residual 0 and b = -t, t = log|lambda|^2."""
+    log_fact = _log_factorials(kernels.k)
+    gap = log_eta - kernels.log_degree - log_fact - log_fact[::-1]
     m = np.arange(kernels.k + 1) - kernels.k / 2
     slope = float(m @ gap / (m @ m))
     return float(np.abs(gap - gap.mean() - slope * m).max()), slope

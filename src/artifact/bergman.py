@@ -35,15 +35,16 @@ Fubini-Study potential phi = (1/k) log P has, exactly,
 
 the two moments of p that a T-step reads (``balanced`` sets the step out).
 
-J_m contracts the same kernel over the nodes: it shares the s-part
+J_m contracts the same terms over the nodes: it shares the s-part
 m log s + (k-m) log(1-s) (``stratum_s_part``), and s^(n-1) joins its
 per-node factor w (sG)^(n-1) F' e^(-k phi) (``radial_log_node``).
-``StepKernels`` hold the weight-free terms of both sums over the nodes and
-the dense grid, exponentiated once, so that a sum with new weights w is one
-product with exp(w - max w) (``kernel_moments``, ``kernel_log_J``).  Two
-spreads raise SpreadTooLarge: of w past ``SPREAD_BOUND``, which would leave
-the range of doubles, and of the shares p_m so far from ks that Var_p[m]
-cancels past ``CANCELLATION_BOUND``.
+``StepKernels`` hold one kernel K = D_m s^m (1-s)^(k-m) e^(-shift) over the
+nodes and the dense grid, exponentiated once: a sum with new weights w is one
+product with exp(w - max w) (``kernel_moments``), and J_m one product of K's
+node block with the per-node factor times e^shift, where FS(H)'s 1/P cancels
+e^-shift (``kernel_log_J``).  Two spreads raise SpreadTooLarge: of w past
+``SPREAD_BOUND``, which would leave the range of doubles, and of the shares
+p_m so far from ks that Var_p[m] cancels past ``CANCELLATION_BOUND``.
 """
 from __future__ import annotations
 
@@ -140,26 +141,15 @@ def log_stratum_sum(n: int, k: int, log_weights: np.ndarray, s) -> np.ndarray:
     return _logsumexp(terms, 0, terms)
 
 
-def shifted_exp(x: np.ndarray) -> tuple:
-    """(exp(x - max x), max x): a product with a fixed kernel keeps terms down
-    to e^-spread, so a spread of x past SPREAD_BOUND raises SpreadTooLarge."""
-    top = x.max()
-    if top - x.min() > SPREAD_BOUND:
-        raise SpreadTooLarge(float(top - x.min()), SPREAD_BOUND)
-    return np.exp(x - top), top
-
-
 @dataclass(frozen=True)
 class StepKernels:
     """The weight-free stratum terms of degree ``k`` on CP^``n`` at ``s``, the
     nodes of ``rule`` and then DENSE_GRID, exponentiated once: ``stack`` is
     [K | (m-ks) K | (m-ks)^2 K], K = exp(log D_m + s-part - shift) with
-    ``shift`` the column max and ``ks`` the FS mean k s; ``gram`` is
-    exp(s-part - gram_shift) at the nodes, with ``gram_shift`` the row max;
-    ``inner`` marks the points inside (0, 1); ``log_node`` is
-    log w - log(k s(1-s)) - (n-1) log k - shift at the nodes, the part of J_m's
-    per-node factor for FS(H) that no weight enters, less the shift that the
-    stratum sum P carries."""
+    ``log_degree`` = log D_m, ``shift`` the column max and ``ks`` the FS mean
+    k s; ``inner`` marks the points inside (0, 1); ``node`` is
+    w/(k s(1-s) k^(n-1)) at the nodes, the part of J_m's per-node factor for
+    FS(H) that no weight enters."""
 
     n: int
     k: int
@@ -169,9 +159,8 @@ class StepKernels:
     inner: np.ndarray
     shift: np.ndarray
     stack: np.ndarray
-    gram: np.ndarray
-    gram_shift: np.ndarray
-    log_node: np.ndarray
+    log_degree: np.ndarray
+    node: np.ndarray
 
 
 def step_kernels(n: int, k: int, rule: RadialQuadrature) -> StepKernels:
@@ -180,30 +169,29 @@ def step_kernels(n: int, k: int, rule: RadialQuadrature) -> StepKernels:
     check_resolution(rule, k)
     x = rule.nodes
     s = np.concatenate([x, DENSE_GRID])
-    s_part = stratum_s_part(k, s)
-    terms = s_part + log_degree_weights(n, k)[:, None]
+    log_degree = log_degree_weights(n, k)
+    terms = stratum_s_part(k, s) + log_degree[:, None]
     shift = terms.max(axis=0)
     K = np.exp(terms - shift)
     # centred at the FS mean ks, against the cancellation in E[m^2] - E[m]^2
     ks = k * s
     centred = np.arange(k + 1.0)[:, None] - ks
-    nodal = s_part[:, :rule.order]
-    gram_shift = nodal.max(axis=1)
-    log_node = np.log(rule.weights / (k * x * (1.0 - x))) - (n - 1) * math.log(k)
     return StepKernels(n, k, rule, s, ks, (s > 0.0) & (s < 1.0), shift,
-                       np.hstack([K, centred * K, centred * centred * K]),
-                       np.exp(nodal - gram_shift[:, None]), gram_shift,
-                       log_node - shift[:rule.order])
+                       np.hstack([K, centred * K, centred * centred * K]), log_degree,
+                       rule.weights / (k ** n * x * (1.0 - x)))
 
 
 def kernel_moments(kernels: StepKernels, log_weights: np.ndarray):
     """(S, top, E_p[m], Var_p[m]) at the kernels' points: the stratum sum is
     P = S e^(shift + top), and p_m is the m-th term's share of it; one product
-    of exp(w - max w) with the stack.  Raises SpreadTooLarge where
-    (E_p[m] - ks)^2 passes CANCELLATION_BOUND Var_p[m] (at s = 0 and 1 both
-    are exactly 0)."""
-    a, top = shifted_exp(log_weights)
-    S0, centre, var = (a @ kernels.stack).reshape(3, -1)
+    of exp(w - top) with the stack, top = max w.  A product with K keeps terms
+    down to e^-spread, so a spread of w past SPREAD_BOUND raises SpreadTooLarge,
+    as does (E_p[m] - ks)^2 past CANCELLATION_BOUND Var_p[m] (at s = 0 and 1
+    both are exactly 0)."""
+    top = log_weights.max()
+    if (spread := top - log_weights.min()) > SPREAD_BOUND:
+        raise SpreadTooLarge(float(spread), SPREAD_BOUND)
+    S0, centre, var = (np.exp(log_weights - top) @ kernels.stack).reshape(3, -1)
     centre /= S0  # E_p[m] - ks
     square = centre * centre
     var /= S0
@@ -245,11 +233,12 @@ def radial_log_J(metric: RadialKahlerMetric, k: int, s_part: np.ndarray) -> np.n
     return _positive_norms(_logsumexp(terms, 1, terms))
 
 
-def kernel_log_J(kernels: StepKernels, log_node: np.ndarray) -> np.ndarray:
-    """log J_m from the per-node factor's log at the nodes (as ``radial_log_node``):
-    one product with the Gram kernel; raises NonPositiveNorm unless every J_m > 0."""
-    e, top = shifted_exp(log_node)
-    return _positive_norms(np.log(kernels.gram @ e) + kernels.gram_shift + top)
+def kernel_log_J(kernels: StepKernels, factor: np.ndarray) -> np.ndarray:
+    """log J_m from J_m's per-node factor times e^shift at the nodes: one product
+    with K's node block, whose D_m comes out in log space; raises
+    NonPositiveNorm unless every J_m > 0."""
+    K = kernels.stack[:, :kernels.rule.order]
+    return _positive_norms(np.log(K @ factor) - kernels.log_degree)
 
 
 def gram(metric: RadialKahlerMetric, k: int, *, s_part=None) -> GramData:

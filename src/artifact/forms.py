@@ -47,9 +47,6 @@ class RadialForm:
     sig: np.ndarray
     degree: int = 1
 
-    def __add__(self, other):
-        return RadialForm(self.rho + other.rho, self.sig + other.sig, self.degree)
-
     def __sub__(self, other):
         return RadialForm(self.rho - other.rho, self.sig - other.sig, self.degree)
 

@@ -46,6 +46,12 @@ VARIATION_STEP = 1e-4  # central-difference step of the first-variation checks
 _POSITIVITY_GRID = np.concatenate([chebyshev_points(257), [0.0, 1.0]])  # dense, with endpoints
 
 
+def check_dimension(n: int) -> None:
+    """Raise ValueError unless n is one of DIMENSIONS."""
+    if n not in DIMENSIONS:
+        raise ValueError(f"complex dimension must be 1..3, got {n}")
+
+
 def check_order(j: int) -> None:
     """Raise ValueError unless j is one of ORDERS."""
     if j not in ORDERS:
@@ -65,8 +71,7 @@ class RadialPotential:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if self.n not in DIMENSIONS:
-            raise ValueError(f"complex dimension must be 1..3, got {self.n}")
+        check_dimension(self.n)
         if not all(map(math.isfinite, self.coeffs)):
             raise ValueError(f"coefficients must be finite, got {self.coeffs}")
         if self.degree > MAX_POTENTIAL_DEGREE:
@@ -116,6 +121,9 @@ class ProfilePotential:
 
     n: int
     profile: Profile
+
+    def __post_init__(self):
+        check_dimension(self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +280,6 @@ class ScalarField:
         return self.fn(s)
 
 
-def _require_attached(metric, field: ScalarField):
-    if field.metric is not metric:
-        raise ValueError("scalar field is attached to a different metric")
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -338,7 +341,8 @@ def scalar_curvature(metric: RadialKahlerMetric) -> ScalarField:
 
 
 def half_laplacian(metric: RadialKahlerMetric, f: ScalarField) -> ScalarField:
-    _require_attached(metric, f)
+    if f.metric is not metric:
+        raise ValueError("scalar field is attached to a different metric")
     p1 = f.profile.deriv()
     p2 = p1.deriv()
     return ScalarField.from_callable(

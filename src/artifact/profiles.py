@@ -67,9 +67,9 @@ class Profile:
         # drop trailing roundoff noise: keeps polynomial data exactly
         # polynomial and tames amplification under repeated differentiation
         scale = np.abs(coef).max()
-        if scale > 0.0:
+        if 0.0 < scale < np.inf:  # then the largest coefficient is kept
             keep = np.nonzero(np.abs(coef) > 5e-14 * scale)[0]
-            coef = coef[: keep[-1] + 1] if keep.size else coef[:1] * 0.0
+            coef = coef[: keep[-1] + 1]
         return cls(coef)
 
     def __call__(self, s):

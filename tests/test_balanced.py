@@ -3,6 +3,7 @@ import math
 import warnings
 from decimal import Decimal
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,7 +22,7 @@ from artifact.balanced import _hilb_scale, t_step
 from artifact.bergman import (DENSE_GRID, density_values, gram, kernel_log_J, kernel_moments,
                               log_stratum_sum, radial_log_node, step_kernels)
 from artifact.errors import NonPositiveMetric, NotConverged, SpreadTooLarge
-from artifact.geometry import check_positive, class_volume
+from artifact.geometry import check_positive, class_volume, fubini_study
 from artifact.quadrature import TWO_PI, required_order
 
 from conftest import (count_profile_calls, logsumexp_density, logsumexp_t_step, nodal_fs_metric,
@@ -275,10 +276,10 @@ def _count_calls_in_step(monkeypatch, targets):
 
 def test_steps_multiply_kernels_built_once_per_iteration(monkeypatch):
     # the kernels are built on entry and the first iterate's moments formed; a
-    # step is one product with the Gram kernel and one with the moment stack,
-    # which gives the next iterate's moments and the density's numerator: it
-    # calls no logsumexp, builds no s-part and takes no Gram data by the
-    # per-metric route
+    # step is one product with the kernel's node block and one with the moment
+    # stack, which gives the next iterate's moments and the density's
+    # numerator: it calls no logsumexp, builds no s-part and takes no Gram data
+    # by the per-metric route
     from artifact import balanced, bergman
 
     calls = _count_calls_in_step(monkeypatch, (
@@ -290,10 +291,10 @@ def test_steps_multiply_kernels_built_once_per_iteration(monkeypatch):
     assert [name for name, stepping in calls if stepping] == [
         "kernel_log_J", "kernel_moments"] * 3
     # the start's Gram data and dense density only, then the iteration's kernels
-    # and the first iterate's moments; Hilb(FS) for the orbit fit when it stops
+    # and the first iterate's moments; the orbit fit reads Hilb(FS) in closed form
     assert [name for name, _ in calls if name != "_logsumexp"] == [
         "stratum_s_part", "radial_log_J", "stratum_s_part", "step_kernels", "stratum_s_part",
-        "kernel_moments"] + ["kernel_log_J", "kernel_moments"] * 3 + ["kernel_log_J"]
+        "kernel_moments"] + ["kernel_log_J", "kernel_moments"] * 3
 
 
 def test_steps_check_no_rule_and_build_no_metric(monkeypatch):
@@ -427,6 +428,24 @@ def test_trace_reads_the_distance_to_the_fs_orbit(n):
     assert math.isnan(fs_start.orbit_residual) and math.isnan(fs_start.orbit_slope)
 
 
+def test_orbit_fit_reads_fs_where_its_norms_leave_the_doubles():
+    # at k = 1100 the norms J_m of FS spread about k log 2 and leave the doubles,
+    # while a start of spread about 0.42 k still iterates: its trace places it
+    # against Hilb(FS) as the per-metric logsumexp route reads it
+    k = 1100
+    rule = radial_rule(required_order(k))
+    start = build_metric(RadialPotential(1, (0.0, -0.99, 0.99)), rule)
+    with pytest.raises(NotConverged) as err:
+        t_iteration(start.potential, k, rule, max_iter=0)
+    gap = hilb_map(start, k) - hilb_map(fubini_study(1, rule), k)
+    m = np.arange(k + 1) - k / 2
+    slope = m @ gap / (m @ m)
+    residual = np.abs(gap - gap.mean() - slope * m).max()
+    assert residual > 100.0
+    assert abs(err.value.trace.orbit_residual - residual) < 1e-12 * residual
+    assert abs(err.value.trace.orbit_slope - slope) < 1e-12
+
+
 def test_step_refuses_weights_beyond_the_kernel_range(rule200):
     # a synthetic eta whose weights spread past the bound: the smallest
     # product against the kernels would leave the doubles' range.  A step forms
@@ -482,8 +501,8 @@ def test_t_step_iterates_to_the_iteration_defects():
 
 
 def test_t_step_is_hilb_of_the_nodal_fs_metric(rng):
-    # Hilb of the nodal FS(H), both with log J_m from the iteration's Gram
-    # kernel and by the per-metric logsumexp route, within 1e-13
+    # Hilb of the nodal FS(H), both with log J_m from the node block of the
+    # iteration's kernel and by the per-metric logsumexp route, within 1e-13
     for n in (1, 2, 3):
         for k in (10, 20):
             rule = radial_rule(required_order(k))
@@ -492,11 +511,46 @@ def test_t_step_is_hilb_of_the_nodal_fs_metric(rng):
             log_eta = hilb_map(random_metric(rng, n, rule), k)
             nodal, _ = nodal_fs_metric(n, log_eta, rule)
             got = t_step(kernel_moments(kernels, -log_eta), kernels, scale)[0]
-            on_kernels = kernel_log_J(kernels, radial_log_node(nodal, k)) + scale
+            factor = np.exp(radial_log_node(nodal, k) + kernels.shift[:rule.order])
+            on_kernels = kernel_log_J(kernels, factor) + scale
             want = hilb_map(nodal, k)
             assert got.shape == on_kernels.shape == want.shape == (k + 1,)
             assert np.abs(got - on_kernels).max() < 1e-13, (n, k)
             assert np.abs(got - want).max() < 1e-13, (n, k)
+
+
+def _hilb_of_fs_reference(n, k, log_eta, rule):
+    """log eta of Hilb(FS(H)) on the nodes of ``rule`` in 40-digit mpmath:
+    log J_m + log(d_k n!), J_m the sum over the nodes of
+    w s^m (1-s)^(k-m) (E_p[m]/k)^(n-1) Var_p[m]/(k s(1-s))/P."""
+    with mpmath.workdps(40):
+        basis, factors = [], []
+        for s, w in zip(rule.nodes.tolist(), rule.weights.tolist()):
+            s = mpmath.mpf(s)
+            powers = [s**m * (1 - s) ** (k - m) for m in range(k + 1)]
+            terms = [math.factorial(n - 1 + m) // math.factorial(m)
+                     * mpmath.exp(-mpmath.mpf(float(log_eta[m]))) * p for m, p in enumerate(powers)]
+            P = mpmath.fsum(terms)
+            mean = mpmath.fsum(m * term for m, term in enumerate(terms)) / P
+            var = mpmath.fsum((m - mean) ** 2 * term for m, term in enumerate(terms)) / P
+            factors.append(w * (mean / k) ** (n - 1) * var / (k * s * (1 - s)) / P)
+            basis.append(powers)
+        scale = mpmath.log(dim_h0(n, k) * math.factorial(n))
+        return np.array([float(mpmath.log(mpmath.fsum(f * p[m] for f, p in zip(factors, basis)))
+                               + scale) for m in range(k + 1)])
+
+
+def test_t_step_is_hilb_of_fs_to_roundoff(rng):
+    # the step's one product of the kernel's node block with the linear-space
+    # factor, against Hilb(FS(H)) summed in 40 digits on the same nodes
+    for n in (1, 2, 3):
+        for k in (10, 20):
+            rule = radial_rule(required_order(k))
+            kernels = step_kernels(n, k, rule)
+            log_eta = hilb_map(random_metric(rng, n, rule), k)
+            got = t_step(kernel_moments(kernels, -log_eta), kernels, _hilb_scale(n, k))[0]
+            want = _hilb_of_fs_reference(n, k, log_eta, rule)
+            assert np.abs(got - want).max() < 1e-14, (n, k)
 
 
 def test_iteration_rejects_start_above_degree_bound():

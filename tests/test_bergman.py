@@ -46,6 +46,14 @@ def test_section_space_dimensions():
     assert dim_h0(3, 2) == 10
     assert MonomialBasis(2, 3).count == len(MonomialBasis(2, 3).multi_indices())
     assert degree_multiplicities(2, 3).sum() == 10
+    for n, k in ((0, 3), (1, -1)):
+        with pytest.raises(ValueError, match="need n >= 1 and k >= 0"):
+            dim_h0(n, k)
+
+
+def test_partition_ratio_refuses_metrics_of_different_dimension(fs_metric):
+    with pytest.raises(ValueError, match="different manifolds"):
+        log_partition_ratio(fs_metric(1), fs_metric(2), 5)
 
 
 def test_degree_multiplicities_are_built_once_and_read_only():

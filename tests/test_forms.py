@@ -38,6 +38,13 @@ def test_mixed_powers_are_cohomological(rng, rule200, fs_metric):
             assert abs(got - TWO_PI**n / math.factorial(n)) < 1e-12
 
 
+def test_mixed_integral_needs_forms_of_total_degree_n(fs_metric, rule200):
+    om = omega_form(fs_metric(2))
+    for forms in ([om], [om] * 3):
+        with pytest.raises(ValueError, match="need forms of total degree 2"):
+            mixed_integral(rule200, 2, 1.0, forms)
+
+
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_integrals_over_a_t_axis_are_the_rowwise_integrals(rng, rule200, n):
     m1, m0 = random_metric(rng, n, rule200), random_metric(rng, n, rule200)

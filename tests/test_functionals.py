@@ -10,10 +10,12 @@ from artifact import (
     build_metric,
     cocycle_defect,
     first_variation,
+    radial_rule,
     second_variation_S2,
     tilde_S_bc,
     tilde_S_path,
 )
+from artifact.errors import NonPositiveMetric, PathLeavesCone
 from artifact.forms import RadialForm, hessian_form, mixed_integral, omega_form, ricci_form
 from artifact.geometry import (
     ProfilePotential,
@@ -23,6 +25,7 @@ from artifact.geometry import (
     half_laplacian,
 )
 from artifact.functionals import (
+    SECOND_VARIATION_STEP,
     bc_todd2,
     gamma2_defect,
     gamma_pairing,
@@ -41,6 +44,12 @@ from conftest import (
     random_metric,
     shifted_potential,
 )
+
+
+def test_functionals_refuse_metrics_on_different_rules(fs_metric):
+    coarse = build_metric(RadialPotential(1, (0.0, 0.05)), radial_rule(40))
+    with pytest.raises(ValueError, match="incompatible quadrature rules"):
+        S_j(coarse, fs_metric(1), 1)
 
 
 def test_degree_energy_of_constant(fs_metric, rule200):
@@ -289,6 +298,18 @@ def test_second_variation_matches_finite_differences(rng, rule200):
         ddot = ScalarField.from_callable(m, lambda s: 0.5 * np.cos(3.0 * s) + 0.2 * s)
         formula, fd, defect = second_variation_S2(m, dot, ddot)
         assert defect < 1e-8 * (1.0 + abs(formula))
+
+
+def test_second_variation_names_the_path_time_that_leaves_the_cone(rule200):
+    # a second-order direction of -1e7 s^2 breaks F' at the first finite-difference time
+    m = build_metric(RadialPotential(1, (0.0, 0.05, -0.02)), rule200)
+    dot = ScalarField.from_callable(m, lambda s: s)
+    ddot = ScalarField.from_callable(m, lambda s: -1e7 * s**2)
+    with pytest.raises(PathLeavesCone) as err:
+        second_variation_S2(m, dot, ddot)
+    assert err.value.t == SECOND_VARIATION_STEP == 1e-3
+    assert isinstance(err.value.cause, NonPositiveMetric)
+    assert err.value.__cause__ is err.value.cause
 
 
 def test_gamma_two_is_closed(rng, rule200):

@@ -18,6 +18,11 @@ from artifact.futaki import flow_pairing_spread
 from conftest import count_profile_calls, random_metric
 
 
+def test_metric_independence_needs_a_metric():
+    with pytest.raises(ValueError, match="need at least one metric"):
+        metric_independence(1, [])
+
+
 def test_rotation_hamiltonian_on_fs_cp1(fs_metric):
     m = fs_metric(1)
     data = hamiltonian_potential(m)

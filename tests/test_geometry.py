@@ -18,7 +18,7 @@ from artifact import (
     radial_rule,
     scalar_curvature,
 )
-from artifact.balanced import balance_defect
+from artifact.balanced import balance_defect, fs_map_profile
 from artifact.errors import NonPositiveMetric, UnsupportedCoefficient
 from artifact.functionals import gamma_pairing
 from artifact.geometry import MAX_POTENTIAL_DEGREE, ProfilePotential, check_positive
@@ -57,8 +57,18 @@ def test_potential_profile_is_numpys_chebyshev_cast_bit_for_bit(rng):
 
 
 def test_potential_rejects_bad_dimension():
-    with pytest.raises(ValueError):
-        RadialPotential(4, (0.0,))
+    # both potentials share one check and its message
+    for build in (lambda: RadialPotential(4, (0.0,)),
+                  lambda: ProfilePotential(4, Profile([0.0])),
+                  lambda: fs_map_profile(7, np.zeros(11))):
+        with pytest.raises(ValueError, match="complex dimension must be 1..3, got"):
+            build()
+
+
+def test_laplacian_refuses_a_field_of_another_metric(rng, rule200):
+    m, other = random_metric(rng, 1, rule200), random_metric(rng, 1, rule200)
+    with pytest.raises(ValueError, match="attached to a different metric"):
+        half_laplacian(m, ScalarField.from_callable(other, lambda s: s**2))
 
 
 def test_build_rejects_over_degree():

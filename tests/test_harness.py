@@ -37,6 +37,10 @@ def test_config_validation_messages():
         ExperimentConfig.from_dict({"kind": "bergman", "k_min": 1, "k_max": 5, "potential":
                                     {"n": 1, "basis": "s-poly", "coeffs": ["0.0", "0.1"]}})
     assert err.value.field_path == "potential"
+    for field, value in (("k_stride", 0), ("tol_profile", "bogus")):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(kind="bergman", k_min=1, k_max=5, **{field: value})
+        assert err.value.field_path == field
 
 
 def test_bergman_run_reproduces_fs_reference(tmp_path):
@@ -262,6 +266,15 @@ def test_cli_round_trip(tmp_path):
                      "--k-stride", "4", "--out", str(out)])
     assert code == 0
     assert (out / "bergman.csv").exists() and (out / "manifest.json").exists()
+
+
+def test_cli_run_that_cannot_write_exits_two(tmp_path, capfd):
+    # the output directory would sit under a regular file
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert cli_main(["partition", "--k-min", "1", "--k-max", "2",
+                     "--out", str(blocker / "x")]) == 2
+    assert capfd.readouterr().err.startswith("i/o error: ")
 
 
 def test_cli_verify_manifest_has_no_k_window(tmp_path):
