@@ -57,8 +57,7 @@ from operator import mul
 import numpy as np
 
 from .errors import NonPositiveNorm, SpreadTooLarge
-from .geometry import (VARIATION_STEP, RadialKahlerMetric, ScalarField, central_difference,
-                       half_laplacian)
+from .geometry import RadialKahlerMetric, ScalarField, complex_step, half_laplacian
 from .quadrature import TWO_PI, RadialQuadrature, check_resolution
 
 LOG_TWO_PI = math.log(TWO_PI)
@@ -249,7 +248,7 @@ def gram(metric: RadialKahlerMetric, k: int, *, s_part=None) -> GramData:
         nodal = stratum_s_part(k, metric.nd["s"]) if s_part is None else s_part
         log_Jm = radial_log_J(metric, k, nodal)
         n = metric.n
-        log_det = _log_angular_sum(n, k) + float(degree_multiplicities(n, k) @ log_Jm)
+        log_det = _log_angular_sum(n, k) + (degree_multiplicities(n, k) @ log_Jm).item()
         return GramData(log_Jm, log_det)
 
     return metric._cached_field(("gram", k), build)
@@ -294,18 +293,16 @@ def log_partition_ratio(metric_phi: RadialKahlerMetric, metric_ref: RadialKahler
     # on one rule both grams read one s-part
     s_part = stratum_s_part(k, metric_phi.nd["s"]) if metric_phi.rule is metric_ref.rule else None
     diff = gram(metric_phi, k, s_part=s_part).log_Jm - gram(metric_ref, k, s_part=s_part).log_Jm
-    return float(degree_multiplicities(metric_phi.n, k) @ diff)
+    return (degree_multiplicities(metric_phi.n, k) @ diff).item()
 
 
 def donaldson_variation_check(metric: RadialKahlerMetric, k: int, direction: ScalarField):
-    """Directional derivative of log Z_k: finite differences vs the
-    density formula int psi (Delta rho_k - k rho_k) omega_phi^n/n!."""
+    """Directional derivative of log Z_k: complex step vs the density
+    formula int psi (Delta rho_k - k rho_k) omega_phi^n/n!."""
     dens = bergman_density(metric, k)
     lap_rho = half_laplacian(metric, dens.field)
     formula = metric.integrate(
         direction.values * (lap_rho.values - k * dens.field.values)
     )
-    fd = central_difference(
-        metric, direction.profile, lambda mt: log_partition_ratio(mt, metric, k), VARIATION_STEP
-    )
-    return fd, formula, abs(fd - formula)
+    step = complex_step(metric, direction.profile, lambda mt: log_partition_ratio(mt, metric, k))
+    return step, formula, abs(step - formula)

@@ -127,14 +127,15 @@ def todd_variation(metric, j, p, q) -> RadialForm:
 # integration
 
 
-def mixed_integral(rule: RadialQuadrature, n: int, f_values, forms) -> float:
+def mixed_integral(rule: RadialQuadrature, n: int, f_values, forms):
     """int f beta_1 ^ ... ^ beta_m over CP^n for forms whose degrees sum to n
-    (raw wedge, no 1/n!); an array of shape (T,) for (T, N) data."""
+    (raw wedge, no 1/n!): a scalar for (N,) data, real for real data, and an
+    array of shape (T,) for (T, N) data."""
     forms = list(forms)
     degree = sum(fm.degree for fm in forms)
     if degree != n:
         raise ValueError(f"need forms of total degree {n}, got {degree}")
-    f = np.asarray(f_values, dtype=float)
+    f = np.asarray(f_values)
     return TWO_PI**n * rule.integrate(f * rule.nodes ** (n - 1) * reduce(wedge_pair, forms).rho)
 
 

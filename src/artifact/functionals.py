@@ -33,26 +33,23 @@ from .forms import (
     trace_against,
 )
 from .geometry import (
-    VARIATION_STEP,
     ProfilePotential,
     RadialKahlerMetric,
     ScalarField,
     build_metric,
-    central_difference,
     characteristic_coefficient,
     check_order,
     class_volume,
     coefficient_split,
+    complex_step,
     fubini_study,
     half_laplacian,
-    richardson,
     scalar_curvature,
 )
 from .quadrature import NESTED_LEVELS
 
 PATH_TOL = 1e-10
 SECOND_VARIATION_STEP = 1e-3
-GAMMA2_STEP = 2.5e-3
 
 
 def _check_pair(m1: RadialKahlerMetric, m0: RadialKahlerMetric):
@@ -90,7 +87,7 @@ def _path_quadrature(m1: RadialKahlerMetric, m0: RadialKahlerMetric, integrand):
     values = integrand(path_metric(m1, m0, nodes))
     value = np.tensordot(weights, values, axes=1)
     for nodes, weights in NESTED_LEVELS[1:]:
-        both = np.empty((nodes.size,) + values.shape[1:])
+        both = np.empty((nodes.size,) + values.shape[1:], dtype=values.dtype)
         both[::2], both[1::2] = values, integrand(path_metric(m1, m0, nodes[1::2]))
         values, previous = both, value
         value = np.tensordot(weights, values, axes=1)
@@ -215,38 +212,38 @@ def first_variation_pairing(metric: RadialKahlerMetric, j: int, direction: Scala
     return ahat * metric.integrate(psi) + gamma_pairing(metric, j, psi, psi1, psi2)
 
 
-def _S_j_difference(j: int, metric: RadialKahlerMetric, direction: ScalarField) -> float:
-    """Central difference of S_j(., omega_FS) at the metric along the direction."""
+def _S_j_derivative(j: int, metric: RadialKahlerMetric, direction: ScalarField) -> float:
+    """Derivative of S_j(., omega_FS) at the metric along the direction, by
+    complex step."""
     base = fubini_study(metric.n, metric.rule)
-    return central_difference(
-        metric, direction.profile, lambda mt: S_j(mt, base, j).value, VARIATION_STEP
-    )
+    return complex_step(metric, direction.profile, lambda mt: S_j(mt, base, j).value)
 
 
 def first_variation(j: int, metric: RadialKahlerMetric, direction: ScalarField):
-    """(finite difference, formula, defect) for the first variation of S_j."""
+    """(complex-step derivative, formula, defect) for the first variation of S_j."""
     formula = first_variation_pairing(metric, j, direction)
-    fd = _S_j_difference(j, metric, direction)
-    return fd, formula, abs(fd - formula)
+    step = _S_j_derivative(j, metric, direction)
+    return step, formula, abs(step - formula)
 
 
 def liouville_first_variation(metric: RadialKahlerMetric, direction: ScalarField):
-    """First variation of the generalized Liouville action S_2:
-    FD of S_j(., ., 2) vs the displayed curvature integrand."""
+    """First variation of the generalized Liouville action S_2: the
+    complex-step derivative of S_j(., ., 2) vs the displayed curvature integrand."""
     ahat = characteristic_coefficient(metric.n, 2)
     lapS = half_laplacian(metric, scalar_curvature(metric)).values
     integrand = ahat + lapS / 6.0 - metric.curvature_scalars()[1]
     formula = metric.integrate(direction.values * integrand)
-    fd = _S_j_difference(2, metric, direction)
-    return fd, formula, abs(fd - formula)
+    step = _S_j_derivative(2, metric, direction)
+    return step, formula, abs(step - formula)
 
 
 def second_variation_S2(metric_ref: RadialKahlerMetric, dir_dot: ScalarField,
                         dir_ddot: ScalarField):
     """Second t-derivative of S_2 along phi_t = t phi-dot + t^2/2 phi-ddot
-    based at the given metric: displayed formula vs Richardson finite
-    differences.  Terms whose background wedge power would be negative
-    are dropped."""
+    based at the given metric: displayed formula vs the symmetric second
+    difference D(h) at h = SECOND_VARIATION_STEP and h/2, Richardson-extrapolated
+    to (4 D(h/2) - D(h))/3, which cancels its h^2 error.  Terms whose background
+    wedge power would be negative are dropped."""
     m = metric_ref
     n, rule = m.n, m.rule
     S_field = scalar_curvature(m)
@@ -294,7 +291,8 @@ def second_variation_S2(metric_ref: RadialKahlerMetric, dir_dot: ScalarField,
     def second_diff(h):
         return (s2_at(h) + s2_at(-h)) / (h * h)  # S_2 at t=0 vanishes
 
-    fd = richardson(second_diff, SECOND_VARIATION_STEP)
+    coarse = second_diff(SECOND_VARIATION_STEP)
+    fd = (4.0 * second_diff(0.5 * SECOND_VARIATION_STEP) - coarse) / 3.0
     return total, fd, abs(total - fd)
 
 
@@ -315,16 +313,12 @@ def gamma_pairing(metric: RadialKahlerMetric, j: int, psi, psi1, psi2) -> float:
 
 
 def gamma2_defect(metric: RadialKahlerMetric, dir1: ScalarField, dir2: ScalarField) -> float:
-    """Closedness defect |d/dt gamma^(2)_{phi+t d1}(d2) - (1 <-> 2)| via
-    Richardson-extrapolated central differences."""
+    """Closedness defect |d/dt gamma^(2)_{phi+t d1}(d2) - (1 <-> 2)|, each
+    derivative by complex step."""
 
     def deriv_along(da: ScalarField, db: ScalarField) -> float:
         vb = [db.profile.deriv(k)(metric.rule.nodes) for k in range(3)]
-
-        def d_at(h):
-            return central_difference(metric, da.profile, lambda mt: gamma_pairing(mt, 2, *vb), h)
-
-        return richardson(d_at, GAMMA2_STEP)
+        return complex_step(metric, da.profile, lambda mt: gamma_pairing(mt, 2, *vb))
 
     return abs(deriv_along(dir1, dir2) - deriv_along(dir2, dir1))
 

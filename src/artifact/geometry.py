@@ -42,7 +42,7 @@ from .quadrature import TWO_PI, RadialQuadrature
 DIMENSIONS = (1, 2, 3)  # the supported complex dimensions n
 ORDERS = (0, 1, 2)  # the supported orders j of a_j, Td_j and S_j
 MAX_POTENTIAL_DEGREE = 12
-VARIATION_STEP = 1e-4  # central-difference step of the first-variation checks
+COMPLEX_STEP = 1e-30  # h of ``complex_step``: any h from 1e-8 down reads the same derivative
 _POSITIVITY_GRID = np.concatenate([chebyshev_points(257), [0.0, 1.0]])  # dense, with endpoints
 
 
@@ -212,11 +212,11 @@ class RadialKahlerMetric:
         d = self.nd
         return d["s"] ** (self.n - 1) * d["F1"] * d["G"] ** (self.n - 1) / math.factorial(self.n - 1)
 
-    def integrate(self, values) -> float:
+    def integrate(self, values):
         """Integral of a nodal field against omega_phi^n/n!, over the last
-        axis: a float for (N,) data, an array of shape (T,) for (T, N) data."""
-        vals = np.asarray(values, dtype=float)
-        return TWO_PI**self.n * self.rule.integrate(vals * self.measure_values())
+        axis: a scalar for (N,) data, real for real data, and an array of
+        shape (T,) for (T, N) data."""
+        return TWO_PI**self.n * self.rule.integrate(np.asarray(values) * self.measure_values())
 
     def volume(self) -> float:
         return self.integrate(np.ones_like(self.rule.nodes))
@@ -317,21 +317,19 @@ def class_volume(n: int) -> float:
     return TWO_PI**n / math.factorial(n)
 
 
-def central_difference(metric: RadialKahlerMetric, direction_profile: Profile,
-                       functional: Callable, step: float) -> float:
-    """(f(phi + h d) - f(phi - h d)) / 2h for a functional f of the metric,
-    with phi the metric's potential, d the direction and h the step."""
-    phi, rule = metric.potential.profile, metric.rule
-    plus = build_metric(ProfilePotential(metric.n, phi + step * direction_profile), rule)
-    minus = build_metric(ProfilePotential(metric.n, phi + (-step) * direction_profile), rule)
-    return (functional(plus) - functional(minus)) / (2.0 * step)
-
-
-def richardson(difference: Callable, step: float) -> float:
-    """(4 D(h/2) - D(h)) / 3: cancels the h^2 error of a symmetric difference D."""
-    coarse = difference(step)
-    fine = difference(0.5 * step)
-    return (4.0 * fine - coarse) / 3.0
+def complex_step(metric: RadialKahlerMetric, direction_profile: Profile,
+                 functional: Callable) -> float:
+    """Im f(phi + i h psi)/h, h = COMPLEX_STEP: the derivative of a functional f
+    of the metric along the direction psi, with no difference taken (Squire and
+    Trapp, SIAM Rev. 40, 1998).  ``nd`` is affine in phi's derivative stack, so
+    the metric at phi + i h psi is one nodal-data metric whose stack values are
+    phi^(i) + i h psi^(i), with no fit and no positivity check.  f must carry the
+    imaginary part through: no real cast, abs or comparison on its way."""
+    stack = [lambda s, p=p, q=q: p(s) + 1j * COMPLEX_STEP * q(s)
+             for p, q in zip(metric.phi_stack, _derivative_stack(direction_profile))]
+    nd = _stack_data(stack, metric.rule.nodes)
+    perturbed = RadialKahlerMetric(metric.n, None, metric.rule, nd)
+    return functional(perturbed).imag / COMPLEX_STEP
 
 
 def scalar_curvature(metric: RadialKahlerMetric) -> ScalarField:

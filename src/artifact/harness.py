@@ -406,12 +406,12 @@ def verify_suite(tol_profile: str = "default") -> VerifyReport:
                 for n in DIMENSIONS)
     checks.append(CheckResult("lu-lemma", worst, tols["lu_lemma"]))
 
-    # first variation vs finite differences
+    # first variation vs its complex-step derivative
     m = build_metric(RadialPotential(1, (0.0, 0.08, -0.03)), rule)
     direction = ScalarField.from_callable(m, lambda s: np.sin(2.0 * s) - 0.5 * s)
     worst = 0.0
     for j in ORDERS:
-        fd, formula, defect = first_variation(j, m, direction)
+        _, formula, defect = first_variation(j, m, direction)
         worst = max(worst, defect / (1.0 + abs(formula)))
     checks.append(CheckResult("first-variation", worst, tols["first_variation"]))
 

@@ -3,10 +3,11 @@
 All smooth radial quantities live on s in [0, 1].  A Profile stores a
 Chebyshev series on that interval and supports evaluation, spectral
 differentiation, and a tail diagnostic that flags non-smooth input.
-Differentiation is always spectral; the one finite-difference stencil,
-``geometry.central_difference``, serves only the variation checks.
-A fit is one product with the degree-160 interpolation operator, built once
-at import (bit for bit numpy's ``chebinterpolate``); a path metric fits
+Differentiation is always spectral; the variation checks differentiate
+along a direction by complex step (``geometry.complex_step``), with no
+stencil and no fit.  A fit refuses non-finite samples; it is one product
+with the degree-160 interpolation operator, built once at import (bit for
+bit numpy's ``chebinterpolate``); a path metric fits
 nothing, since ``functionals.path_metric`` combines its endpoints' nodal
 data affinely, at one t or over a whole t-rule at once.  Evaluation and
 differentiation run numpy's ``chebval`` (Clenshaw) and ``chebder`` recurrences
@@ -60,8 +61,13 @@ class Profile:
 
     @classmethod
     def from_callable(cls, fn) -> "Profile":
+        s = 0.5 * (_CHEB_X + 1.0)
+        samples = fn(s)
+        if not (finite := np.isfinite(samples)).all():
+            bad = int(finite.argmin())
+            raise ValueError(f"profile sample {samples[bad]} at s = {s[bad]!r} is not finite")
         # chebinterpolate's arithmetic on the cached operator, bit for bit
-        coef = np.dot(_CHEB_VANDER.T, fn(0.5 * (_CHEB_X + 1.0)))
+        coef = np.dot(_CHEB_VANDER.T, samples)
         coef[0] /= DEFAULT_DEGREE + 1
         coef[1:] /= 0.5 * (DEFAULT_DEGREE + 1)
         # drop trailing roundoff noise: keeps polynomial data exactly

@@ -83,11 +83,11 @@ class RadialQuadrature:
         self.nodes.flags.writeable = False
         self.weights.flags.writeable = False
 
-    def integrate(self, values) -> float:
-        """values @ weights over the last axis: a float for nodal values,
-        an array of shape (T,) for a (T, N) stack of them."""
-        total = np.asarray(values, dtype=float) @ self.weights
-        return float(total) if total.ndim == 0 else total
+    def integrate(self, values):
+        """values @ weights over the last axis: a scalar for nodal values, real
+        for real values, and an array of shape (T,) for a (T, N) stack of them."""
+        total = np.asarray(values) @ self.weights
+        return total.item() if total.ndim == 0 else total
 
 
 @lru_cache(maxsize=None)

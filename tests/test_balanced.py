@@ -153,6 +153,16 @@ def test_contraction_rate_of_the_plain_map():
     assert fs_start.iterations == 0 and math.isnan(fs_start.contraction_rate)
 
 
+def test_contraction_rate_matches_lambda_2():
+    # the plain map contracts at lambda_2 = 1 - (n+2)(n+3)/((k+n+1)(k+n+2)),
+    # measured from acceptance 11a's start
+    k = 10
+    for n in (1, 2, 3):
+        _, trace = t_iteration(RadialPotential(n, (0.0, 0.01, -0.005)), k)
+        want = 1.0 - (n + 2) * (n + 3) / ((k + n + 1) * (k + n + 2))
+        assert abs(trace.contraction_rate - want) <= 1e-6 * want, n
+
+
 def test_balance_defect_makes_one_stratum_sum(rng, rule200, monkeypatch):
     from artifact import bergman
 

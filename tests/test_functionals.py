@@ -15,6 +15,7 @@ from artifact import (
     tilde_S_bc,
     tilde_S_path,
 )
+from artifact.bergman import donaldson_variation_check
 from artifact.errors import NonPositiveMetric, PathLeavesCone
 from artifact.forms import RadialForm, hessian_form, mixed_integral, omega_form, ricci_form
 from artifact.geometry import (
@@ -282,6 +283,22 @@ def test_first_variations_match_finite_differences(rng, rule200):
     for j in (0, 1, 2):
         fd, formula, defect = first_variation(j, m, psi)
         assert defect < 1e-7 * (1.0 + abs(formula))
+
+
+def test_complex_step_variations_hold_to_roundoff(rng, rule200):
+    # Im f(phi + i h psi)/h subtracts nothing, so each derivative meets its
+    # formula to roundoff; a real cast on its way would zero the imaginary part
+    for _ in range(6):
+        for n in (1, 2, 3):
+            m = random_metric(rng, n, rule200)
+            d1 = ScalarField.from_callable(m, lambda s: np.sin(2.0 * s) - 0.4 * s**2)
+            d2 = ScalarField.from_callable(m, lambda s: s**3 - 0.7 * s)
+            for j in (0, 1, 2):
+                _, formula, defect = first_variation(j, m, d1)
+                assert defect <= 1e-12 * (1.0 + abs(formula)), (n, j)
+            _, formula, defect = donaldson_variation_check(m, 25, d1)
+            assert defect <= 1e-13 * abs(formula), n
+            assert gamma2_defect(m, d1, d2) <= 1e-10, n
 
 
 def test_liouville_density_first_variation(rng, rule200):

@@ -44,6 +44,20 @@ def test_values_and_derivatives_are_numpy_bit_for_bit():
             assert np.array_equal(p.deriv(order).coef, want)
 
 
+def test_fit_refuses_a_non_finite_sample():
+    nodes = 0.5 * (np.polynomial.chebyshev.chebpts1(DEFAULT_DEGREE + 1) + 1.0)
+    for bad in (np.inf, -np.inf, np.nan):
+        for i in (0, 80, DEFAULT_DEGREE):
+            def fn(s, i=i, bad=bad):
+                v = np.sin(3.0 * s)
+                v[i] = bad
+                return v
+
+            with pytest.raises(ValueError, match="is not finite") as err:
+                Profile.from_callable(fn)
+            assert repr(nodes[i]) in str(err.value)
+
+
 def test_derivative_of_analytic_function():
     p = Profile.from_callable(lambda s: np.sin(3.0 * s))
     d = p.deriv()
