@@ -49,16 +49,17 @@ import numpy as np
 from .bergman import (
     LOG_TWO_PI,
     StepKernels,
-    _log_factorials,
+    _log_angular_sum,
     bergman_density,
+    degree_multiplicities,
     dim_h0,
+    fs_log_J,
     gram,
     kernel_log_J,
     kernel_moments,
     log_partition_ratio,
     log_stratum_sum,
     step_kernels,
-    stratum_s_part,
 )
 from .errors import NotConverged
 from .functionals import S_j
@@ -163,14 +164,13 @@ def balance_defect(metric: RadialKahlerMetric, k: int) -> float:
     return _sup_defect(dens.min_value, dens.max_value, class_volume(n) / dim_h0(n, k))
 
 
-def _orbit_fit(log_eta: np.ndarray, kernels: StepKernels) -> tuple:
+def _orbit_fit(log_eta: np.ndarray, kernels: StepKernels, scale: float) -> tuple:
     """(sup residual, slope b) of log eta - log eta_FS after its least-squares
-    fit a + b m, with eta_FS = Hilb(FS) = D_m m!(k-m)!/k! in closed form (k!
-    goes into a): the kernels' rule integrates it exactly, and its J_m, spread
-    about k log 2, leave the doubles past k = 1000.  FS pulled back by
+    fit a + b m, with eta_FS = Hilb(FS) in closed form, ``fs_log_J`` plus
+    Hilb's ``scale``: the kernels' rule integrates it exactly, and its J_m,
+    spread about k log 2, leave the doubles past k = 1000.  FS pulled back by
     z -> lambda z has residual 0 and b = -t, t = log|lambda|^2."""
-    log_fact = _log_factorials(kernels.k)
-    gap = log_eta - kernels.log_degree - log_fact - log_fact[::-1]
+    gap = log_eta - (fs_log_J(kernels.n, kernels.k) + scale)
     m = np.arange(kernels.k + 1) - kernels.k / 2
     slope = float(m @ gap / (m @ m))
     return float(np.abs(gap - gap.mean() - slope * m).max()), slope
@@ -205,7 +205,7 @@ def t_iteration(initial_potential: RadialPotential, k: int, rule=None,
         defects.append(defect)
     converged = defects[-1] <= tol
     trace = IterationTrace(tuple(defects), len(defects) - 1, converged,
-                           *_orbit_fit(log_eta_next, kernels))
+                           *_orbit_fit(log_eta_next, kernels, scale))
     if not converged:
         raise NotConverged(trace)
     return fs_map_profile(n, log_eta), trace
@@ -228,10 +228,10 @@ def liouville_approx_SLk(potential: RadialPotential, k: int, rule=None,
     the partition-ratio identity log det_omega(H) - d_k log(d_k/V) =
     log Z_k[phi]/Z_k[0]; "raw" subtracts the literal Gram log dets,
     log det Gram[phi] - log det Gram[0], the same term because
-    H = (d_k/V) Gram entrywise.  Those log dets are of size ~10^2 and share
-    the angular sum (n = 1, k = 20, phi = 0.1 s - 0.04 s^2: -210.758 and
-    -195.496), so the raw route's digits past about 1e-9 relative are noise:
-    it is a cross-check only.
+    H = (d_k/V) Gram entrywise (FS's in closed form, ``fs_log_J``).  Those
+    log dets are of size ~10^2 and share the angular sum (n = 1, k = 20,
+    phi = 0.1 s - 0.04 s^2: -210.758 and -195.496), so the raw route's
+    digits past about 1e-9 relative are noise: it is a cross-check only.
     """
     if route not in ("identity", "raw"):
         raise ValueError(f"unknown route {route!r}")
@@ -242,11 +242,10 @@ def liouville_approx_SLk(potential: RadialPotential, k: int, rule=None,
     metric = build_metric(potential, rule)
     base = fubini_study(n, rule)
     if route == "identity":
-        det_term = log_partition_ratio(metric, base, k)
+        det_term = log_partition_ratio(metric, k=k)
     else:
-        s_part = stratum_s_part(k, metric.nd["s"])  # one rule: both grams read it
-        det_term = (gram(metric, k, s_part=s_part).log_det
-                    - gram(base, k, s_part=s_part).log_det)
+        fs_log_det = _log_angular_sum(n, k) + (degree_multiplicities(n, k) @ fs_log_J(n, k)).item()
+        det_term = gram(metric, k).log_det - fs_log_det
     det_term -= k * dim_h0(n, k) * S_j(metric, base, 0).value
     s1 = S_j(build_metric(fs_map_profile(n, hilb_map(metric, k)), rule), base, 1).value
     return float((TWO_PI**n * det_term - k**n * s1) * k ** (1 - n))

@@ -16,6 +16,9 @@ alpha_i = a occurs in C(k-a+n-1, n-1) of them, so
         = sum_m C(m+n-1, n-1) [n log 2 pi - log (m+n-1)!]
           + n sum_a C(k-a+n-1, n-1) log a!.
 
+Partition ratios are taken against Fubini-Study, whose J_m are the Beta
+integrals (m+n-1)!(k-m)!/(k+n)! in closed form (``fs_log_J``).
+
 The Bergman density and the Fubini-Study map of a diagonal form are the
 same log-space stratum sum
 
@@ -240,13 +243,12 @@ def kernel_log_J(kernels: StepKernels, factor: np.ndarray) -> np.ndarray:
     return _positive_norms(np.log(K @ factor) - kernels.log_degree)
 
 
-def gram(metric: RadialKahlerMetric, k: int, *, s_part=None) -> GramData:
+def gram(metric: RadialKahlerMetric, k: int) -> GramData:
     """Radial-diagonal Gram data for degree-k sections, computed once per
-    (metric, k); ``s_part``, if given, is the stratum s-part at the nodes."""
+    (metric, k) by quadrature; partition ratios take FS's in closed form."""
 
     def build():
-        nodal = stratum_s_part(k, metric.nd["s"]) if s_part is None else s_part
-        log_Jm = radial_log_J(metric, k, nodal)
+        log_Jm = radial_log_J(metric, k, stratum_s_part(k, metric.nd["s"]))
         n = metric.n
         log_det = _log_angular_sum(n, k) + (degree_multiplicities(n, k) @ log_Jm).item()
         return GramData(log_Jm, log_det)
@@ -285,15 +287,18 @@ def bergman_density(metric: RadialKahlerMetric, k: int) -> BergmanDensity:
     return BergmanDensity(field, float(dense.min()), float(dense.max()), k)
 
 
-def log_partition_ratio(metric_phi: RadialKahlerMetric, metric_ref: RadialKahlerMetric,
-                        k: int) -> float:
-    """log Z_k[phi] - log Z_k[ref]; basis factors cancel degree by degree."""
-    if metric_phi.n != metric_ref.n:
-        raise ValueError("metrics live on different manifolds")
-    # on one rule both grams read one s-part
-    s_part = stratum_s_part(k, metric_phi.nd["s"]) if metric_phi.rule is metric_ref.rule else None
-    diff = gram(metric_phi, k, s_part=s_part).log_Jm - gram(metric_ref, k, s_part=s_part).log_Jm
-    return (degree_multiplicities(metric_phi.n, k) @ diff).item()
+def fs_log_J(n: int, k: int) -> np.ndarray:
+    """log J_m of Fubini-Study on CP^n, m = 0..k, in closed form: the Beta
+    integral J_m = (m+n-1)!(k-m)!/(k+n)!, of the exact factorials."""
+    log_fact = _log_factorials(k + n)
+    return log_fact[n - 1:k + n] + log_fact[k::-1] - log_fact[k + n]
+
+
+def log_partition_ratio(metric: RadialKahlerMetric, *, k: int) -> float:
+    """log Z_k[phi] - log Z_k[FS] on the metric's CP^n: basis factors cancel
+    degree by degree, phi's J_m are its Gram data and FS's are ``fs_log_J``."""
+    n = metric.n
+    return (degree_multiplicities(n, k) @ (gram(metric, k).log_Jm - fs_log_J(n, k))).item()
 
 
 def donaldson_variation_check(metric: RadialKahlerMetric, k: int, direction: ScalarField):
@@ -304,5 +309,5 @@ def donaldson_variation_check(metric: RadialKahlerMetric, k: int, direction: Sca
     formula = metric.integrate(
         direction.values * (lap_rho.values - k * dens.field.values)
     )
-    step = complex_step(metric, direction.profile, lambda mt: log_partition_ratio(mt, metric, k))
+    step = complex_step(metric, direction.profile, lambda mt: log_partition_ratio(mt, k=k))
     return step, formula, abs(step - formula)

@@ -202,8 +202,8 @@ def _bergman_rows(config, metric):
     return ["k", "scaled_rho_min", "scaled_rho_max", "integral_defect"], rows
 
 
-def _partition_rows(config, metric, base):
-    ratios = {k: log_partition_ratio(metric, base, k) for k in reversed(config.k_values)}
+def _partition_rows(config, metric):
+    ratios = {k: log_partition_ratio(metric, k=k) for k in reversed(config.k_values)}
     rows = [(k, ratios[k], TWO_PI**metric.n * ratios[k]) for k in config.k_values]
     return ["k", "log_ratio", "scaled_log_ratio"], rows
 
@@ -256,13 +256,12 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     else:
         rule = radial_rule(config.order)
         metric = build_metric(config.potential(), rule)
-        base = fubini_study(config.n, rule)
         if config.kind == "bergman":
             header, rows = _bergman_rows(config, metric)
         elif config.kind == "partition":
-            header, rows = _partition_rows(config, metric, base)
+            header, rows = _partition_rows(config, metric)
         elif config.kind == "functionals":
-            header, rows = _functionals_rows(metric, base)
+            header, rows = _functionals_rows(metric, fubini_study(config.n, rule))
         elif config.kind == "futaki":
             header, rows = _futaki_rows(metric)
         else:
@@ -305,7 +304,7 @@ def run_fit(config: ExperimentConfig):
     metric = build_metric(config.potential(), rule)
     base = fubini_study(config.n, rule)
     samples = _partition_samples(config) or [
-        (k, scaled) for k, _, scaled in _partition_rows(config, metric, base)[1]]
+        (k, scaled) for k, _, scaled in _partition_rows(config, metric)[1]]
     s_vals = {j: S_j(metric, base, j).value for j in ORDERS}
 
     def known(k):
@@ -357,7 +356,7 @@ def verify_suite(tol_profile: str = "default") -> VerifyReport:
     shift = build_metric(RadialPotential(1, (0.7,)), rule)
     k = 25
     measured = abs(
-        log_partition_ratio(shift, fs1, k) + k * dim_h0(1, k) * 0.7
+        log_partition_ratio(shift, k=k) + k * dim_h0(1, k) * 0.7
     ) / (k * dim_h0(1, k) * 0.7)
     checks.append(CheckResult("partition-constant-shift", measured, tols["partition_shift"]))
 

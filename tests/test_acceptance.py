@@ -76,11 +76,10 @@ def draw_metric(rng, n, rule=RULE, scale=0.1):
 
 def test_acceptance_01_constant_potential_exactness():
     for n in (1, 2):
-        base = fs(n)
         for c in (-0.3, 0.3, 1.7):
             m = build_metric(RadialPotential(n, (c,)), RULE)
             for k in range(1, 51):
-                got = log_partition_ratio(m, base, k)
+                got = log_partition_ratio(m, k=k)
                 want = -k * dim_h0(n, k) * c
                 assert abs(got - want) <= 1e-10 * abs(want)
 
@@ -183,7 +182,7 @@ def test_acceptance_06_partition_asymptotics():
         s1 = S_j(m, base, 1).value
         s2 = S_j(m, base, 2).value
         samples = [
-            (k, TWO_PI**n * log_partition_ratio(m, base, k)) for k in ks
+            (k, TWO_PI**n * log_partition_ratio(m, k=k)) for k in ks
         ]
         fit = fit_expansion(
             samples, n, order,

@@ -611,17 +611,24 @@ def test_level_action_builds_three_metrics(rule200, monkeypatch):
         assert [name for name, _ in calls] == ["build_metric", "fubini_study", "build_metric"]
 
 
-def test_level_action_builds_one_s_part_per_gram_pair(monkeypatch):
-    # both routes read phi's and Fubini-Study's Gram data off one s-part; the
-    # other is the stratum sum that FS_k(Hilb_k(phi)) is fitted from
+def test_level_action_builds_one_s_part_and_no_fubini_study_gram(monkeypatch):
+    # both routes read phi's Gram data off one s-part and take Fubini-Study's
+    # J_m in closed form; the other s-part is the stratum sum that
+    # FS_k(Hilb_k(phi)) is fitted from
     from artifact import balanced, bergman
 
-    calls = _count_calls_in_step(
-        monkeypatch, ((bergman, "stratum_s_part"), (balanced, "stratum_s_part")))
+    grams, gram = [], bergman.gram
+    for owner in (bergman, balanced):
+        monkeypatch.setattr(owner, "gram",
+                            lambda metric, k: grams.append(metric.potential) or gram(metric, k))
+    calls = _count_calls_in_step(monkeypatch, ((bergman, "stratum_s_part"),))
+    potential = RadialPotential(1, (0.0, 0.1, -0.04))
     for route in ("identity", "raw"):
         calls.clear()
-        liouville_approx_SLk(RadialPotential(1, (0.0, 0.1, -0.04)), 20, route=route)
+        grams.clear()
+        liouville_approx_SLk(potential, 20, route=route)
         assert len(calls) == 2, route
+        assert grams and all(p is potential for p in grams), route
 
 
 def test_level_action_rejects_an_unknown_route_before_building(rule200, monkeypatch):

@@ -25,6 +25,7 @@ from artifact.bergman import (
     _logsumexp,
     degree_multiplicities,
     donaldson_variation_check,
+    fs_log_J,
     kernel_moments,
     log_degree_weights,
     log_stratum_sum,
@@ -49,11 +50,6 @@ def test_section_space_dimensions():
     for n, k in ((0, 3), (1, -1)):
         with pytest.raises(ValueError, match="need n >= 1 and k >= 0"):
             dim_h0(n, k)
-
-
-def test_partition_ratio_refuses_metrics_of_different_dimension(fs_metric):
-    with pytest.raises(ValueError, match="different manifolds"):
-        log_partition_ratio(fs_metric(1), fs_metric(2), 5)
 
 
 def test_degree_multiplicities_are_built_once_and_read_only():
@@ -128,61 +124,73 @@ def test_gram_requires_resolution():
         gram(fubini_study(1, radial_rule(32)), 40)
 
 
-def test_partition_ratio_gates_both_rules(rng):
-    # the reference metric is integrated on its own rule, so its rule is gated too
+def test_partition_ratio_gates_the_metric_rule(rng):
+    # phi's J_m are integrated on the metric's own rule, so that rule is gated;
+    # Fubini-Study's are in closed form and read no rule
     k = 100
-    m = random_metric(rng, 1, radial_rule(300))
-    with pytest.raises(ResolutionTooLow):
-        log_partition_ratio(m, fubini_study(1, radial_rule(40)), k)
-    with pytest.raises(ResolutionTooLow):
-        log_partition_ratio(fubini_study(1, radial_rule(40)), m, k)
+    assert math.isfinite(log_partition_ratio(random_metric(rng, 1, radial_rule(300)), k=k))
+    for m in (random_metric(rng, 1, radial_rule(40)), fubini_study(1, radial_rule(40))):
+        with pytest.raises(ResolutionTooLow):
+            log_partition_ratio(m, k=k)
+
+
+def test_fubini_study_J_in_closed_form_match_its_quadrature():
+    # the Beta integrals (m+n-1)!(k-m)!/(k+n)! against FS's Gram data on the
+    # CLI default windows, each on its run's rule
+    from artifact.cli import DEFAULT_WINDOWS
+    from artifact.harness import ExperimentConfig
+
+    for n in (1, 2, 3):
+        k_min, k_max, k_stride = DEFAULT_WINDOWS[n]
+        config = ExperimentConfig(kind="partition", n=n, k_min=k_min, k_max=k_max,
+                                  k_stride=k_stride)
+        fs = fubini_study(n, radial_rule(config.order))
+        for k in config.k_values:
+            gap = np.abs(fs_log_J(n, k) - gram(fs, k).log_Jm).max()
+            assert gap <= 5e-13, (n, k, gap)
+    # k = 2 on CP^1: J_m = m!(2-m)!/3! = 1/3, 1/6, 1/3
+    assert np.abs(fs_log_J(1, 2) - np.log([1.0 / 3.0, 1.0 / 6.0, 1.0 / 3.0])).max() <= 1e-15
 
 
 def test_partition_ratio_reads_the_cached_gram_data(rng, rule200, monkeypatch):
     from artifact import bergman
 
     k = 40
-    m, base = random_metric(rng, 2, rule200), fubini_study(2, rule200)
-    j_phi, j_ref = gram(m, k).log_Jm, gram(base, k).log_Jm
+    m = random_metric(rng, 2, rule200)
+    j_phi = gram(m, k).log_Jm
     calls = []
     radial_log_J = bergman.radial_log_J
     monkeypatch.setattr(bergman, "radial_log_J",
                         lambda metric, k, s_part: calls.append(k) or radial_log_J(metric, k, s_part))
-    got = log_partition_ratio(m, base, k)
+    got = log_partition_ratio(m, k=k)
     assert calls == []
-    assert got == float(degree_multiplicities(2, k) @ (j_phi - j_ref))
+    assert got == float(degree_multiplicities(2, k) @ (j_phi - fs_log_J(2, k)))
 
 
 def test_partition_ratio_builds_one_s_part_per_k(rng, rule200, monkeypatch):
-    # metrics on one rule share the stratum s-part of each k; the Gram data are
-    # those of two grams built on their own, bit for bit
+    # phi's Gram data build one stratum s-part per k and cache it with them;
+    # Fubini-Study's side is in closed form and builds none
     from artifact import bergman
 
     ks = (6, 17, 40)
-    m, base = random_metric(rng, 2, rule200), fubini_study(2, rule200)
+    m = random_metric(rng, 2, rule200)
     calls = []
     stratum_s_part = bergman.stratum_s_part
     monkeypatch.setattr(bergman, "stratum_s_part",
                         lambda k, s: calls.append(k) or stratum_s_part(k, s))
-    ratios = [log_partition_ratio(m, base, k) for k in ks]
+    ratios = [log_partition_ratio(m, k=k) for k in ks]
     assert calls == list(ks)
-    m_alone, base_alone = build_metric(m.potential, rule200), fubini_study(2, rule200)
+    m_alone = build_metric(m.potential, rule200)
     for k, ratio in zip(ks, ratios):
-        j_phi, j_ref = gram(m_alone, k).log_Jm, gram(base_alone, k).log_Jm
+        j_phi = gram(m_alone, k).log_Jm
         assert gram(m, k).log_Jm.tobytes() == j_phi.tobytes()
-        assert gram(base, k).log_Jm.tobytes() == j_ref.tobytes()
-        assert ratio == float(degree_multiplicities(2, k) @ (j_phi - j_ref))
-    # the s-part is built on entry, whatever the grams have cached
+        assert ratio == float(degree_multiplicities(2, k) @ (j_phi - fs_log_J(2, k)))
+    # the cached Gram data are read again; a new metric builds its own s-part
     calls.clear()
-    assert [log_partition_ratio(m, base, k) for k in ks] == ratios
-    assert calls == list(ks)
-    calls.clear()
-    assert log_partition_ratio(build_metric(m.potential, rule200), base, ks[0]) == ratios[0]
+    assert [log_partition_ratio(m, k=k) for k in ks] == ratios
+    assert calls == []
+    assert log_partition_ratio(build_metric(m.potential, rule200), k=ks[0]) == ratios[0]
     assert calls == [ks[0]]
-    # on two rules each gram builds its own
-    calls.clear()
-    log_partition_ratio(build_metric(m.potential, radial_rule(240)), fubini_study(2, rule200), 6)
-    assert calls == [6, 6]
 
 
 def test_full_hermitian_mode_agrees_with_radial_reduction(rng, rule200):
@@ -213,10 +221,10 @@ def test_density_is_constant_exactly_on_fs(fs_metric):
         assert abs(dens.max_value - want) < 1e-9 * want
 
 
-def test_partition_ratio_of_constant_shift(fs_metric, rule200):
+def test_partition_ratio_of_constant_shift(rule200):
     k, c = 17, -0.4
     m = build_metric(RadialPotential(2, (c,)), rule200)
-    got = log_partition_ratio(m, fs_metric(2), k)
+    got = log_partition_ratio(m, k=k)
     want = -k * dim_h0(2, k) * c
     assert abs(got - want) < 1e-11 * abs(want)
 

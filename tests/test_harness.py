@@ -91,15 +91,14 @@ def test_csv_values_keep_full_precision(tmp_path):
                               k_min=10, k_max=20, k_stride=10,
                               out_dir=str(tmp_path / "p"))
     run_experiment(config)
-    from artifact import build_metric, RadialPotential, radial_rule
+    from artifact import build_metric, radial_rule
     from artifact.bergman import log_partition_ratio
 
     rule = radial_rule(config.order)
     m = build_metric(config.potential(), rule)
-    base = build_metric(RadialPotential(1, (0.0,)), rule)
     lines = (tmp_path / "p" / "partition.csv").read_text().strip().splitlines()
     k, ratio, _ = lines[1].split(",")
-    want = log_partition_ratio(m, base, int(k))
+    want = log_partition_ratio(m, k=int(k))
     assert float(ratio) == pytest.approx(want, abs=0.0, rel=1e-15)
 
 
@@ -147,14 +146,14 @@ FIT_RUN = dict(kind="partition", n=1, potential_coeffs=(0.0, 0.1, -0.05),
 
 
 def count_calls(monkeypatch, name):
-    """Log the arguments of every call of the bergman function ``name``,
-    wherever an artifact module binds it."""
+    """Log the arguments, positional then keyword, of every call of the
+    bergman function ``name``, wherever an artifact module binds it."""
     from artifact import bergman
 
     calls, original = [], getattr(bergman, name)
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append((*args, *kwargs.values()))
         return original(*args, **kwargs)
 
     for module_name, module in list(sys.modules.items()):
@@ -211,14 +210,13 @@ def test_fit_sweeps_again_unless_the_run_matches(tmp_path, monkeypatch, spoil):
     spoil(tmp_path / "run")
     ratios = count_calls(monkeypatch, "log_partition_ratio")
     assert fit_bits(run_fit(config)) == swept
-    assert [k for _, _, k in ratios] == config.k_values[::-1]
+    assert [k for _, k in ratios] == config.k_values[::-1]
 
 
 def test_windows_run_largest_k_first_and_write_ascending_rows(tmp_path, monkeypatch):
     # rows are ascending in k and bit-equal to per-k calls made in ascending
     # order on fresh metrics
     from artifact import bergman_density, build_metric, log_partition_ratio, radial_rule
-    from artifact.geometry import fubini_study
     from artifact.harness import write_csv
 
     for kind, n, k_min, k_max, k_stride in (("partition", 1, 20, 60, 8), ("bergman", 2, 4, 24, 5)):
@@ -231,11 +229,11 @@ def test_windows_run_largest_k_first_and_write_ascending_rows(tmp_path, monkeypa
         monkeypatch.undo()
         assert [args[-1] for args in calls] == config.k_values[::-1]
         rule = radial_rule(config.order)
-        metric, base = build_metric(config.potential(), rule), fubini_study(n, rule)
+        metric = build_metric(config.potential(), rule)
         rows = []
         for k in config.k_values:
             if kind == "partition":
-                ratio = log_partition_ratio(metric, base, k)
+                ratio = log_partition_ratio(metric, k=k)
                 rows.append((k, ratio, TWO_PI**n * ratio))
             else:
                 dens = bergman_density(metric, k)
