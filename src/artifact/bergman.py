@@ -39,7 +39,9 @@ Fubini-Study potential phi = (1/k) log P has, exactly,
 the two moments of p that a T-step reads (``balanced`` sets the step out).
 
 J_m contracts the same terms over the nodes: it shares the s-part
-m log s + (k-m) log(1-s) (``stratum_s_part``), and s^(n-1) joins its
+m log s + (k-m) log(1-s) (``stratum_s_part``), one rank-2 product
+[m, k-m] @ [log s; log(1-s)] whose two terms are <= 0 and so never cancel
+(its s = 0 and s = 1 columns set after the product), and s^(n-1) joins its
 per-node factor w (sG)^(n-1) F' e^(-k phi) (``radial_log_node``).
 ``StepKernels`` hold one kernel K = D_m s^m (1-s)^(k-m) e^(-shift) over the
 nodes and the dense grid, exponentiated once: a sum with new weights w is one
@@ -119,16 +121,23 @@ def _logsumexp(a: np.ndarray, axis: int, out=None) -> np.ndarray:
 
 
 def stratum_s_part(k: int, s: np.ndarray) -> np.ndarray:
-    """m log s + (k-m) log(1-s), m = 0..k by rows, s by columns (the m = 0 and
-    m = k rows skip the 0 log 0)."""
-    m = np.arange(k + 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_s = np.outer(m, np.log(s))
-        t_1ms = np.outer(k - m, np.log1p(-s))
-    t_s[0, :] = 0.0  # m = 0 contributes s^0 = 1 even at s = 0
-    t_1ms[-1, :] = 0.0  # m = k contributes (1-s)^0 = 1 even at s = 1
-    t_s += t_1ms
-    return t_s
+    """m log s + (k-m) log(1-s), m = 0..k by rows, s by columns: one product
+    [m, k-m] @ [log s; log(1-s)].  Both terms are <= 0, so their sum cancels
+    nowhere (m log(s/(1-s)) + k log(1-s) would, near s = 1).  Log 0 enters as
+    0, and its column is then 0 on the one row with no power of 0 (m = 0 at
+    s = 0, m = k at s = 1) and -inf on every other."""
+    degrees, logs = np.empty((k + 1, 2)), np.empty((2, s.size))
+    degrees[:, 0] = np.arange(k + 1.0)
+    np.subtract(k, degrees[:, 0], out=degrees[:, 1])
+    with np.errstate(divide="ignore"):
+        np.log(s, out=logs[0])
+        np.log1p(-s, out=logs[1])
+    ends = np.isinf(logs)  # s = 0 in row 0, s = 1 in row 1
+    logs[ends] = 0.0  # no 0 x inf enters the product
+    table = degrees @ logs
+    table[1:, ends[0]] = -np.inf
+    table[:-1, ends[1]] = -np.inf
+    return table
 
 
 def log_degree_weights(n: int, k: int) -> np.ndarray:

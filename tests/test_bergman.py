@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import accumulate
 from operator import mul
 
@@ -117,6 +118,39 @@ def test_degree_weights_are_exact():
         want = np.log([math.factorial(n - 1 + m) // math.factorial(m) for m in range(241)])
         got = log_degree_weights(n, 240)
         assert got.shape == want.shape and (got == want).all(), n
+
+
+def test_stratum_s_part_matches_a_40_digit_reference():
+    # m log s + (k-m) log(1-s) adds two terms <= 0, so the table keeps the
+    # roundoff of its logs; m log(s/(1-s)) + k log(1-s) would cancel near s = 1
+    # the 40-digit logs as integer multiples of 2^-150: each entry is then exact
+    # integer arithmetic and one correctly rounded division
+    scale = 2 ** 150
+    for k, s in ((240, radial_rule(512).nodes), (120, DENSE_GRID[1:-1])):
+        with mpmath.workdps(40):
+            logs = [(int(mpmath.nint(mpmath.log(x) * scale)),
+                     int(mpmath.nint(mpmath.log1p(-mpmath.mpf(x)) * scale))) for x in s.tolist()]
+        want = np.array([[(m * a + (k - m) * b) / scale for a, b in logs] for m in range(k + 1)])
+        got = stratum_s_part(k, s)
+        assert (np.abs(got - want) <= 1e-15 * np.abs(want)).all(), k
+
+
+def test_stratum_s_part_ends_inside_the_grid():
+    # s = 0 and s = 1 mid-grid, as in step_kernels' nodes then DENSE_GRID, and
+    # DENSE_GRID reversed: each end column is 0 on its one row, -inf elsewhere
+    for k in (1, 20):
+        grids = (np.concatenate([radial_rule(required_order(k)).nodes, DENSE_GRID]),
+                 DENSE_GRID[::-1])
+        for s in grids:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = stratum_s_part(k, s)
+            for end, row in ((0.0, 0), (1.0, k)):
+                (column,) = np.flatnonzero(s == end)
+                want = np.full(k + 1, -np.inf)
+                want[row] = 0.0
+                assert np.array_equal(table[:, column], want), (k, end)
+            assert np.isfinite(table[:, (s > 0.0) & (s < 1.0)]).all(), k
 
 
 def test_gram_requires_resolution():
