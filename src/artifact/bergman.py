@@ -20,15 +20,31 @@ Partition ratios are taken against Fubini-Study, whose J_m are the Beta
 integrals (m+n-1)!(k-m)!/(k+n)! in closed form (``fs_log_J``).
 
 The Bergman density and the Fubini-Study map of a diagonal form are the
-same log-space stratum sum
+same stratum sum
 
-    log P(s) = log sum_m D_m s^m (1-s)^(k-m) e^(w_m)
+    P(s) = sum_m D_m s^m (1-s)^(k-m) e^(w_m)
 
-with different weights w (``log_stratum_sum``).  A log-space sum
-(``_logsumexp``) floors its shifted terms at -SPREAD_BOUND before exp, which
-then skips its slow subnormal results; every such sum holds exp(0) = 1, and
-e^-600 lies some 800 binades under its last bit, so the floor moves no bit
-of it (tested on the largest Gram and density sums run).  The degree weight
+with different weights w (``log_stratum_sum``), and J_m contracts the same
+terms over the nodes, s^(n-1) joining its per-node factor
+w (sG)^(n-1) F' e^(-k phi) (``radial_log_node``).  Both sums are one product
+with the weight-free kernel of (k, s), normalized by row (``stratum_kernel``):
+
+    E_ms = exp(max(m log s + (k-m) log(1-s) - c_m, -700)),
+    c_m = m log(m/k) + (k-m) log(1-m/k)   (0 log 0 = 0),
+
+c_m the peak of row m over [0, 1], at s = m/k.  Its exponent is one product
+[m, k-m, -c_m] @ [log s; log(1-s); 1], whose first two terms are <= 0 and so
+never cancel (its -inf at s = 0 and s = 1 set after it, then floored like
+any entry).  With top the largest log-value,
+
+    log P(s) = log(exp(log D + w + c - top) @ E) + top,
+    log J_m  = (log(E @ exp(node - top)) + top) + c_m,
+
+in that addition order: adding c_m + top first costs the density integral
+about half a decimal digit.  Log-values more than ``SPREAD_BOUND`` = 600 apart
+raise SpreadTooLarge, so every sum holds a term above e^-601 and the floor
+at e^-700 moves no bit of it, while it keeps exp off its slow path below
+e^-708 (tested on the largest Gram and density sums run).  The degree weight
 D_m = (n-1+m)!/m! = (n-1)! C(m+n-1, n-1) is an integer, computed exactly, as
 are the factorials of the angular sum.  The shares p_m of the m-th
 term in P form a probability distribution on the degrees, and the
@@ -38,16 +54,13 @@ Fubini-Study potential phi = (1/k) log P has, exactly,
 
 the two moments of p that a T-step reads (``balanced`` sets the step out).
 
-J_m contracts the same terms over the nodes: it shares the s-part
-m log s + (k-m) log(1-s) (``stratum_s_part``), one rank-2 product
-[m, k-m] @ [log s; log(1-s)] whose two terms are <= 0 and so never cancel
-(its s = 0 and s = 1 columns set after the product), and s^(n-1) joins its
-per-node factor w (sG)^(n-1) F' e^(-k phi) (``radial_log_node``).
 ``StepKernels`` hold one kernel K = D_m s^m (1-s)^(k-m) e^(-shift) over the
-nodes and the dense grid, exponentiated once: a sum with new weights w is one
-product with exp(w - max w) (``kernel_moments``), and J_m one product of K's
-node block with the per-node factor times e^shift, where FS(H)'s 1/P cancels
-e^-shift (``kernel_log_J``).  Two spreads raise SpreadTooLarge: of w past
+nodes and the dense grid, exponentiated once from the s-part
+m log s + (k-m) log(1-s) (``stratum_s_part``, the same product without c_m):
+a sum with new weights w is one product with exp(w - max w)
+(``kernel_moments``), and J_m one product of K's node block with the
+per-node factor times e^shift, where FS(H)'s 1/P cancels e^-shift
+(``kernel_log_J``).  Two spreads raise SpreadTooLarge there: of w past
 ``SPREAD_BOUND``, which would leave the range of doubles, and of the shares
 p_m so far from ks that Var_p[m] cancels past ``CANCELLATION_BOUND``.
 """
@@ -68,6 +81,7 @@ from .quadrature import TWO_PI, RadialQuadrature, check_resolution
 LOG_TWO_PI = math.log(TWO_PI)
 DENSE_GRID = np.linspace(0.0, 1.0, 513)  # where densities are bounded, endpoints included
 SPREAD_BOUND = 600.0  # e^-600 and the sums it enters stay normal doubles (to e^-708)
+KERNEL_FLOOR = -700.0  # keeps exp off its slow path below -708, 100 nats under any sum
 CANCELLATION_BOUND = 1e4  # (E_p[m] - ks)^2/Var_p[m]: Var_p[m] keeps about 1e-12 relative
 
 
@@ -110,34 +124,61 @@ def _log_angular_sum(n: int, k: int) -> float:
     return sum(terms.tolist())
 
 
-def _logsumexp(a: np.ndarray, axis: int, out=None) -> np.ndarray:
-    """log sum exp(a) along an axis, shifted by the largest term into ``out``
-    (out=a only for an array built for the call: it is overwritten), with the
-    shifted terms floored at -SPREAD_BOUND."""
-    top = a.max(axis=axis, keepdims=True)
-    shifted = np.subtract(a, top, out=out)
-    np.maximum(shifted, -SPREAD_BOUND, out=shifted)
-    return np.log(np.exp(shifted, out=shifted).sum(axis=axis)) + np.squeeze(top, axis)
+def _stratum_exponents(degrees: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """degrees @ [log s; log(1-s); 1], m = 0..k by rows (degrees' first two
+    columns m and k-m), s by columns, the rows of logs as many as ``degrees``
+    has columns.  Log 0 enters as 0, so no 0 x inf reaches the product, and the
+    columns of s = 0 and s = 1 are then -inf on every row with a power of 0
+    (m > 0 at s = 0, m < k at s = 1)."""
+    logs = np.ones((degrees.shape[1], s.size))
+    with np.errstate(divide="ignore"):
+        np.log(s, out=logs[0])
+        np.log1p(-s, out=logs[1])
+    ends = np.isinf(logs[:2])
+    logs[:2][ends] = 0.0
+    table = degrees @ logs
+    table[1:, ends[0]] = -np.inf
+    table[:-1, ends[1]] = -np.inf
+    return table
 
 
 def stratum_s_part(k: int, s: np.ndarray) -> np.ndarray:
     """m log s + (k-m) log(1-s), m = 0..k by rows, s by columns: one product
     [m, k-m] @ [log s; log(1-s)].  Both terms are <= 0, so their sum cancels
-    nowhere (m log(s/(1-s)) + k log(1-s) would, near s = 1).  Log 0 enters as
-    0, and its column is then 0 on the one row with no power of 0 (m = 0 at
-    s = 0, m = k at s = 1) and -inf on every other."""
-    degrees, logs = np.empty((k + 1, 2)), np.empty((2, s.size))
+    nowhere (m log(s/(1-s)) + k log(1-s) would, near s = 1).  The columns of
+    s = 0 and s = 1 are 0 on the one row with no power of 0 and -inf on every
+    other."""
+    degrees = np.empty((k + 1, 2))
     degrees[:, 0] = np.arange(k + 1.0)
     np.subtract(k, degrees[:, 0], out=degrees[:, 1])
-    with np.errstate(divide="ignore"):
-        np.log(s, out=logs[0])
-        np.log1p(-s, out=logs[1])
-    ends = np.isinf(logs)  # s = 0 in row 0, s = 1 in row 1
-    logs[ends] = 0.0  # no 0 x inf enters the product
-    table = degrees @ logs
-    table[1:, ends[0]] = -np.inf
-    table[:-1, ends[1]] = -np.inf
-    return table
+    return _stratum_exponents(degrees, s)
+
+
+def stratum_kernel(k: int, s: np.ndarray):
+    """(E, c): the row-normalized stratum kernel, m = 0..k by rows, s by
+    columns, and its row peaks c_m (module docstring).  One product
+    [m, k-m, -c_m] @ [log s; log(1-s); 1], one in-place floor at
+    KERNEL_FLOOR, one in-place exp; the columns of s = 0 and s = 1 are 1 on
+    the one row with no power of 0 and e^KERNEL_FLOOR on every other."""
+    m = np.arange(1.0, k)
+    peaks = np.zeros(k + 1)
+    peaks[1:k] = m * np.log(m / k) + (k - m) * np.log1p(-m / k)
+    degrees = np.empty((k + 1, 3))
+    degrees[:, 0] = np.arange(k + 1.0)
+    np.subtract(k, degrees[:, 0], out=degrees[:, 1])
+    np.negative(peaks, out=degrees[:, 2])
+    E = _stratum_exponents(degrees, s)
+    np.maximum(E, KERNEL_FLOOR, out=E)
+    return np.exp(E, out=E), peaks
+
+
+def _checked_top(log_values: np.ndarray):
+    """The largest of real log-values, which a sum against a stratum kernel
+    takes out; a spread past SPREAD_BOUND raises SpreadTooLarge."""
+    top = log_values.max()
+    if (spread := top - log_values.min()) > SPREAD_BOUND:
+        raise SpreadTooLarge(float(spread), SPREAD_BOUND)
+    return top
 
 
 def log_degree_weights(n: int, k: int) -> np.ndarray:
@@ -146,10 +187,12 @@ def log_degree_weights(n: int, k: int) -> np.ndarray:
 
 
 def log_stratum_sum(n: int, k: int, log_weights: np.ndarray, s) -> np.ndarray:
-    """log P(s) = log sum_m (n-1+m)!/m! s^m (1-s)^(k-m) e^(w_m) at each s in [0, 1]."""
-    terms = stratum_s_part(k, np.atleast_1d(np.asarray(s, dtype=float)))
-    terms += (log_degree_weights(n, k) + log_weights)[:, None]
-    return _logsumexp(terms, 0, terms)
+    """log P(s) = log sum_m (n-1+m)!/m! s^m (1-s)^(k-m) e^(w_m) at each s in [0, 1]:
+    one product of exp(log D_m + w_m + c_m - top) with ``stratum_kernel``."""
+    E, peaks = stratum_kernel(k, np.atleast_1d(np.asarray(s, dtype=float)))
+    log_terms = log_degree_weights(n, k) + log_weights + peaks
+    top = _checked_top(log_terms)
+    return np.log(np.exp(log_terms - top) @ E) + top
 
 
 @dataclass(frozen=True)
@@ -199,9 +242,7 @@ def kernel_moments(kernels: StepKernels, log_weights: np.ndarray):
     down to e^-spread, so a spread of w past SPREAD_BOUND raises SpreadTooLarge,
     as does (E_p[m] - ks)^2 past CANCELLATION_BOUND Var_p[m] (at s = 0 and 1
     both are exactly 0)."""
-    top = log_weights.max()
-    if (spread := top - log_weights.min()) > SPREAD_BOUND:
-        raise SpreadTooLarge(float(spread), SPREAD_BOUND)
+    top = _checked_top(log_weights)
     S0, centre, var = (np.exp(log_weights - top) @ kernels.stack).reshape(3, -1)
     centre /= S0  # E_p[m] - ks
     square = centre * centre
@@ -236,12 +277,14 @@ def _positive_norms(log_Jm: np.ndarray) -> np.ndarray:
     return log_Jm
 
 
-def radial_log_J(metric: RadialKahlerMetric, k: int, s_part: np.ndarray) -> np.ndarray:
-    """log J_m, m = 0..k, from the stratum s-part at the metric's nodes; raises
-    NonPositiveNorm unless every J_m > 0."""
-    # (k+1) x nodes exponent matrix; all entries moderate since s is interior
-    terms = s_part + radial_log_node(metric, k)[None, :]
-    return _positive_norms(_logsumexp(terms, 1, terms))
+def radial_log_J(metric: RadialKahlerMetric, k: int) -> np.ndarray:
+    """log J_m, m = 0..k: one product of ``stratum_kernel`` at the metric's
+    nodes with exp(node - top), the row peaks added last; raises
+    SpreadTooLarge or, unless every J_m > 0, NonPositiveNorm."""
+    log_node = radial_log_node(metric, k)
+    top = _checked_top(log_node.real)  # complex under complex_step
+    E, peaks = stratum_kernel(k, metric.nd["s"])
+    return _positive_norms(np.log(E @ np.exp(log_node - top)) + top + peaks)
 
 
 def kernel_log_J(kernels: StepKernels, factor: np.ndarray) -> np.ndarray:
@@ -257,7 +300,7 @@ def gram(metric: RadialKahlerMetric, k: int) -> GramData:
     (metric, k) by quadrature; partition ratios take FS's in closed form."""
 
     def build():
-        log_Jm = radial_log_J(metric, k, stratum_s_part(k, metric.nd["s"]))
+        log_Jm = radial_log_J(metric, k)
         n = metric.n
         log_det = _log_angular_sum(n, k) + (degree_multiplicities(n, k) @ log_Jm).item()
         return GramData(log_Jm, log_det)

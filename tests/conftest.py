@@ -5,9 +5,10 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from artifact import RadialPotential, build_metric, dim_h0, functionals, radial_rule
-from artifact.bergman import DENSE_GRID, _logsumexp
+from artifact.bergman import DENSE_GRID
 from artifact.errors import NonPositiveMetric, NonPositiveNorm
 from artifact.geometry import RadialKahlerMetric, coefficient_split
 from artifact.profiles import Profile
@@ -241,7 +242,7 @@ def radial_log_J_by_step(metric, k):
     log_node = np.log(pos_weight) + (n - 1) * log_s - k * d["phi"]
     m = np.arange(k + 1)
     expo = np.outer(m, log_s) + np.outer(k - m, np.log1p(-d["s"])) + log_node[None, :]
-    return _logsumexp(expo, 1)
+    return logsumexp(expo, axis=1)
 
 
 def nodal_fs_metric(n, log_eta, rule):
@@ -251,7 +252,7 @@ def nodal_fs_metric(n, log_eta, rule):
     k, order = len(log_eta) - 1, rule.order
     s = np.concatenate([rule.nodes, DENSE_GRID])
     terms = stratum_terms_by_step(n, k, -log_eta, s)
-    log_P = _logsumexp(terms, 0)
+    log_P = logsumexp(terms, axis=0)
     p = np.exp(terms - log_P)
     m = np.arange(k + 1.0)[:, None]
     mean = (m * p).sum(axis=0)
@@ -268,7 +269,7 @@ def logsumexp_density(n, log_eta, rule):
     k, order = len(log_eta) - 1, rule.order
     nodal, log_P = nodal_fs_metric(n, log_eta, rule)
     log_Jm = radial_log_J_by_step(nodal, k)
-    log_sum = _logsumexp(stratum_terms_by_step(n, k, -log_Jm, DENSE_GRID), 0)
+    log_sum = logsumexp(stratum_terms_by_step(n, k, -log_Jm, DENSE_GRID), axis=0)
     return log_Jm, np.exp(log_sum - log_P[order:] - n * math.log(TWO_PI))
 
 

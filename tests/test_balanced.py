@@ -288,13 +288,13 @@ def test_steps_multiply_kernels_built_once_per_iteration(monkeypatch):
     # the kernels are built on entry and the first iterate's moments formed; a
     # step is one product with the kernel's node block and one with the moment
     # stack, which gives the next iterate's moments and the density's
-    # numerator: it calls no logsumexp, builds no s-part and takes no Gram data
+    # numerator: it builds no stratum kernel or s-part and takes no Gram data
     # by the per-metric route
     from artifact import balanced, bergman
 
     calls = _count_calls_in_step(monkeypatch, (
         (balanced, "step_kernels"), (balanced, "kernel_log_J"), (balanced, "kernel_moments"),
-        (bergman, "_logsumexp"), (bergman, "stratum_s_part"), (bergman, "radial_log_J")))
+        (bergman, "stratum_kernel"), (bergman, "stratum_s_part"), (bergman, "radial_log_J")))
     with pytest.raises(NotConverged) as err:
         t_iteration(RadialPotential(2, (0.0, 0.01, -0.005)), 10, max_iter=3)
     assert len(err.value.trace.defects) == 4
@@ -302,8 +302,8 @@ def test_steps_multiply_kernels_built_once_per_iteration(monkeypatch):
         "kernel_log_J", "kernel_moments"] * 3
     # the start's Gram data and dense density only, then the iteration's kernels
     # and the first iterate's moments; the orbit fit reads Hilb(FS) in closed form
-    assert [name for name, _ in calls if name != "_logsumexp"] == [
-        "stratum_s_part", "radial_log_J", "stratum_s_part", "step_kernels", "stratum_s_part",
+    assert [name for name, _ in calls] == [
+        "radial_log_J", "stratum_kernel", "stratum_kernel", "step_kernels", "stratum_s_part",
         "kernel_moments"] + ["kernel_log_J", "kernel_moments"] * 3
 
 
@@ -341,19 +341,21 @@ def test_metrics_and_iterations_call_neither_chebval_nor_chebder(monkeypatch):
 def test_iteration_builds_its_fixed_grid_data_once(monkeypatch):
     from artifact import balanced, bergman
 
-    kernels, s_parts = [], []
-    build_kernels, build_s_part = balanced.step_kernels, bergman.stratum_s_part
+    kernels, tables = [], []
+    build_kernels = balanced.step_kernels
     monkeypatch.setattr(balanced, "step_kernels",
                         lambda *args: kernels.append(args) or build_kernels(*args))
-    monkeypatch.setattr(bergman, "stratum_s_part",
-                        lambda *args: s_parts.append(args[0]) or build_s_part(*args))
+    for name in ("stratum_kernel", "stratum_s_part"):
+        build = getattr(bergman, name)
+        monkeypatch.setattr(bergman, name, lambda *args, _name=name, _build=build:
+                            tables.append((_name, args[0])) or _build(*args))
     with pytest.raises(NotConverged):
         t_iteration(RadialPotential(2, (0.0, 0.01, -0.005)), 10, max_iter=5)
     assert [args[:2] for args in kernels] == [(2, 10)]
     assert kernels[0][2] is radial_rule(required_order(10))
     # the start metric's Gram data and dense density, then the iteration's
     # kernels; no step builds one
-    assert s_parts == [10, 10, 10]
+    assert tables == [("stratum_kernel", 10), ("stratum_kernel", 10), ("stratum_s_part", 10)]
 
 
 def test_fixed_grid_data_match_the_per_step_construction():
@@ -441,7 +443,7 @@ def test_trace_reads_the_distance_to_the_fs_orbit(n):
 def test_orbit_fit_reads_fs_where_its_norms_leave_the_doubles():
     # at k = 1100 the norms J_m of FS spread about k log 2 and leave the doubles,
     # while a start of spread about 0.42 k still iterates: its trace places it
-    # against Hilb(FS) as the per-metric logsumexp route reads it
+    # against Hilb(FS) as the per-metric stratum-kernel route reads it
     k = 1100
     rule = radial_rule(required_order(k))
     start = build_metric(RadialPotential(1, (0.0, -0.99, 0.99)), rule)
@@ -512,7 +514,7 @@ def test_t_step_iterates_to_the_iteration_defects():
 
 def test_t_step_is_hilb_of_the_nodal_fs_metric(rng):
     # Hilb of the nodal FS(H), both with log J_m from the node block of the
-    # iteration's kernel and by the per-metric logsumexp route, within 1e-13
+    # iteration's kernel and by the per-metric stratum-kernel route, within 1e-13
     for n in (1, 2, 3):
         for k in (10, 20):
             rule = radial_rule(required_order(k))
@@ -611,17 +613,17 @@ def test_level_action_builds_three_metrics(rule200, monkeypatch):
         assert [name for name, _ in calls] == ["build_metric", "fubini_study", "build_metric"]
 
 
-def test_level_action_builds_one_s_part_and_no_fubini_study_gram(monkeypatch):
-    # both routes read phi's Gram data off one s-part and take Fubini-Study's
-    # J_m in closed form; the other s-part is the stratum sum that
-    # FS_k(Hilb_k(phi)) is fitted from
+def test_level_action_builds_one_kernel_and_no_fubini_study_gram(monkeypatch):
+    # both routes read phi's Gram data off one stratum kernel and take
+    # Fubini-Study's J_m in closed form; the other kernel is the stratum sum
+    # that FS_k(Hilb_k(phi)) is fitted from
     from artifact import balanced, bergman
 
     grams, gram = [], bergman.gram
     for owner in (bergman, balanced):
         monkeypatch.setattr(owner, "gram",
                             lambda metric, k: grams.append(metric.potential) or gram(metric, k))
-    calls = _count_calls_in_step(monkeypatch, ((bergman, "stratum_s_part"),))
+    calls = _count_calls_in_step(monkeypatch, ((bergman, "stratum_kernel"),))
     potential = RadialPotential(1, (0.0, 0.1, -0.04))
     for route in ("identity", "raw"):
         calls.clear()

@@ -23,7 +23,6 @@ from artifact import (
 from artifact.bergman import (
     DENSE_GRID,
     _log_angular_sum,
-    _logsumexp,
     degree_multiplicities,
     donaldson_variation_check,
     fs_log_J,
@@ -33,10 +32,12 @@ from artifact.bergman import (
     radial_log_J,
     radial_log_node,
     step_kernels,
+    stratum_kernel,
     stratum_s_part,
 )
-from artifact.errors import ResolutionTooLow
-from artifact.geometry import fubini_study
+from artifact.errors import NonPositiveMetric, ResolutionTooLow, SpreadTooLarge
+from artifact.geometry import RadialKahlerMetric, fubini_study
+from artifact.harness import ExperimentConfig
 from artifact.quadrature import TWO_PI, required_order
 
 from conftest import MonomialBasis, gram_full, monomial_angular_factor, random_metric
@@ -195,23 +196,23 @@ def test_partition_ratio_reads_the_cached_gram_data(rng, rule200, monkeypatch):
     calls = []
     radial_log_J = bergman.radial_log_J
     monkeypatch.setattr(bergman, "radial_log_J",
-                        lambda metric, k, s_part: calls.append(k) or radial_log_J(metric, k, s_part))
+                        lambda metric, k: calls.append(k) or radial_log_J(metric, k))
     got = log_partition_ratio(m, k=k)
     assert calls == []
     assert got == float(degree_multiplicities(2, k) @ (j_phi - fs_log_J(2, k)))
 
 
-def test_partition_ratio_builds_one_s_part_per_k(rng, rule200, monkeypatch):
-    # phi's Gram data build one stratum s-part per k and cache it with them;
+def test_partition_ratio_builds_one_kernel_per_k(rng, rule200, monkeypatch):
+    # phi's Gram data build one stratum kernel per k and cache their norms;
     # Fubini-Study's side is in closed form and builds none
     from artifact import bergman
 
     ks = (6, 17, 40)
     m = random_metric(rng, 2, rule200)
     calls = []
-    stratum_s_part = bergman.stratum_s_part
-    monkeypatch.setattr(bergman, "stratum_s_part",
-                        lambda k, s: calls.append(k) or stratum_s_part(k, s))
+    stratum_kernel = bergman.stratum_kernel
+    monkeypatch.setattr(bergman, "stratum_kernel",
+                        lambda k, s: calls.append(k) or stratum_kernel(k, s))
     ratios = [log_partition_ratio(m, k=k) for k in ks]
     assert calls == list(ks)
     m_alone = build_metric(m.potential, rule200)
@@ -219,7 +220,7 @@ def test_partition_ratio_builds_one_s_part_per_k(rng, rule200, monkeypatch):
         j_phi = gram(m_alone, k).log_Jm
         assert gram(m, k).log_Jm.tobytes() == j_phi.tobytes()
         assert ratio == float(degree_multiplicities(2, k) @ (j_phi - fs_log_J(2, k)))
-    # the cached Gram data are read again; a new metric builds its own s-part
+    # the cached Gram data are read again; a new metric builds its own kernel
     calls.clear()
     assert [log_partition_ratio(m, k=k) for k in ks] == ratios
     assert calls == []
@@ -282,50 +283,147 @@ def test_density_integral_counts_sections(coeffs):
 
 @pytest.mark.parametrize("shape", [(21, 161), (41, 232), (121, 345), (201, 432)])
 def test_logsumexp_matches_scipy(rng, shape):
-    a = rng.normal(0.0, 30.0, size=shape)
-    for axis in (0, 1):
-        assert np.abs(_logsumexp(a, axis) - logsumexp(a, axis=axis)).max() < 1e-13
-    # the stratum terms: at s = 0 and s = 1 every term but one is -inf
+    # the stratum sum against scipy's logsumexp of its terms, s = 0 and s = 1
+    # included: there every term but one is -inf, and the kernel's end column
+    # is exactly 1 on that term's row and floored on every other
     k, n = shape[0] - 1, 2
     s = np.linspace(0.0, 1.0, shape[1])
-    terms = stratum_s_part(k, s) + (log_degree_weights(n, k) + rng.normal(size=k + 1))[:, None]
+    w = rng.normal(0.0, 3.0, size=k + 1)
+    terms = stratum_s_part(k, s) + (log_degree_weights(n, k) + w)[:, None]
     assert np.isneginf(terms[1:, 0]).all() and np.isneginf(terms[:-1, -1]).all()
-    ours = _logsumexp(terms, 0)
+    ours = log_stratum_sum(n, k, w, s)
     assert np.isfinite(ours).all()
     assert np.abs(ours - logsumexp(terms, axis=0)).max() < 1e-13
+    E = stratum_kernel(k, s)[0]
+    for column, row in ((0, 0), (-1, k)):
+        want = np.full(k + 1, np.exp(-700.0))
+        want[row] = 1.0
+        assert np.array_equal(E[:, column], want), column
 
 
-def test_floored_logsumexp_is_the_unfloored_sum_bit_for_bit():
-    # shifted terms below -SPREAD_BOUND are floored before exp: every sum holds
-    # exp(0) = 1, so no bit of it moves, on the largest Gram and density sums run
-    def unfloored(a, axis):
-        top = a.max(axis=axis, keepdims=True)
-        return np.log(np.exp(a - top).sum(axis=axis)) + np.squeeze(top, axis)
+def _log_J_at_40_digits(metric, k):
+    """log J_m, m = 0..k, summed at 40 digits over the metric's nodes from the
+    doubles s and radial_log_node, as mpf (each term (1-s)^k e^node (s/(1-s))^m)."""
+    nodes, log_node = metric.nd["s"].tolist(), radial_log_node(metric, k).tolist()
+    with mpmath.workdps(40):
+        rows = [mpmath.mpf(0)] * (k + 1)
+        for x, v in zip(nodes, log_node):
+            x = mpmath.mpf(x)
+            term, ratio = (1 - x) ** k * mpmath.exp(v), x / (1 - x)
+            for m in range(k + 1):
+                rows[m] += term
+                term *= ratio
+        return [mpmath.log(r) for r in rows]
+
+
+def test_log_J_matches_a_40_digit_reference(rng):
+    # the kernel product against the stratum sum at 40 digits, on the largest
+    # Gram sums run: n = 1 at k = 240 on 512 nodes, n = 3 at k = 120
+    for n, k, order in ((1, 240, 512), (3, 120, required_order(120))):
+        m = random_metric(rng, n, radial_rule(order))
+        got = radial_log_J(m, k).tolist()
+        want = _log_J_at_40_digits(m, k)
+        with mpmath.workdps(40):
+            gap = max(abs(mpmath.mpf(g) - w) for g, w in zip(got, want))
+        assert gap <= 2e-14, (n, k, float(gap))
+
+
+def test_density_integral_keeps_roundoff_on_the_sweep_draws():
+    # the potentials the sweep benchmark draws at seeds 1-3 (four normal
+    # coefficients of scale 0.1 on the 200-node rule, the constant 0, redrawn
+    # while not positive), on its Bergman windows: the density integrates to
+    # dim H^0 within 2e-15 relative
+    windows = {1: (50, 200, 50), 2: (40, 120, 40), 3: (40, 120, 40)}
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        for n, (k_min, k_max, k_stride) in windows.items():
+            while True:
+                coeffs = rng.normal(0.0, 0.1, size=4)
+                coeffs[0] = 0.0
+                try:
+                    build_metric(RadialPotential(n, tuple(coeffs)), radial_rule(200))
+                    break
+                except NonPositiveMetric:
+                    continue
+            config = ExperimentConfig(kind="bergman", n=n, k_min=k_min, k_max=k_max,
+                                      k_stride=k_stride)
+            m = build_metric(RadialPotential(n, tuple(coeffs)), radial_rule(config.order))
+            for k in config.k_values:
+                defect = abs(bergman_density(m, k).integral_defect) / dim_h0(n, k)
+                assert defect <= 2e-15, (seed, n, k, defect)
+
+
+def test_kernel_floor_moves_no_bit_of_the_sums(monkeypatch):
+    # kernel entries below e^-700 are floored before exp; with log-values at
+    # most 600 apart every sum holds a term above e^-601, so no bit of it
+    # moves, on the largest Gram and density sums run
+    from artifact import bergman
 
     rule = radial_rule(512)
-    gram_terms = stratum_s_part(240, rule.nodes) + radial_log_node(fubini_study(1, rule), 240)
-    fs3 = fubini_study(3, radial_rule(required_order(120)))
-    density_terms = stratum_s_part(120, DENSE_GRID) + (
-        log_degree_weights(3, 120) - gram(fs3, 120).log_Jm)[:, None]
-    for terms, axis in ((gram_terms, 1), (density_terms, 0)):
-        assert (terms - terms.max(axis=axis, keepdims=True) < -745.0).any()  # exp gives 0
-        assert np.array_equal(_logsumexp(terms, axis), unfloored(terms, axis))
+    fs1, fs3 = fubini_study(1, rule), fubini_study(3, radial_rule(required_order(120)))
+    w3 = -gram(fs3, 120).log_Jm
+    floored = radial_log_J(fs1, 240), log_stratum_sum(3, 120, w3, DENSE_GRID)
+    for k, s in ((240, rule.nodes), (120, DENSE_GRID)):
+        assert stratum_kernel(k, s)[0].min() >= math.exp(-700.0), k
+    monkeypatch.setattr(bergman, "KERNEL_FLOOR", -np.inf)
+    with np.errstate(under="ignore"):
+        assert (stratum_kernel(240, rule.nodes)[0] < math.exp(-700.0)).any()  # the floor bites
+        unfloored = radial_log_J(fs1, 240), log_stratum_sum(3, 120, w3, DENSE_GRID)
+    for got, want in zip(floored, unfloored):
+        assert np.array_equal(got, want)
+
+
+def _nodal_metric(rule, k, log_node):
+    """A CP^1 metric given by nodal data alone whose per-node log-factor of J_m
+    at degree k is ``log_node`` (to roundoff): Fubini-Study's with phi moved."""
+    nd = dict(fubini_study(1, rule).nd)
+    nd["phi"] = (np.log(rule.weights * nd["F1"]) - log_node) / k
+    return RadialKahlerMetric(1, None, rule, nd)
+
+
+def test_stratum_sums_refuse_log_values_beyond_the_kernel_range(rule200):
+    # one middle degree or node at -spread: the smallest product against the
+    # kernel would leave the doubles' range.  Densities and the FS map sum
+    # log D_m + w_m + c_m, Gram norms the per-node log-factors; as in
+    # kernel_moments, a spread past SPREAD_BOUND raises SpreadTooLarge
+    n, k = 1, 10
+    s = np.linspace(0.0, 1.0, 57)
+    E, peaks = stratum_kernel(k, s)
+    flat = -(log_degree_weights(n, k) + peaks)
+    for spread, refused in ((590.0, False), (610.0, True)):
+        w = flat + np.where(np.arange(k + 1) == k // 2, -spread, 0.0)
+        log_node = np.where(np.arange(rule200.order) == rule200.order // 2, -spread, 0.0)
+        metric = _nodal_metric(rule200, k, log_node)
+        if refused:
+            for call in (lambda: log_stratum_sum(n, k, w, s), lambda: gram(metric, k)):
+                with pytest.raises(SpreadTooLarge) as err:
+                    call()
+                assert err.value.spread == pytest.approx(spread) and err.value.bound == 600.0
+        else:  # inside the bound the sums keep their digits
+            terms = stratum_s_part(k, s) + (log_degree_weights(n, k) + w)[:, None]
+            want = logsumexp(terms, axis=0)
+            assert np.abs(log_stratum_sum(n, k, w, s) - want).max() < 1e-13 * np.abs(want).max()
+            terms = stratum_s_part(k, rule200.nodes) + radial_log_node(metric, k)
+            want = logsumexp(terms, axis=1)
+            assert np.abs(gram(metric, k).log_Jm - want).max() < 1e-13 * np.abs(want).max()
 
 
 def test_log_sums_leave_their_inputs_unchanged(rng, rule200):
-    # each shifts in place only the array it has just built
+    # each writes only the arrays it builds, and the norms add the kernel
+    # sum's log, then top, then the row peaks
     n, k = 2, 30
     m = random_metric(rng, n, rule200)
-    a, w = rng.normal(0.0, 30.0, size=(k + 1, 57)), rng.normal(size=k + 1)
-    s, s_part = np.linspace(0.0, 1.0, 57), stratum_s_part(k, m.nd["s"])
-    inputs = [a, w, s, s_part, rule200.nodes, rule200.weights, *m.nd.values()]
+    w, s = rng.normal(size=k + 1), np.linspace(0.0, 1.0, 57)
+    inputs = [w, s, rule200.nodes, rule200.weights, *m.nd.values()]
     before = [x.tobytes() for x in inputs]
-    for axis in (0, 1):
-        _logsumexp(a, axis)
-    log_J = radial_log_J(m, k, s_part)
+    log_J = radial_log_J(m, k)
     log_stratum_sum(n, k, w, s)
+    stratum_kernel(k, s)
     assert [x.tobytes() for x in inputs] == before
-    assert log_J.tobytes() == _logsumexp(s_part + radial_log_node(m, k), 1).tobytes()
+    log_node = radial_log_node(m, k)
+    E, peaks = stratum_kernel(k, m.nd["s"])
+    top = log_node.max()
+    assert log_J.tobytes() == (np.log(E @ np.exp(log_node - top)) + top + peaks).tobytes()
 
 
 def test_stratum_moments_are_those_of_the_term_shares(rng):
