@@ -7,8 +7,10 @@ diagnostics.  S_j, with S_2 the generalized Liouville action, is built
 on the Bott-Chern route; the path route is its cross-check.  It pairs
 gamma^(j) in weak form and fits nothing: S is interpolated only where a
 pointwise derivative of it is read.  A t-integral along the path evaluates
-its integrand on one path metric with a t-axis per nested Clenshaw-Curtis
-level, at that level's new nodes only.
+its integrand once on one path metric at the 33 nodes of the second nested
+Clenshaw-Curtis level, whose even rows give the first level's value, and
+past it only at each level's new nodes.  A path metric is one product of
+[1 - t, t] with its endpoints' data, and a t-sum is one real product.
 """
 from __future__ import annotations
 
@@ -63,38 +65,52 @@ def path_metric(m1: RadialKahlerMetric, m0: RadialKahlerMetric, t) -> RadialKahl
     """Metric of the linear potential interpolation at the times t, shape (T,).
 
     It is one metric with a t-axis: every affine ``nd`` entry has shape
-    (T, N), "s", "sig" and "sigp" stay (N,), and it carries no potential.
+    (T, N), "s", "sig" and "sigp" stay the endpoint's (N,) arrays, and it
+    carries no potential.  The affine entries are one product, the (T, 2)
+    matrix [1 - t, t] times the endpoints' stacked (K, 2, N) data, taken on
+    its float view, so that a complex endpoint stays off complex BLAS.
     """
     # nd is affine in t, so F' and G stay positive between checked ends
-    tt = np.asarray(t, dtype=float)[:, None]
-    nd = {key: v if key in ("s", "sig", "sigp") else (1.0 - tt) * v + tt * m1.nd[key]
-          for key, v in m0.nd.items()}
+    tt = np.asarray(t, dtype=float)
+    keys = [key for key in m0.nd if key not in ("s", "sig", "sigp")]
+    ends = np.array([(m0.nd[key], m1.nd[key]) for key in keys])
+    combined = (np.stack((1.0 - tt, tt), axis=-1) @ ends.view(float)).view(ends.dtype)
+    nd = dict(m0.nd)
+    nd.update(zip(keys, combined))
     return RadialKahlerMetric(m0.n, None, m0.rule, nd)
+
+
+def _t_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sum over the leading t-axis of weights x values, as one real product:
+    complex values are summed on their float view, off complex BLAS."""
+    rows = values.reshape(weights.size, -1)
+    return (weights @ rows.view(float)).view(values.dtype).reshape(values.shape[1:])
 
 
 def _path_quadrature(m1: RadialKahlerMetric, m0: RadialKahlerMetric, integrand):
     """Clenshaw-Curtis integral over t in [0, 1] of integrand(metric_t) along
     the linear potential path.  The integrand takes a (T, N) path metric and
-    returns an array with the t-axis first; it is called at the 17 nodes of
-    ``NESTED_LEVELS[0]``, then at each doubling at the new odd-index nodes.
+    returns an array with the t-axis first; it is called once on the path
+    metric at the 33 nodes of ``NESTED_LEVELS[1]``, whose even rows are the
+    17 nodes of ``NESTED_LEVELS[0]``, then at each doubling at the new
+    odd-index nodes only.
 
     Stops at the first level from 33 nodes on whose change from the previous
     level is at most PATH_TOL (1 + max|value|), and at 129 nodes in any case.
     Returns (value, change): the value at that level and that change, whose
     largest magnitude is the path refinement.
     """
-    nodes, weights = NESTED_LEVELS[0]
+    nodes, weights = NESTED_LEVELS[1]
     values = integrand(path_metric(m1, m0, nodes))
-    value = np.tensordot(weights, values, axes=1)
-    for nodes, weights in NESTED_LEVELS[1:]:
+    value, previous = _t_sum(weights, values), _t_sum(NESTED_LEVELS[0][1], values[::2])
+    for nodes, weights in NESTED_LEVELS[2:]:
+        if np.max(np.abs(value - previous)) <= PATH_TOL * (1.0 + np.max(np.abs(value))):
+            break
         both = np.empty((nodes.size,) + values.shape[1:], dtype=values.dtype)
         both[::2], both[1::2] = values, integrand(path_metric(m1, m0, nodes[1::2]))
-        values, previous = both, value
-        value = np.tensordot(weights, values, axes=1)
-        change = value - previous
-        if np.max(np.abs(change)) <= PATH_TOL * (1.0 + np.max(np.abs(value))):
-            break
-    return value, change
+        values = both
+        value, previous = _t_sum(weights, values), value
+    return value, value - previous
 
 
 # ---------------------------------------------------------------------------

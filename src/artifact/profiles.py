@@ -9,7 +9,7 @@ stencil and no fit.  A fit refuses non-finite samples; it is one product
 with the degree-160 interpolation operator, built once at import (bit for
 bit numpy's ``chebinterpolate``); a path metric fits
 nothing, since ``functionals.path_metric`` combines its endpoints' nodal
-data affinely, at one t or over a whole t-rule at once.  Evaluation and
+data affinely in one product, at one t or over a whole t-rule at once.  Evaluation and
 differentiation run numpy's ``chebval`` (Clenshaw) and ``chebder`` recurrences
 in their operation order on the coefficients as floats: numpy's bits, without
 its per-call array handling.

@@ -85,8 +85,15 @@ class RadialQuadrature:
 
     def integrate(self, values):
         """values @ weights over the last axis: a scalar for nodal values, real
-        for real values, and an array of shape (T,) for a (T, N) stack of them."""
-        total = np.asarray(values) @ self.weights
+        for real values, and an array of shape (T,) for a (T, N) stack of them.
+        It is one real product: complex values are summed on their float view,
+        real and imaginary parts as rows, off complex BLAS."""
+        values = np.asarray(values)
+        values = values.astype(np.promote_types(values.dtype, float), copy=False)
+        parts = values[..., None].view(float)  # (..., N, 1), or (..., N, 2) when complex
+        rows = parts.swapaxes(-1, -2).reshape(-1, parts.shape[-2])
+        total = (rows @ self.weights).reshape(parts.shape[:-2] + parts.shape[-1:])
+        total = total.view(values.dtype)[..., 0]
         return total.item() if total.ndim == 0 else total
 
 

@@ -19,8 +19,8 @@ from artifact import (
     t_iteration,
 )
 from artifact.balanced import _hilb_scale, t_step
-from artifact.bergman import (DENSE_GRID, density_values, gram, kernel_log_J, kernel_moments,
-                              log_stratum_sum, radial_log_node, step_kernels)
+from artifact.bergman import (DENSE_GRID, density_values, fs_log_J, gram, kernel_log_J,
+                              kernel_moments, log_stratum_sum, radial_log_node, step_kernels)
 from artifact.errors import NonPositiveMetric, NotConverged, SpreadTooLarge
 from artifact.geometry import check_positive, class_volume, fubini_study
 from artifact.quadrature import TWO_PI, required_order
@@ -161,6 +161,29 @@ def test_contraction_rate_matches_lambda_2():
         _, trace = t_iteration(RadialPotential(n, (0.0, 0.01, -0.005)), k)
         want = 1.0 - (n + 2) * (n + 3) / ((k + n + 1) * (k + n + 2))
         assert abs(trace.contraction_rate - want) <= 1e-6 * want, n
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("k", (5, 10, 20))
+def test_t_map_spectrum_at_fubini_study(n, k):
+    # the central-difference Jacobian of the T-map on log eta at Hilb(FS): the
+    # constant and the orbit slope are unit directions, the rest contract
+    kernels = step_kernels(n, k, radial_rule(required_order(k)))
+    scale = _hilb_scale(n, k)
+    star, h = fs_log_J(n, k) + scale, 1e-5
+
+    def t_map(log_eta):
+        return t_step(kernel_moments(kernels, -log_eta), kernels, scale)[0]
+
+    jac = np.column_stack([(t_map(star + e) - t_map(star - e)) / (2.0 * h)
+                           for e in h * np.eye(k + 1)])
+    eig = np.linalg.eigvals(jac)
+    eig = eig[np.argsort(-eig.real)]
+    lambda_2 = 1.0 - (n + 2) * (n + 3) / ((k + n + 1) * (k + n + 2))
+    assert np.abs(eig[:2] - 1.0).max() <= 1e-8
+    assert abs(eig[2] - lambda_2) <= 1e-8
+    rest = eig[3:]
+    assert np.abs(rest.imag).max() <= 1e-8 and np.abs(rest.real).max() < 1.0
 
 
 def test_balance_defect_makes_one_stratum_sum(rng, rule200, monkeypatch):

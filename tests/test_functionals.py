@@ -23,6 +23,7 @@ from artifact.geometry import (
     RadialKahlerMetric,
     bergman_coefficient,
     characteristic_coefficient,
+    complex_step,
     half_laplacian,
 )
 from artifact.functionals import (
@@ -45,6 +46,18 @@ from conftest import (
     random_metric,
     shifted_potential,
 )
+
+
+def record_path_sizes(monkeypatch):
+    """Patch ``functionals.path_metric`` to log the number of times of each
+    path metric it builds; returns the log."""
+    from artifact import functionals
+
+    sizes = []
+    path = functionals.path_metric
+    monkeypatch.setattr(functionals, "path_metric",
+                        lambda a, b, t: sizes.append(np.size(t)) or path(a, b, t))
+    return sizes
 
 
 def test_functionals_refuse_metrics_on_different_rules(fs_metric):
@@ -101,7 +114,13 @@ def test_bott_chern_refinement_is_the_change_of_its_term(rule200, monkeypatch):
     # a pair whose form still moves at 33 t-nodes (min F' of m1 is 0.022)
     m1 = build_metric(RadialPotential(2, (0.0, 0.073, 0.187, 0.177)), rule200)
     m0 = build_metric(RadialPotential(2, (0.0, 0.086, 0.010, 0.019)), rule200)
+    sizes = record_path_sizes(monkeypatch)
     got = S_j(m1, m0, 2).path_refinement
+    # one path metric of 33 times, then the new nodes of each doubling: to 129 here
+    assert sizes == [33, 32, 64]
+    sizes.clear()
+    tilde_S_path(m1, m0, 1)
+    assert sizes == [33, 32]
     monkeypatch.setattr(functionals, "_path_quadrature", path_quadrature_by_steps)
     form, change = bc_todd2(m1, m0)
     previous = RadialForm(form.rho - change.rho, form.sig - change.sig)
@@ -161,9 +180,30 @@ def test_bc_todd2_evaluates_the_frame_once_per_path_metric(rng, rule200, monkeyp
     monkeypatch.setattr(RadialKahlerMetric, "frame_curvature",
                         lambda self, s=None: frames.append(self) or frame(self, s))
     bc_todd2(m1, m0)
-    # one path metric with a t-axis per t-level: the 17 nodes, then the 16 new ones of 33
-    assert [m.nd["F1"].shape for m in paths] == [(17, rule200.order), (16, rule200.order)]
+    # one path metric with a t-axis: the 33 nodes, whose even rows are the 17 of the first level
+    assert [m.nd["F1"].shape for m in paths] == [(33, rule200.order)]
     assert [id(m) for m in frames] == [id(m) for m in paths]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_path_metric_entries_are_the_affine_combination_to_two_ulp(rng, rule200, n):
+    m1, m0 = random_metric(rng, n, rule200), random_metric(rng, n, rule200)
+    direction = random_metric(rng, n, rule200).potential.profile
+    stepped = []  # the endpoint that complex_step builds, imaginary parts of 1e-30 and all
+    complex_step(m1, direction, lambda mt: stepped.append(mt) or 0j)
+    nodes = NESTED_LEVELS[1][0]
+    tt = nodes[:, None].astype(np.longdouble)
+    for end in (m1, stepped[0]):
+        mt = path_metric(end, m0, nodes)
+        assert {key for key, v in mt.nd.items() if v is m0.nd[key]} == {"s", "sig", "sigp"}
+        for key in ("phi", "F", "F1", "F2", "F3", "G", "G1", "G2"):
+            v0, v1, got = m0.nd[key], end.nd[key], mt.nd[key]
+            assert got.shape == (nodes.size, rule200.order) and got.dtype == v1.dtype, key
+            for part in (np.real, np.imag):  # each against the sum in extended precision
+                a, b = (part(v).astype(np.longdouble) for v in (v0, v1))
+                bound = 2.0 * np.spacing(np.abs(part(v0)) + np.abs(part(v1)))
+                assert (np.abs(part(got) - ((1 - tt) * a + tt * b)) <= bound).all(), key
+    assert np.abs(stepped[0].nd["F1"].imag).min() > 0.0  # so a real cast fails above
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
@@ -182,6 +222,24 @@ def test_path_metric_over_an_array_of_times_stacks_the_scalar_ones(rng, rule200,
                 got = np.broadcast_to(stacked.nd[key], (nodes.size, rule200.order))[i]
                 want = np.broadcast_to(one, (1, rule200.order))[0]
                 assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), (key, i)
+
+
+def test_complex_path_integrals_are_their_real_and_imaginary_integrals(rng, rule200):
+    from artifact import functionals
+
+    m1, m0 = random_metric(rng, 2, rule200), random_metric(rng, 2, rule200)
+
+    def real(mt):  # (T, 2, N), of degree at most 2 in t, so every level is exact
+        return np.stack([mt.nd["F1"], mt.nd["G"] ** 2], axis=-2)
+
+    def imag(mt):
+        return np.stack([mt.nd["G"], mt.nd["F"] * mt.nd["F1"]], axis=-2)
+
+    value = functionals._path_quadrature(m1, m0, lambda mt: real(mt) + 1j * imag(mt))[0]
+    assert value.shape == (2, rule200.order) and np.iscomplexobj(value)
+    for part, integrand in ((np.real, real), (np.imag, imag)):
+        want = functionals._path_quadrature(m1, m0, integrand)[0]
+        assert np.abs(part(value) - want).max() <= 1e-15 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
@@ -236,18 +294,13 @@ def test_path_integrals_match_a_512_node_gauss_rule(rule200, monkeypatch):
 
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_each_path_integral_stops_at_33_t_nodes(rule200, fs_metric, monkeypatch, n):
-    from artifact import functionals
-
     # verify's metric against Fubini-Study
     m1 = build_metric(RadialPotential(n, (0.0, 0.1, -0.05)), rule200)
-    sizes = []
-    path = functionals.path_metric
-    monkeypatch.setattr(functionals, "path_metric",
-                        lambda a, b, t: sizes.append(np.size(t)) or path(a, b, t))
+    sizes = record_path_sizes(monkeypatch)
     for route, j in ((tilde_S_path, 1), (tilde_S_path, 2), (tilde_S_bc, 2)):
         sizes.clear()
         route(m1, fs_metric(n), j)
-        assert sizes == [17, 16], (route, j)
+        assert sizes == [33], (route, j)
 
 
 def test_additive_constant_invariance(rng, rule200):

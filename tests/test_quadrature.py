@@ -35,6 +35,17 @@ def test_integrate_contracts_the_last_axis():
         assert abs(row - one) <= 1e-15 * one
 
 
+def test_complex_integrals_are_their_real_and_imaginary_integrals(rng):
+    rule = radial_rule(200)
+    values = rng.normal(size=(33, 200)) + 1j * rng.normal(size=(33, 200))
+    for stack in (values, values[5]):
+        got = rule.integrate(stack)
+        assert np.iscomplexobj(got) and np.shape(got) == stack.shape[:-1]
+        bound = 4.0 * np.finfo(float).eps * (np.abs(stack) @ rule.weights)
+        for part in (np.real, np.imag):
+            assert np.all(np.abs(part(got) - rule.integrate(part(stack).copy())) <= bound)
+
+
 def _reference_rule(order):
     """The Gauss-Legendre rule of this order on (0, 1) at the working precision:
     one mpmath Newton step on P_N from numpy's roots x <= 0, the derivative carried
